@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .linalg import TOL, as_matrix, eig_sym, kernel_basis
-from .model import weighted_l1
+from .model import canonical_sign, weighted_l1
 
 _TWO_PI = 2.0 * math.pi
 _QUARTERS = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
@@ -81,13 +81,13 @@ class NspVerdict:
     enumerated: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class L1MinResult:
     """Minimizer set of a brute-force weighted-l1 program.
 
     ``minimizers`` is empty when the program is infeasible (``value`` is then
     None).  ``degenerate`` reports that some rank-deficient column subset was
-    skipped during enumeration.
+    skipped during enumeration.  Slotted: batch checks keep thousands.
     """
 
     minimizers: list = field(default_factory=list)
@@ -111,18 +111,6 @@ def phaseless_slack(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     return weighted_l1(np.asarray(u) - np.asarray(v), w) - weighted_l1(
         np.asarray(u) + np.asarray(v), w
     )
-
-
-def canonical_sign(z: np.ndarray) -> np.ndarray:
-    """Flip sign so the first significantly nonzero coordinate is positive."""
-    z = np.asarray(z, dtype=float)
-    scale = np.abs(z).max() if z.size else 0.0
-    if scale == 0.0:
-        return z
-    for zi in z:
-        if abs(zi) > 1e-12 * scale:
-            return -z if zi < 0 else z
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +585,7 @@ def _phaseless_falsify(
 class ExhaustiveL1Oracle:
     """Vertex enumeration for ``min ||z||_{1,w} subject to A z = y``.
 
-    Factorizations for all full-column-rank supports are precomputed once,
+    Pseudo-inverses of all full-column-rank supports are precomputed once,
     so repeated solves against the same matrix are cheap.
     """
 
@@ -608,7 +596,7 @@ class ExhaustiveL1Oracle:
         if self.n > dim_cap:
             raise CapExceededError("oracle dimension cap", f"N={self.n} > {dim_cap}")
         self.degenerate = False
-        self._supports: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
+        self._supports: list[tuple[list[int], np.ndarray]] = []
         for size in range(1, min(self.m, self.n) + 1):
             for t in combinations(range(self.n), size):
                 cols = a[:, t]
@@ -616,7 +604,7 @@ class ExhaustiveL1Oracle:
                 if sing[-1] <= 1e-10 * max(sing[0], 1e-300):
                     self.degenerate = True
                     continue
-                self._supports.append((t, np.linalg.pinv(cols), cols))
+                self._supports.append((list(t), np.linalg.pinv(cols)))
 
     def solve(self, y, w) -> L1MinResult:
         y = np.asarray(y, dtype=float)
@@ -626,12 +614,11 @@ class ExhaustiveL1Oracle:
             return L1MinResult([np.zeros(self.n)], 0.0, self.degenerate)
         feas_tol = TOL.oracle_feasibility * (1.0 + yn)
         candidates: list[tuple[float, np.ndarray]] = []
-        for t, pinv, cols in self._supports:
-            zt = pinv @ y
-            if np.linalg.norm(cols @ zt - y) > feas_tol:
-                continue
+        for t, pinv in self._supports:
             z = np.zeros(self.n)
-            z[list(t)] = zt
+            z[t] = pinv @ y
+            if np.linalg.norm(self.a @ z - y) > feas_tol:
+                continue
             candidates.append((weighted_l1(z, w), z))
         if not candidates:
             return L1MinResult([], None, self.degenerate)
@@ -648,7 +635,7 @@ def _dedupe(vectors: list[np.ndarray]) -> list[np.ndarray]:
         scale = 1.0 + max((np.abs(u).max() for u in unique), default=0.0)
         if not any(np.abs(z - u).max() <= 1e-7 * scale for u in unique):
             unique.append(z)
-    return unique
+    return unique[:]  # exact-size copy: results are kept by the thousand
 
 
 def brute_force_weighted_l1(a, y, w) -> L1MinResult:

@@ -1,10 +1,10 @@
 """Command-line front end: constants sweeps, recoveries, experiment grids,
 certifier and oracle runs.
 
-Exit codes: 0 success, 1 usage error, 2 solver failure, 3 enumeration cap
-refusal.  All randomness is keyed off explicit seeds; sweep CSV content is
-byte-stable for a fixed config and master seed (the trailing wall_ms column
-is excluded from that contract).
+Exit codes: 0 success, 1 usage error, 2 solver or numerical failure,
+3 enumeration cap refusal.  All randomness is keyed off explicit seeds;
+sweep CSV content is byte-stable for a fixed config and master seed (the
+trailing wall_ms column is excluded from that contract).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .certify import (
     srip_bounds,
     weighted_nsp_check,
 )
+from .linalg import EigNonConvergenceError, NotPositiveDefiniteError
 from .plots import line_chart
 from .solver import LiftedOperator, SolverConfig, solve_sdp
 
@@ -41,7 +42,7 @@ EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_CAP = 3
 
-SWEEP_SCHEMA = "phasecs.sweep.v1"
+SWEEP_SCHEMA = "phasecs.sweep.v2"
 SWEEP_COLUMNS = [
     "signal_kind", "N", "k", "theta", "rho", "alpha", "omega", "m", "sigma",
     "trial", "seed", "snr_db", "iterations", "status", "wall_ms",
@@ -696,6 +697,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (EigNonConvergenceError, NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
+        # numerical failure, not a usage error (NotPositiveDefiniteError is a ValueError)
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,21 +2,22 @@
 
 Everything here operates on plain ``numpy`` arrays and is sized for the
 small matrices this project deals with (dimensions up to a few dozen).
-The symmetric eigensolver is a cyclic Jacobi iteration, chosen for its
-accuracy on small problems; ``method="lapack"`` switches to
-``numpy.linalg.eigh`` where speed matters (the SDP solver's inner loop).
+There is one numerical core: LAPACK through ``numpy.linalg``.  Eigenpairs
+come from ``eigh``, null spaces from the SVD and SPD solves from a
+Cholesky factor.  Failures of ``eigh`` and of the Cholesky factorization
+surface as the named errors below; an SVD that does not converge raises
+``numpy.linalg.LinAlgError``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
 class EigNonConvergenceError(RuntimeError):
-    """Jacobi sweeps hit the cap before the off-diagonal mass vanished."""
+    """The symmetric eigensolver failed to converge."""
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -30,8 +31,6 @@ class Tolerances:
     Relative tolerances are documented next to the operation that scales them.
     """
 
-    jacobi_max_sweeps: int = 100
-    jacobi_offdiag_rel: float = 1e-12    # x ||M||_F, sweep stopping rule
     eig_reconstruct_rel: float = 1e-9    # x dim x max|entry|
     eig_orthonormal: float = 1e-10       # max-norm of V^T V - I
     psd_min_eig: float = 1e-10           # projected matrix eigenvalues >= -this
@@ -83,76 +82,22 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations; returns (eigenvalues, eigenvectors) unsorted."""
-    n = a.shape[0]
-    a = a.copy()
-    v = np.eye(n)
-    if n == 1:
-        return np.array([a[0, 0]]), v
-    fro = math.sqrt(float((a * a).sum()))
-    stop = TOL.jacobi_offdiag_rel * fro
-
-    def offdiag() -> float:
-        off = a - np.diag(np.diag(a))
-        return math.sqrt(float((off * off).sum()))
-
-    for _ in range(max_sweeps):
-        if offdiag() <= stop:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                # closed forms for the rotated 2x2 block avoid cancellation
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if offdiag() <= stop:
-        return np.diag(a).copy(), v
-    raise EigNonConvergenceError(
-        f"Jacobi iteration did not converge in {max_sweeps} sweeps"
-    )
-
-
-def eig_sym(m, method: str = "jacobi", max_sweeps: int | None = None) -> EigenDecomposition:
+def eig_sym(m) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    ``method`` is ``"jacobi"`` (default) or ``"lapack"``.
+    Raises :class:`EigNonConvergenceError` if LAPACK fails to converge.
     """
     m = as_sym_matrix(m)
-    if method == "jacobi":
-        lam, v = _jacobi(m, max_sweeps if max_sweeps is not None else TOL.jacobi_max_sweeps)
-    elif method == "lapack":
+    try:
         lam, v = np.linalg.eigh(m)
-    else:
-        raise ValueError(f"unknown eigensolver method {method!r}")
-    order = np.argsort(-lam, kind="stable")
-    return EigenDecomposition(eigenvalues=lam[order], eigenvectors=v[:, order])
+    except np.linalg.LinAlgError as exc:
+        raise EigNonConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    return EigenDecomposition(eigenvalues=lam[::-1], eigenvectors=v[:, ::-1])
 
 
-def psd_project(m, method: str = "jacobi") -> np.ndarray:
+def psd_project(m) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix: clamp negative eigenvalues."""
-    dec = eig_sym(m, method=method)
+    dec = eig_sym(m)
     lam = np.maximum(dec.eigenvalues, 0.0)
     v = dec.eigenvectors
     return symmetrize((v * lam) @ v.T)
@@ -161,9 +106,10 @@ def psd_project(m, method: str = "jacobi") -> np.ndarray:
 def kernel_basis(a, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of the numerical null space of ``a``, as columns.
 
-    Directions whose singular value is at most ``tol`` are kept; the default
-    tolerance is ``TOL.kernel_tol_rel * max(m, N) * max|a|``.  Computed from
-    the eigendecomposition of ``a.T @ a``.  May return a (N, 0) array.
+    Directions ``v`` with ``||a v|| <= tol`` are kept; the default tolerance
+    is ``TOL.kernel_tol_rel * max(m, N) * max|a|``.  The candidates are the
+    right singular vectors of ``a``, so the cut is made at the accuracy of
+    ``a`` itself rather than of ``a.T @ a``.  May return a (N, 0) array.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -172,53 +118,33 @@ def kernel_basis(a, tol: float | None = None) -> np.ndarray:
         tol = TOL.kernel_tol_rel * max(m, n) * scale
     elif tol <= 0:
         raise ValueError("tol must be positive")
-    gram = symmetrize(a.T @ a) if m else np.zeros((n, n))
-    dec = eig_sym(gram)
-    # eigenvalues of the gram are too coarse near zero (O(eps * ||A||^2));
-    # select by the directly evaluated residual, which is the contract
-    if m:
-        residuals = np.linalg.norm(a @ dec.eigenvectors, axis=0)
-    else:
-        residuals = np.zeros(n)
-    keep = residuals <= tol
-    return dec.eigenvectors[:, keep]
-
-
-def _cholesky(g: np.ndarray) -> np.ndarray:
-    n = g.shape[0]
-    lower = np.zeros_like(g)
-    floor = TOL.spd_pivot_rel * max(float(np.abs(np.diag(g)).max()), 1e-300)
-    for i in range(n):
-        pivot = g[i, i] - float(lower[i, :i] @ lower[i, :i])
-        if not (pivot > floor):
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite (pivot {pivot:.3e} at index {i})"
-            )
-        lower[i, i] = math.sqrt(pivot)
-        if i + 1 < n:
-            lower[i + 1:, i] = (g[i + 1:, i] - lower[i + 1:, :i] @ lower[i, :i]) / lower[i, i]
-    return lower
+    v = np.linalg.svd(a)[2].T
+    # selection by the directly evaluated residual is the contract
+    keep = np.linalg.norm(a @ v, axis=0) <= tol
+    return v[:, keep]
 
 
 def solve_spd(g, rhs) -> np.ndarray:
     """Solve ``g x = rhs`` for symmetric positive definite ``g`` via Cholesky.
 
     ``rhs`` may be a vector or a matrix of stacked right-hand sides.
-    Raises :class:`NotPositiveDefiniteError` on non-SPD input.
+    Raises :class:`NotPositiveDefiniteError` on non-SPD input, including a
+    pivot below ``TOL.spd_pivot_rel`` times the largest diagonal entry.
     """
     g = as_sym_matrix(g, "g")
     b = np.asarray(rhs, dtype=float)
-    vector = b.ndim == 1
-    if vector:
-        b = b[:, None]
-    if b.shape[0] != g.shape[0]:
+    if b.shape[:1] != g.shape[:1] or b.ndim > 2:
         raise ValueError("right-hand side has incompatible shape")
-    lower = _cholesky(g)
-    n = g.shape[0]
-    y = np.empty_like(b)
-    for i in range(n):
-        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    x = np.empty_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - lower[i + 1:, i] @ x[i + 1:]) / lower[i, i]
-    return x[:, 0] if vector else x
+    try:
+        lower = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
+    pivots = np.diag(lower) ** 2
+    floor = TOL.spd_pivot_rel * max(float(np.abs(np.diag(g)).max(initial=0.0)), 1e-300)
+    low = np.flatnonzero(~(pivots > floor))
+    if low.size:
+        i = int(low[0])
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite (pivot {pivots[i]:.3e} at index {i})"
+        )
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))

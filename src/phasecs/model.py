@@ -183,6 +183,18 @@ def snr_db(x: np.ndarray, xhat: np.ndarray) -> float:
     return 20.0 * math.log10(nx / err)
 
 
+def canonical_sign(z: np.ndarray) -> np.ndarray:
+    """Flip sign so the first significantly nonzero coordinate is positive."""
+    z = np.asarray(z, dtype=float)
+    scale = np.abs(z).max() if z.size else 0.0
+    if scale == 0.0:
+        return z
+    for zi in z:
+        if abs(zi) > 1e-12 * scale:
+            return -z if zi < 0 else z
+    return z
+
+
 def weighted_l1(x: np.ndarray, w: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)

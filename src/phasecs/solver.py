@@ -10,9 +10,11 @@ consensus ADMM: auxiliary variables L = W Z W (prox: entrywise shrinkage
 plus the trace tilt), P = Z (prox: psd projection) and r = B(Z) - b (prox:
 projection onto the eps ball).  The Z update solves the normal system
 (D + B* B) Z = rhs, D_ij = w_i^2 w_j^2 + 1, through the Woodbury identity
-with one m x m factorization per run; a matrix-free conjugate gradient
-takes over when m is large relative to N.  The iteration is deterministic:
-Z and all duals start at zero, and no randomness is used anywhere.
+with one m x m Cholesky factorization per run, at every m and N.  Each
+iteration applies B twice and B* three times: B*(b) is formed once, and
+B*(r) and B*(dual_r) are carried from one iteration into the next.  The
+iteration is deterministic: Z and all duals start at zero, and no
+randomness is used anywhere.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import symmetrize
+from .model import canonical_sign
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,7 @@ class LiftedOperator:
         return self.a.shape
 
     def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,jk,ik->i", self.a, z, self.a, optimize=True)
+        return ((self.a @ z) * self.a).sum(1)
 
     def adjoint(self, c: np.ndarray) -> np.ndarray:
         return (self.a * c[:, None]).T @ self.a
@@ -59,8 +62,6 @@ class SolverConfig:
     max_iter: int = 5000
     epsilon: float = 0.0
     adapt_penalty: bool = True
-    linear_solver: str = "auto"  # auto | woodbury | cg
-    cg_tol: float = 1e-10
 
     def __post_init__(self):
         if self.penalty <= 0 or self.tol_abs <= 0 or self.tol_rel < 0:
@@ -118,16 +119,7 @@ def rank1_extract(z) -> np.ndarray:
     """
     dec = linalg.eig_sym(z)
     lam1 = float(dec.eigenvalues[0])
-    v1 = dec.eigenvectors[:, 0]
-    x = math.sqrt(max(lam1, 0.0)) * v1
-    scale = np.abs(x).max()
-    if scale > 0:
-        for xi in x:
-            if abs(xi) > 1e-12 * scale:
-                if xi < 0:
-                    x = -x
-                break
-    return x
+    return canonical_sign(math.sqrt(max(lam1, 0.0)) * dec.eigenvectors[:, 0])
 
 
 def _psd_fast(m: np.ndarray) -> np.ndarray:
@@ -137,54 +129,24 @@ def _psd_fast(m: np.ndarray) -> np.ndarray:
 
 
 class _NormalSolver:
-    """Solves (D + B* B) Z = R, D_ij = w_i^2 w_j^2 + 1, for symmetric R."""
+    """Solves (D + B* B) Z = R, D_ij = w_i^2 w_j^2 + 1, for symmetric R.
 
-    def __init__(self, op: LiftedOperator, w: np.ndarray, method: str, cg_tol: float):
+    Woodbury: with H = 1/D entrywise and S the m x N^2 matrix of vectorised
+    sensors a_i a_i', the inverse is H - H S' (I + S diag(H) S')^{-1} S H.
+    """
+
+    def __init__(self, op: LiftedOperator, w: np.ndarray):
         m, n = op.shape
         self.op = op
-        d = np.outer(w * w, w * w) + 1.0
-        self.h = 1.0 / d  # elementwise inverse of D
-        self.d = d
-        if method == "auto":
-            method = "woodbury" if m <= 4 * n else "cg"
-        self.method = method
-        self.cg_tol = cg_tol
-        self.cg_cap = 10 * n * n
-        if method == "woodbury":
-            # gram of the sensors under the D^{-1} inner product
-            e = op.a[:, None, :] * op.a[None, :, :]  # e[i,j] = a_i * a_j
-            g = np.eye(m) + np.einsum("ijp,pq,ijq->ij", e, self.h, e, optimize=True)
-            self.g_inv = linalg.solve_spd(g, np.eye(m))
-        elif method != "cg":
-            raise ValueError(f"unknown linear_solver {method!r}")
+        self.h = 1.0 / (np.outer(w * w, w * w) + 1.0)
+        sensors = (op.a[:, :, None] * op.a[:, None, :]).reshape(m, n * n)
+        g = np.eye(m) + (sensors * self.h.ravel()) @ sensors.T
+        self.g_inv = linalg.solve_spd(g, np.eye(m))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.method == "woodbury":
-            x1 = self.h * rhs
-            t = self.g_inv @ self.op.forward(x1)
-            return symmetrize(x1 - self.h * self.op.adjoint(t))
-        return self._cg(rhs)
-
-    def _apply(self, z: np.ndarray) -> np.ndarray:
-        return self.d * z + self.op.adjoint(self.op.forward(z))
-
-    def _cg(self, rhs: np.ndarray) -> np.ndarray:
-        z = np.zeros_like(rhs)
-        r = rhs.copy()
-        p = r.copy()
-        rs = float((r * r).sum())
-        target = self.cg_tol * math.sqrt(float((rhs * rhs).sum()) + 1e-300)
-        for _ in range(self.cg_cap):
-            if math.sqrt(rs) <= target:
-                break
-            ap = self._apply(p)
-            alpha = rs / float((p * ap).sum())
-            z += alpha * p
-            r -= alpha * ap
-            rs_new = float((r * r).sum())
-            p = r + (rs_new / rs) * p
-            rs = rs_new
-        return symmetrize(z)
+        x1 = self.h * rhs
+        t = self.g_inv @ self.op.forward(x1)
+        return symmetrize(x1 - self.h * self.op.adjoint(t))
 
 
 def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> SolverResult:
@@ -203,7 +165,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
         raise ValueError("operator, measurements and weights have inconsistent shapes")
 
     try:
-        normal = _NormalSolver(op, w, cfg.linear_solver, cfg.cg_tol)
+        normal = _NormalSolver(op, w)
     except (linalg.NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
         zero = np.zeros((n, n))
         return SolverResult(zero, np.zeros(n), 0, math.inf, math.inf, "failed",
@@ -218,6 +180,10 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     dual_l = np.zeros((n, n))
     dual_p = np.zeros((n, n))
     dual_r = np.zeros(m)
+    # B* is linear, so its images of b, r and dual_r are kept, not recomputed
+    adj_b = op.adjoint(b)
+    adj_r = np.zeros((n, n))
+    adj_dual_r = np.zeros((n, n))
     dim_pri = math.sqrt(2 * n * n + m)
     dim_dual = float(n)
 
@@ -227,12 +193,12 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     feas = math.inf
     try:
         for it in range(1, cfg.max_iter + 1):
-            rhs = ww * (l_aux - dual_l) + (p_aux - dual_p) + op.adjoint(b + r_aux - dual_r)
+            rhs = ww * (l_aux - dual_l) + (p_aux - dual_p) + (adj_b + adj_r - adj_dual_r)
             z = normal.solve(rhs)
             wzw = ww * z
             bz = op.forward(z)
 
-            l_old, p_old, r_old = l_aux, p_aux, r_aux
+            l_old, p_old = l_aux, p_aux
             l_aux = weighted_shrink(wzw + dual_l, cfg.lam, rho)
             p_aux = _psd_fast(z + dual_p)
             r_aux = ball_project(bz - b + dual_r, cfg.epsilon)
@@ -243,13 +209,15 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
             dual_l = dual_l + res_l
             dual_p = dual_p + res_p
             dual_r = dual_r + res_r
+            adj_r_old, adj_r = adj_r, op.adjoint(r_aux)
+            adj_dual_r = op.adjoint(dual_r)
 
             pri = math.sqrt(
                 float((res_l * res_l).sum())
                 + float((res_p * res_p).sum())
                 + float(res_r @ res_r)
             )
-            dvec = ww * (l_aux - l_old) + (p_aux - p_old) + op.adjoint(r_aux - r_old)
+            dvec = ww * (l_aux - l_old) + (p_aux - p_old) + (adj_r - adj_r_old)
             dua = rho * math.sqrt(float((dvec * dvec).sum()))
             feas = float(np.linalg.norm(res_r))
 
@@ -259,7 +227,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
                 math.sqrt(float((l_aux * l_aux).sum()) + float((p_aux * p_aux).sum())
                           + float(r_aux @ r_aux)),
             )
-            dual_vec = ww * dual_l + dual_p + op.adjoint(dual_r)
+            dual_vec = ww * dual_l + dual_p + adj_dual_r
             scale_dual = rho * math.sqrt(float((dual_vec * dual_vec).sum()))
             eps_pri = dim_pri * cfg.tol_abs + cfg.tol_rel * scale_pri
             eps_dual = dim_dual * cfg.tol_abs + cfg.tol_rel * scale_dual
@@ -277,11 +245,13 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
                     dual_l *= 0.5
                     dual_p *= 0.5
                     dual_r *= 0.5
+                    adj_dual_r *= 0.5
                 elif dua > 10.0 * pri and pri > 0:
                     rho *= 0.5
                     dual_l *= 2.0
                     dual_p *= 2.0
                     dual_r *= 2.0
+                    adj_dual_r *= 2.0
     except (linalg.EigNonConvergenceError, np.linalg.LinAlgError) as exc:
         return SolverResult(z, np.zeros(n), it, pri, dua, "failed", {"error": str(exc)})
 

@@ -2,9 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from phasecs import cli
 from phasecs.cli import (
+    EXIT_SOLVER,
     SWEEP_COLUMNS,
     SweepConfig,
     parse_sweep_config,
@@ -13,6 +16,7 @@ from phasecs.cli import (
     run_sweep,
     sweep_csv_lines,
 )
+from phasecs.linalg import NotPositiveDefiniteError
 
 TINY_CONFIG = """
 # tiny smoke sweep
@@ -251,6 +255,25 @@ class TestOracleCommand:
     def test_requires_input(self):
         res = run_cli("oracle", "--identity", "2")
         assert res.returncode == 1
+
+
+def test_eigensolver_failure_is_solver_exit(monkeypatch, capsys):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code = cli.main(["certify", "--identity", "4", "--check", "rip", "--k", "1"])
+    assert code == EXIT_SOLVER == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [NotPositiveDefiniteError, np.linalg.LinAlgError])
+def test_factorization_failure_is_solver_exit(monkeypatch, error):
+    def fail(*_, **__):
+        raise error("not positive definite")
+
+    monkeypatch.setattr(cli, "rip_constant", fail)
+    assert cli.main(["certify", "--identity", "4", "--check", "rip", "--k", "1"]) == 2
 
 
 def test_matrix_file_errors(tmp_path):

@@ -26,56 +26,61 @@ def cofactor_det(m: np.ndarray) -> float:
     return total
 
 
-@pytest.mark.parametrize("method", ["jacobi", "lapack"])
+# eig_sym has one backend, LAPACK (syevd through numpy.linalg.eigh); the
+# parameter names it in the test ids
+@pytest.mark.parametrize("backend", ["lapack"])
 class TestEigSym:
-    def test_diagonal(self, method):
-        dec = eig_sym(np.diag([3.0, 1.0]), method=method)
+    def test_diagonal(self, backend):
+        dec = eig_sym(np.diag([3.0, 1.0]))
         assert np.allclose(dec.eigenvalues, [3.0, 1.0])
         assert np.allclose(np.abs(dec.eigenvectors), np.eye(2), atol=1e-12)
 
-    def test_2x2_closed_form(self, method):
-        dec = eig_sym([[0.0, 1.0], [1.0, 0.0]], method=method)
+    def test_2x2_closed_form(self, backend):
+        dec = eig_sym([[0.0, 1.0], [1.0, 0.0]])
         assert np.allclose(dec.eigenvalues, [1.0, -1.0])
         assert np.allclose(np.abs(dec.eigenvectors), np.full((2, 2), 1 / RT2))
 
-    def test_random_reconstruction(self, method):
+    def test_random_reconstruction(self, backend):
         rng = np.random.default_rng(42)
         m = rng.standard_normal((8, 8))
         m = 0.5 * (m + m.T)
-        dec = eig_sym(m, method=method)
+        dec = eig_sym(m)
         bound = TOL.eig_reconstruct_rel * 8 * np.abs(m).max()
         assert np.abs(dec.reconstruct() - m).max() <= bound
         assert np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(8)).max() <= TOL.eig_orthonormal
 
-    def test_eigenvalues_descending(self, method):
+    def test_eigenvalues_descending(self, backend):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((6, 6))
         m = m + m.T
-        lam = eig_sym(m, method=method).eigenvalues
+        lam = eig_sym(m).eigenvalues
         assert np.all(np.diff(lam) <= 0)
 
-    def test_trace_identity(self, method):
+    def test_trace_identity(self, backend):
         rng = np.random.default_rng(11)
         for _ in range(5):
             m = rng.standard_normal((5, 5))
             m = m + m.T
-            lam = eig_sym(m, method=method).eigenvalues
+            lam = eig_sym(m).eigenvalues
             assert abs(lam.sum() - np.trace(m)) <= 1e-9 * max(1.0, abs(np.trace(m)))
 
-    def test_determinant_identity(self, method):
+    def test_determinant_identity(self, backend):
         rng = np.random.default_rng(13)
         for dim in (2, 3, 4):
             m = rng.standard_normal((dim, dim))
             m = m + m.T
-            lam = eig_sym(m, method=method).eigenvalues
+            lam = eig_sym(m).eigenvalues
             det = cofactor_det(m)
             assert abs(np.prod(lam) - det) <= 1e-8 * max(1.0, abs(det))
 
 
-def test_eig_nonconvergence_signal():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
+def test_eig_nonconvergence_signal(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(EigNonConvergenceError):
-        eig_sym(m, method="jacobi", max_sweeps=0)
+        eig_sym(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_eig_rejects_asymmetric():
@@ -159,6 +164,27 @@ class TestKernelBasis:
         a = rng.standard_normal((2, 6))
         k = kernel_basis(a)
         assert np.abs(k.T @ k - np.eye(k.shape[1])).max() <= 1e-10
+
+    def test_matches_scipy_null_space(self):
+        null_space = pytest.importorskip("scipy.linalg").null_space
+        rng = np.random.default_rng(43)
+        for m, n, rank in ((3, 6, 2), (5, 5, 3), (6, 4, 2), (8, 8, 7), (2, 7, 1)):
+            a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+            k, ref = kernel_basis(a), null_space(a)
+            assert k.shape[1] == ref.shape[1] == n - rank
+            # equal spans: the orthogonal projectors agree
+            assert np.abs(k @ k.T - ref @ ref.T).max() <= 1e-10
+
+    def test_small_singular_value_is_not_kernel(self):
+        # sigma = 1e-8 is far above the cut, but its square is at rounding
+        # level of A'A; only the SVD separates it from the exact null vector
+        rng = np.random.default_rng(47)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        a = (u * [1.0, 0.5, 1e-8, 0.0]) @ v.T
+        k = kernel_basis(a)
+        assert k.shape == (4, 1)
+        assert abs(abs(k[:, 0] @ v[:, 3]) - 1.0) <= 1e-10
 
 
 class TestSolveSpd:
