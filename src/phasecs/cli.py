@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -42,7 +43,7 @@ EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_CAP = 3
 
-SWEEP_SCHEMA = "phasecs.sweep.v2"
+SWEEP_SCHEMA = "phasecs.sweep.v3"
 SWEEP_COLUMNS = [
     "signal_kind", "N", "k", "theta", "rho", "alpha", "omega", "m", "sigma",
     "trial", "seed", "snr_db", "iterations", "status", "wall_ms",
@@ -618,6 +619,9 @@ def _add_weights(p: argparse.ArgumentParser) -> None:
                    help="comma-separated 0-based indices of the support estimate")
 
 
+# built once per process: a fresh parser costs milliseconds per call and leaves
+# reference cycles for the cyclic collector
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="phasecs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

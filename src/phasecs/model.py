@@ -136,7 +136,10 @@ def gen_support_estimate(
             f"{n - t0.size} positions outside T0"
         )
     inside = rng.choice(t0, size=size_in, replace=False) if size_in else np.empty(0, int)
-    pool = np.setdiff1d(np.arange(n), t0)
+    # not np.setdiff1d: its np.unique imports numpy.ma on first use, which
+    # costs every recover process about 0.7 MB of resident memory
+    in_t0 = set(t0.tolist())
+    pool = np.array([i for i in range(n) if i not in in_t0], dtype=int)
     outside = rng.choice(pool, size=size_out, replace=False) if size_out else np.empty(0, int)
     indices = tuple(sorted(int(i) for i in np.concatenate([inside, outside])))
     return SupportEstimate(indices=indices, omega=float(omega), rho=float(rho), alpha=float(alpha))

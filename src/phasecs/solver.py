@@ -10,11 +10,21 @@ consensus ADMM: auxiliary variables L = W Z W (prox: entrywise shrinkage
 plus the trace tilt), P = Z (prox: psd projection) and r = B(Z) - b (prox:
 projection onto the eps ball).  The Z update solves the normal system
 (D + B* B) Z = rhs, D_ij = w_i^2 w_j^2 + 1, through the Woodbury identity
-with one m x m Cholesky factorization per run, at every m and N.  Each
-iteration applies B twice and B* three times: B*(b) is formed once, and
-B*(r) and B*(dual_r) are carried from one iteration into the next.  The
-iteration is deterministic: Z and all duals start at zero, and no
-randomness is used anywhere.
+with one m x m Cholesky factorization per run, at every m and N; the same
+solve yields B(Z), so an iteration applies B once and B* four times.
+
+One sweep is a fixed-point map T on the state s = (L, P, r) and their
+scaled duals, kept as one flat vector.  The loop runs a safeguarded type-II
+Anderson accelerator on T (Walker & Ni 2011): after a sweep that has not
+converged, the next state is T(s) - dG gamma, where gamma fits the residual
+f = T(s) - s by the last ``ANDERSON_MEMORY`` differences of f and of T.  An
+extrapolated state whose residual is larger than that of the state it came
+from is dropped for the plain step from that state, and the memory is
+cleared.  A penalty change also takes the plain step and clears the
+memory, because rescaling the duals changes T.  The convergence test is
+made on T(s) with the plain-ADMM thresholds.  The iteration is
+deterministic: Z and all duals start at zero, and no randomness is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -27,6 +37,9 @@ import numpy as np
 from . import linalg
 from .linalg import symmetrize
 from .model import canonical_sign
+
+# how many past differences the Anderson accelerator keeps
+ANDERSON_MEMORY = 10
 
 
 @dataclass(frozen=True)
@@ -94,7 +107,7 @@ def weighted_shrink(v: np.ndarray, lam: float, penalty: float) -> np.ndarray:
         raise ValueError("penalty must be positive")
     thr = lam / penalty
     shifted = v.copy()
-    np.fill_diagonal(shifted, np.diag(v) - 1.0 / penalty)
+    shifted.flat[:: v.shape[0] + 1] -= 1.0 / penalty
     out = np.sign(shifted) * np.maximum(np.abs(shifted) - thr, 0.0)
     return symmetrize(out)
 
@@ -103,7 +116,7 @@ def ball_project(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the centered ball of the given radius."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    nv = float(np.linalg.norm(v))
+    nv = math.sqrt(float(v @ v))
     if nv <= radius:
         return v.copy()
     if radius == 0.0:
@@ -143,14 +156,86 @@ class _NormalSolver:
         g = np.eye(m) + (sensors * self.h.ravel()) @ sensors.T
         self.g_inv = linalg.solve_spd(g, np.eye(m))
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Return Z and B(Z).
+
+        With G = I + S diag(H) S' and t = G^{-1} B(H o R), the solution is
+        Z = H o R - H o B*(t), so B(Z) = B(H o R) - (G - I) t = t exactly.
+        """
         x1 = self.h * rhs
         t = self.g_inv @ self.op.forward(x1)
-        return symmetrize(x1 - self.h * self.op.adjoint(t))
+        return symmetrize(x1 - self.h * self.op.adjoint(t)), t
+
+
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of a fixed-point map x -> T(x).
+
+    ``step(g, f)`` takes g = T(x) and the residual f = T(x) - x and returns
+    the next point to evaluate: g - dG gamma, where gamma minimises
+    ||f - dF gamma|| over the last ``memory`` differences dF of residuals and
+    dG of images.  The differences live in preallocated ring buffers, and
+    each step adds one row and column to the Gram matrix of dF.  The normal
+    equations get the Tikhonov shift 1e-12 trace(dF' dF) + 1e-8 ||f||^2.
+
+    Safeguard: an extrapolated point whose residual is larger than that of the
+    point it came from is rejected; the stored plain step T(x_prev) is taken
+    instead and the memory is cleared.
+    """
+
+    def __init__(self, dim: int, memory: int):
+        self.memory = memory
+        self.df = np.zeros((memory, dim))
+        self.dg = np.zeros((memory, dim))
+        self.gram = np.zeros((memory, memory))
+        self.accepted = 0
+        self.rejected = 0
+        self.reset()
+
+    def reset(self) -> None:
+        self.count = 0  # differences stored since the last reset
+        self.prev = None  # (f, g, ||f||^2) at the last evaluated point
+        self.extrapolated = False  # the point being evaluated was extrapolated
+
+    def step(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+        if self.memory == 0:
+            return g
+        fn = float(f @ f)
+        if self.prev is None:
+            self.prev = (f, g, fn)
+            return g
+        f_prev, g_prev, fn_prev = self.prev
+        if self.extrapolated:
+            if fn > fn_prev:
+                self.rejected += 1
+                self.reset()
+                return g_prev
+            self.accepted += 1
+        self.prev = (f, g, fn)
+        k = self.count % self.memory
+        np.subtract(f, f_prev, out=self.df[k])
+        np.subtract(g, g_prev, out=self.dg[k])
+        self.count += 1
+        q = min(self.count, self.memory)
+        df = self.df[:q]
+        row = df @ self.df[k]
+        self.gram[k, :q] = row
+        self.gram[:q, k] = row
+        gram = self.gram[:q, :q].copy()
+        # the residual term bounds gamma when the differences are tiny next to
+        # f: in a drift phase each sweep moves the duals by the same step, f
+        # barely changes, and an unbounded gamma jumps far along the drift
+        gram.flat[:: q + 1] += 1e-12 * gram.trace() + 1e-8 * fn
+        try:
+            gamma = np.linalg.solve(gram, df @ f)
+        except np.linalg.LinAlgError:
+            self.extrapolated = False
+            return g
+        self.extrapolated = True
+        return g - gamma @ self.dg[:q]
 
 
 def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> SolverResult:
-    """Run the consensus splitting on the lifted program.
+    """Run the accelerated consensus splitting on the lifted program.
 
     Convergence requires the stacked primal and dual residuals to fall below
     the usual absolute-plus-relative thresholds and additionally the
@@ -173,17 +258,12 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
 
     ww = np.outer(w, w)
     rho = cfg.penalty
-    z = np.zeros((n, n))
-    l_aux = np.zeros((n, n))
-    p_aux = np.zeros((n, n))
-    r_aux = np.zeros(m)
-    dual_l = np.zeros((n, n))
-    dual_p = np.zeros((n, n))
-    dual_r = np.zeros(m)
-    # B* is linear, so its images of b, r and dual_r are kept, not recomputed
     adj_b = op.adjoint(b)
-    adj_r = np.zeros((n, n))
-    adj_dual_r = np.zeros((n, n))
+    # flat state x = (L, P, r, dual_L, dual_P, dual_r)
+    nn = n * n
+    i_p, i_r, i_dl, i_dp, i_dr = nn, 2 * nn, 2 * nn + m, 3 * nn + m, 4 * nn + m
+    x = np.zeros(4 * nn + 2 * m)
+    accel = _Anderson(x.size, ANDERSON_MEMORY)
     dim_pri = math.sqrt(2 * n * n + m)
     dim_dual = float(n)
 
@@ -191,44 +271,46 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     pri = dua = math.inf
     iterations = cfg.max_iter
     feas = math.inf
+    z = np.zeros((n, n))
     try:
         for it in range(1, cfg.max_iter + 1):
-            rhs = ww * (l_aux - dual_l) + (p_aux - dual_p) + (adj_b + adj_r - adj_dual_r)
-            z = normal.solve(rhs)
+            dual_l = x[i_dl:i_dp].reshape(n, n)
+            dual_p = x[i_dp:i_dr].reshape(n, n)
+            dual_r = x[i_dr:]
+            rhs = (ww * (x[:i_p].reshape(n, n) - dual_l) + (x[i_p:i_r].reshape(n, n) - dual_p)
+                   + (adj_b + op.adjoint(x[i_r:i_dl] - dual_r)))
+            z, bz = normal.solve(rhs)
             wzw = ww * z
-            bz = op.forward(z)
+            bz_b = bz - b
 
-            l_old, p_old = l_aux, p_aux
             l_aux = weighted_shrink(wzw + dual_l, cfg.lam, rho)
             p_aux = _psd_fast(z + dual_p)
-            r_aux = ball_project(bz - b + dual_r, cfg.epsilon)
+            r_aux = ball_project(bz_b + dual_r, cfg.epsilon)
+            dual_r = dual_r + (bz_b - r_aux)
+            g = np.concatenate((
+                l_aux.ravel(), p_aux.ravel(), r_aux,
+                (dual_l + (wzw - l_aux)).ravel(), (dual_p + (z - p_aux)).ravel(), dual_r,
+            ))
+            # f = T(x) - x: its dual blocks are the primal residuals, and its
+            # primal blocks give the dual residual
+            f = g - x
 
-            res_l = wzw - l_aux
-            res_p = z - p_aux
-            res_r = bz - b - r_aux
-            dual_l = dual_l + res_l
-            dual_p = dual_p + res_p
-            dual_r = dual_r + res_r
-            adj_r_old, adj_r = adj_r, op.adjoint(r_aux)
-            adj_dual_r = op.adjoint(dual_r)
+            f_split = f[i_dl:i_dr]
+            f_r = f[i_dr:]
+            feas = math.sqrt(float(f_r @ f_r))
+            pri = math.sqrt(float(f_split @ f_split) + feas * feas)
+            dvec = (ww * f[:i_p].reshape(n, n) + f[i_p:i_r].reshape(n, n)
+                    + op.adjoint(f[i_r:i_dl]))
+            dua = rho * math.sqrt(float(np.vdot(dvec, dvec)))
 
-            pri = math.sqrt(
-                float((res_l * res_l).sum())
-                + float((res_p * res_p).sum())
-                + float(res_r @ res_r)
-            )
-            dvec = ww * (l_aux - l_old) + (p_aux - p_old) + (adj_r - adj_r_old)
-            dua = rho * math.sqrt(float((dvec * dvec).sum()))
-            feas = float(np.linalg.norm(res_r))
-
-            scale_pri = max(
-                math.sqrt(float((wzw * wzw).sum()) + float((z * z).sum())
-                          + float((bz - b) @ (bz - b))),
-                math.sqrt(float((l_aux * l_aux).sum()) + float((p_aux * p_aux).sum())
-                          + float(r_aux @ r_aux)),
-            )
-            dual_vec = ww * dual_l + dual_p + adj_dual_r
-            scale_dual = rho * math.sqrt(float((dual_vec * dual_vec).sum()))
+            g_pri = g[:i_dl]
+            scale_pri = math.sqrt(max(
+                float(np.vdot(wzw, wzw)) + float(np.vdot(z, z)) + float(bz_b @ bz_b),
+                float(g_pri @ g_pri),
+            ))
+            dual_vec = (ww * g[i_dl:i_dp].reshape(n, n) + g[i_dp:i_dr].reshape(n, n)
+                        + op.adjoint(dual_r))
+            scale_dual = rho * math.sqrt(float(np.vdot(dual_vec, dual_vec)))
             eps_pri = dim_pri * cfg.tol_abs + cfg.tol_rel * scale_pri
             eps_dual = dim_dual * cfg.tol_abs + cfg.tol_rel * scale_dual
 
@@ -239,19 +321,21 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
 
             # rebalance on a cadence; adjusting every iteration makes the
             # scaled duals thrash and can stall convergence outright
+            factor = 1.0
             if cfg.adapt_penalty and it % 25 == 0:
                 if pri > 10.0 * dua and dua > 0:
-                    rho *= 2.0
-                    dual_l *= 0.5
-                    dual_p *= 0.5
-                    dual_r *= 0.5
-                    adj_dual_r *= 0.5
+                    factor = 2.0
                 elif dua > 10.0 * pri and pri > 0:
-                    rho *= 0.5
-                    dual_l *= 2.0
-                    dual_p *= 2.0
-                    dual_r *= 2.0
-                    adj_dual_r *= 2.0
+                    factor = 0.5
+            if factor == 1.0:
+                x = accel.step(g, f)
+            else:
+                # rescaling the duals changes the map: take the plain step,
+                # which no safeguard has to vet, and clear the memory
+                rho *= factor
+                x = g
+                x[i_dl:] /= factor
+                accel.reset()
     except (linalg.EigNonConvergenceError, np.linalg.LinAlgError) as exc:
         return SolverResult(z, np.zeros(n), it, pri, dua, "failed", {"error": str(exc)})
 
@@ -264,11 +348,13 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     diagnostics = {
         "feasibility": float(np.linalg.norm(op.forward(z) - b)),
         "ball_violation": feas,
-        "split_l": float(np.linalg.norm(ww * z - l_aux)),
-        "split_p": float(np.linalg.norm(z - p_aux)),
+        "split_l": float(np.linalg.norm(f[i_dl:i_dp])),
+        "split_p": float(np.linalg.norm(f[i_dp:i_dr])),
         "split_r": feas,
         "min_eigenvalue": float(eigvals[0]),
         "top_eigenvalue_ratio": float(eigvals[-2] / eigvals[-1]) if n > 1 and eigvals[-1] > 0 else 0.0,
         "penalty": rho,
+        "anderson_accepted": accel.accepted,
+        "anderson_rejected": accel.rejected,
     }
     return SolverResult(z, xhat, iterations, pri, dua, status, diagnostics)

@@ -323,3 +323,11 @@ def test_criterion_9_error_bound_coherence(sparse_recovery_batch):
         worst_ratio = max(worst_ratio, err / bound)
     report(f"criterion 9: error-bound coherence (worst error/bound "
            f"{worst_ratio:.2f})", ok)
+
+
+def test_solver_iteration_budget(sparse_recovery_batch):
+    # a performance regression check that measures no time: iteration
+    # counts on this batch are deterministic (plain ADMM: median 580.5)
+    iterations = [r["result"].iterations for r in sparse_recovery_batch]
+    assert all(r["result"].status == "converged" for r in sparse_recovery_batch)
+    assert statistics.median(iterations) <= 250, iterations

@@ -285,3 +285,17 @@ def test_matrix_file_errors(tmp_path):
 
 def test_unknown_subcommand():
     assert run_cli("frobnicate").returncode == 1
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path):
+    # the parser is built once per process; a second call must not see the first's state
+    argvs = [["recover", "--n", "6", "--k", "1", "--m", m] for m in ("12", "20")]
+    codes = []
+    for i, argv in enumerate(argvs):
+        codes.append(cli.main([*argv, "--out", str(tmp_path / f"same-{i}.txt")]))
+        fresh = run_cli(*argv, "--out", str(tmp_path / f"fresh-{i}.txt"))
+        assert fresh.returncode == codes[-1]
+    for i in range(len(argvs)):
+        assert (tmp_path / f"same-{i}.txt").read_text() == (tmp_path / f"fresh-{i}.txt").read_text()
+    assert "m: 12" in (tmp_path / "same-0.txt").read_text()
+    assert "m: 20" in (tmp_path / "same-1.txt").read_text()

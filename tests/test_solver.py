@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasecs import model
+from phasecs import model, solver
 from phasecs.solver import (
     LiftedOperator,
+    _Anderson,
     _NormalSolver,
     SolverConfig,
     ball_project,
@@ -154,6 +155,40 @@ class TestSolveSdp:
         assert res.status == "converged"
         assert model.snr_db(x, res.xhat) >= 40.0
 
+    def test_reports_accelerator_counts(self):
+        x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
+        d = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg).diagnostics
+        assert type(d["anderson_accepted"]) is int and d["anderson_accepted"] > 0
+        assert type(d["anderson_rejected"]) is int and d["anderson_rejected"] >= 0
+
+    def test_drift_phase_trial_converges(self):
+        # `phasecs recover --m 40 --omega 1 --seed 1739820329`: plain ADMM
+        # spends about 2000 sweeps in a phase where the duals drift by a
+        # constant step; without the residual-scaled shift the accelerator
+        # jumped along the drift and ran to the iteration cap
+        rng = np.random.default_rng(1739820329)
+        x = model.gen_sparse_signal(rng, 16, 2)
+        est = model.gen_support_estimate(rng, model.best_k_support(x, 2), 16, 2, 1.0, 0.75, 1.0)
+        a = model.gen_gaussian_matrix(rng, 40, 16)
+        inst = model.make_instance(a, x, 0.0, rng)
+        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, est.weights(16),
+                        SolverConfig(epsilon=inst.epsilon))
+        assert res.status == "converged" and res.iterations <= 1000
+        assert model.snr_db(x, res.xhat) >= 40.0
+
+    @pytest.mark.parametrize("sigma, seed", [(0.0, 0), (0.0, 3), (0.05, 3), (0.05, 5)])
+    def test_accelerated_minimiser_matches_plain(self, monkeypatch, sigma, seed):
+        x, a, inst, w, cfg = make_problem(8, 2, 24 if sigma else 16, 0.5, 0.5, sigma, seed,
+                                          tol_abs=1e-8, tol_rel=1e-6, max_iter=20000)
+        op = LiftedOperator.from_matrix(a)
+        fast = solve_sdp(op, inst.b, w, cfg)
+        monkeypatch.setattr(solver, "ANDERSON_MEMORY", 0)
+        plain = solve_sdp(op, inst.b, w, cfg)
+        assert fast.status == plain.status == "converged"
+        assert fast.iterations < plain.iterations
+        assert plain.diagnostics["anderson_accepted"] == 0
+        assert np.linalg.norm(fast.Z - plain.Z) <= 1e-3 * np.linalg.norm(plain.Z)
+
     def test_shape_validation(self):
         op = LiftedOperator.from_matrix(np.eye(3))
         with pytest.raises(ValueError):
@@ -201,10 +236,12 @@ def test_woodbury_normal_equation_residual(n, m):
     w = rng.choice([0.3, 1.0], size=n)
     r = rng.standard_normal((n, n))
     r = r + r.T
-    z = _NormalSolver(op, w).solve(r)
+    z, bz = _NormalSolver(op, w).solve(r)
     d = np.outer(w * w, w * w) + 1.0
     residual = d * z + op.adjoint(op.forward(z)) - r
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(r)
+    # the solve hands back B(Z) without another forward map
+    assert np.linalg.norm(bz - op.forward(z)) <= 1e-10 * np.linalg.norm(op.forward(z))
 
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -232,3 +269,65 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=-1.0)
+
+
+class TestAnderson:
+    @pytest.mark.parametrize("dim, seed", [(4, 0), (8, 1), (10, 2)])
+    def test_linear_contraction_like_gmres(self, dim, seed):
+        # x -> M x + c with spectral radius 0.99: plain iteration needs about
+        # 2000 steps to reach 1e-10, type-II Anderson at most dim + 2
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        m = (q * np.linspace(-0.99, 0.99, dim)) @ q.T
+        c = rng.standard_normal(dim)
+
+        def residual_after(memory, steps):
+            accel = _Anderson(dim, memory)
+            x = np.zeros(dim)
+            for taken in range(steps + 1):
+                g = m @ x + c
+                f = g - x
+                if np.linalg.norm(f) <= 1e-10:
+                    return taken, np.linalg.norm(f)
+                x = accel.step(g, f)
+            return taken, np.linalg.norm(f)
+
+        taken, norm = residual_after(10, dim + 2)
+        assert norm <= 1e-10 and taken <= dim + 2
+        assert residual_after(0, dim + 2)[1] > 1e-3
+
+    def test_rejected_extrapolation_takes_plain_step(self):
+        accel = _Anderson(2, 10)
+        g0, g1 = np.array([1.0, 0.0]), np.array([1.0, 0.5])
+        assert accel.step(g0, np.array([1.0, 0.0])) is g0  # no differences yet
+        x2 = accel.step(g1, np.array([0.0, 0.5]))
+        assert accel.extrapolated and not np.array_equal(x2, g1)
+        # the extrapolated point's residual exceeds that of the point it came from
+        out = accel.step(np.array([5.0, 5.0]), np.array([1.0, 1.0]))
+        assert out is g1
+        assert (accel.rejected, accel.accepted, accel.count) == (1, 0, 0)
+        assert not accel.extrapolated
+
+    def test_accepted_extrapolation_is_counted(self):
+        accel = _Anderson(2, 10)
+        accel.step(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        accel.step(np.array([1.0, 0.5]), np.array([0.0, 0.5]))
+        accel.step(np.array([1.0, 0.6]), np.array([0.0, 0.1]))
+        assert (accel.accepted, accel.rejected, accel.count) == (1, 0, 2)
+
+    def test_singular_gram_takes_plain_step(self):
+        accel = _Anderson(2, 10)
+        accel.step(np.array([2.0, 2.0]), np.zeros(2))
+        g = np.array([3.0, 3.0])
+        assert accel.step(g, np.zeros(2)) is g  # zero Gram and zero shift
+        assert not accel.extrapolated
+
+    def test_vanishing_differences_do_not_move_the_point(self):
+        # f nearly constant, as in a drift phase: the least-squares gamma is
+        # about 1e12, and the residual-scaled shift cuts it to about 1e-4
+        accel = _Anderson(2, 10)
+        f = np.array([1.0, 1.0])
+        accel.step(np.array([2.0, 2.0]), f)
+        g = np.array([3.0, 3.0])
+        out = accel.step(g, f * (1.0 + 1e-12))
+        assert np.abs(out - g).max() <= 1e-3
