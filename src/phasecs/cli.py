@@ -43,7 +43,7 @@ EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_CAP = 3
 
-SWEEP_SCHEMA = "phasecs.sweep.v3"
+SWEEP_SCHEMA = "phasecs.sweep.v4"
 SWEEP_COLUMNS = [
     "signal_kind", "N", "k", "theta", "rho", "alpha", "omega", "m", "sigma",
     "trial", "seed", "snr_db", "iterations", "status", "wall_ms",
@@ -257,6 +257,20 @@ def sweep_csv_lines(records: list[SweepRecord]) -> list[str]:
             r.signal_kind, r.n, r.k, r.theta, r.rho, r.alpha, r.omega, r.m,
             r.sigma, r.trial, r.seed, r.snr_db, r.iterations, r.status, r.wall_ms,
         )))
+    return lines
+
+
+def sweep_summary_lines(records: list[SweepRecord]) -> list[str]:
+    """Status counts and nearest-rank p50/p90 of iterations and wall time."""
+    counts = {status: 0 for status in ("converged", "max-iter", "failed")}
+    for r in records:
+        counts[r.status] += 1
+    lines = [f"trials: {len(records)} "
+             + " ".join(f"{status}={count}" for status, count in counts.items())]
+    for column in ("iterations", "wall_ms"):
+        values = sorted(getattr(r, column) for r in records)
+        p50, p90 = (values[max(math.ceil(q * len(values)) - 1, 0)] for q in (0.5, 0.9))
+        lines.append(f"{column}: p50={p50} p90={p90}")
     return lines
 
 
@@ -494,6 +508,8 @@ def cmd_sweep(args) -> int:
             )
     records = run_sweep(cfg, progress=progress)
     _write_text(args.out, "\n".join(sweep_csv_lines(records)))
+    if args.verbose:
+        print("\n".join(sweep_summary_lines(records)), file=sys.stderr)
     if args.plot:
         if args.out is None:
             raise UsageError("--plot needs --out to derive the SVG paths")

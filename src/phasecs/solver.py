@@ -10,8 +10,9 @@ consensus ADMM: auxiliary variables L = W Z W (prox: entrywise shrinkage
 plus the trace tilt), P = Z (prox: psd projection) and r = B(Z) - b (prox:
 projection onto the eps ball).  The Z update solves the normal system
 (D + B* B) Z = rhs, D_ij = w_i^2 w_j^2 + 1, through the Woodbury identity
-with one m x m Cholesky factorization per run, at every m and N; the same
-solve yields B(Z), so an iteration applies B once and B* four times.
+with one m x m Cholesky factorization per run, at every m and N; the
+measurement part B*(c) of the right-hand side is folded into that solve,
+which also yields B(Z), so an iteration applies B once and B* three times.
 
 One sweep is a fixed-point map T on the state s = (L, P, r) and their
 scaled duals, kept as one flat vector.  The loop runs a safeguarded type-II
@@ -20,8 +21,12 @@ converged, the next state is T(s) - dG gamma, where gamma fits the residual
 f = T(s) - s by the last ``ANDERSON_MEMORY`` differences of f and of T.  An
 extrapolated state whose residual is larger than that of the state it came
 from is dropped for the plain step from that state, and the memory is
-cleared.  A penalty change also takes the plain step and clears the
-memory, because rescaling the duals changes T.  The convergence test is
+cleared.  Every 10 sweeps the penalty is rebalanced when one residual
+exceeds the other tenfold, by the factor sqrt(pri/dua) clipped to
+[1/10, 10] (residual balancing, Wohlberg 2017); the scaled duals are divided
+by the same factor.  A penalty change takes the plain step and clears the
+memory, because rescaling the duals changes T, and it is made only at a
+point the safeguard accepts.  The convergence test is
 made on T(s) with the plain-ADMM thresholds.  The iteration is
 deterministic: Z and all duals start at zero, and no randomness is used
 anywhere.
@@ -124,15 +129,18 @@ def ball_project(v: np.ndarray, radius: float) -> np.ndarray:
     return v * (radius / nv)
 
 
-def rank1_extract(z) -> np.ndarray:
+def rank1_extract(z, return_eigenvalues: bool = False):
     """Best rank-1 signal estimate from a lifted matrix: sqrt of the top eigenpair.
 
     The sign is canonicalized so the first significantly nonzero coordinate is
-    positive; reconstruction metrics remove the global sign anyway.
+    positive; reconstruction metrics remove the global sign anyway.  With
+    ``return_eigenvalues`` the eigenvalues of the same decomposition, in
+    descending order, are returned as well.
     """
     dec = linalg.eig_sym(z)
     lam1 = float(dec.eigenvalues[0])
-    return canonical_sign(math.sqrt(max(lam1, 0.0)) * dec.eigenvectors[:, 0])
+    xhat = canonical_sign(math.sqrt(max(lam1, 0.0)) * dec.eigenvectors[:, 0])
+    return (xhat, dec.eigenvalues) if return_eigenvalues else xhat
 
 
 def _psd_fast(m: np.ndarray) -> np.ndarray:
@@ -142,7 +150,7 @@ def _psd_fast(m: np.ndarray) -> np.ndarray:
 
 
 class _NormalSolver:
-    """Solves (D + B* B) Z = R, D_ij = w_i^2 w_j^2 + 1, for symmetric R.
+    """Solves (D + B* B) Z = R0 + B*(c), D_ij = w_i^2 w_j^2 + 1, for symmetric R0.
 
     Woodbury: with H = 1/D entrywise and S the m x N^2 matrix of vectorised
     sensors a_i a_i', the inverse is H - H S' (I + S diag(H) S')^{-1} S H.
@@ -156,15 +164,17 @@ class _NormalSolver:
         g = np.eye(m) + (sensors * self.h.ravel()) @ sensors.T
         self.g_inv = linalg.solve_spd(g, np.eye(m))
 
-    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, r0: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return Z and B(Z).
 
-        With G = I + S diag(H) S' and t = G^{-1} B(H o R), the solution is
-        Z = H o R - H o B*(t), so B(Z) = B(H o R) - (G - I) t = t exactly.
+        With G = I + S diag(H) S' and R = R0 + B*(c), Woodbury gives
+        Z = H o R - H o B*(G^{-1} B(H o R)).  Since B(H o B*(c)) = (G - I) c,
+        this is Z = H o R0 - H o B*(s) with s = G^{-1}(B(H o R0) - c), and
+        B(Z) = c + s exactly; B*(c) is never formed.
         """
-        x1 = self.h * rhs
-        t = self.g_inv @ self.op.forward(x1)
-        return symmetrize(x1 - self.h * self.op.adjoint(t)), t
+        x1 = self.h * r0
+        s = self.g_inv @ (self.op.forward(x1) - c)
+        return symmetrize(x1 - self.h * self.op.adjoint(s)), c + s
 
 
 class _Anderson:
@@ -195,6 +205,10 @@ class _Anderson:
         self.count = 0  # differences stored since the last reset
         self.prev = None  # (f, g, ||f||^2) at the last evaluated point
         self.extrapolated = False  # the point being evaluated was extrapolated
+
+    def vetted(self, f: np.ndarray) -> bool:
+        """False if ``step(g, f)`` would reject the point that produced ``f``."""
+        return not self.extrapolated or float(f @ f) <= self.prev[2]
 
     def step(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
         if self.memory == 0:
@@ -258,7 +272,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
 
     ww = np.outer(w, w)
     rho = cfg.penalty
-    adj_b = op.adjoint(b)
+    penalty_updates = 0
     # flat state x = (L, P, r, dual_L, dual_P, dual_r)
     nn = n * n
     i_p, i_r, i_dl, i_dp, i_dr = nn, 2 * nn, 2 * nn + m, 3 * nn + m, 4 * nn + m
@@ -277,9 +291,8 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
             dual_l = x[i_dl:i_dp].reshape(n, n)
             dual_p = x[i_dp:i_dr].reshape(n, n)
             dual_r = x[i_dr:]
-            rhs = (ww * (x[:i_p].reshape(n, n) - dual_l) + (x[i_p:i_r].reshape(n, n) - dual_p)
-                   + (adj_b + op.adjoint(x[i_r:i_dl] - dual_r)))
-            z, bz = normal.solve(rhs)
+            r0 = ww * (x[:i_p].reshape(n, n) - dual_l) + (x[i_p:i_r].reshape(n, n) - dual_p)
+            z, bz = normal.solve(r0, b + (x[i_r:i_dl] - dual_r))
             wzw = ww * z
             bz_b = bz - b
 
@@ -320,28 +333,29 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
                 break
 
             # rebalance on a cadence; adjusting every iteration makes the
-            # scaled duals thrash and can stall convergence outright
-            factor = 1.0
-            if cfg.adapt_penalty and it % 25 == 0:
-                if pri > 10.0 * dua and dua > 0:
-                    factor = 2.0
-                elif dua > 10.0 * pri and pri > 0:
-                    factor = 0.5
-            if factor == 1.0:
-                x = accel.step(g, f)
-            else:
+            # scaled duals thrash and can stall convergence outright.  The
+            # step sqrt(pri/dua) balances the residuals in one move where a
+            # fixed factor of 2 needs several rebalances (Wohlberg 2017).
+            # Residuals of an extrapolated point the safeguard is about to
+            # drop say nothing about the iteration, so such a point is
+            # replaced first and the rebalance waits for the next check
+            if (cfg.adapt_penalty and it % 10 == 0 and pri > 0 and dua > 0
+                    and (pri > 10.0 * dua or dua > 10.0 * pri) and accel.vetted(f)):
+                factor = min(max(math.sqrt(pri / dua), 0.1), 10.0)
                 # rescaling the duals changes the map: take the plain step,
                 # which no safeguard has to vet, and clear the memory
                 rho *= factor
+                penalty_updates += 1
                 x = g
                 x[i_dl:] /= factor
                 accel.reset()
+            else:
+                x = accel.step(g, f)
     except (linalg.EigNonConvergenceError, np.linalg.LinAlgError) as exc:
         return SolverResult(z, np.zeros(n), it, pri, dua, "failed", {"error": str(exc)})
 
     try:
-        xhat = rank1_extract(z)
-        eigvals = np.linalg.eigvalsh(symmetrize(z))
+        xhat, eigvals = rank1_extract(z, return_eigenvalues=True)
     except (linalg.EigNonConvergenceError, np.linalg.LinAlgError) as exc:
         return SolverResult(z, np.zeros(n), iterations, pri, dua, "failed",
                             {"error": str(exc)})
@@ -351,9 +365,10 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
         "split_l": float(np.linalg.norm(f[i_dl:i_dp])),
         "split_p": float(np.linalg.norm(f[i_dp:i_dr])),
         "split_r": feas,
-        "min_eigenvalue": float(eigvals[0]),
-        "top_eigenvalue_ratio": float(eigvals[-2] / eigvals[-1]) if n > 1 and eigvals[-1] > 0 else 0.0,
+        "min_eigenvalue": float(eigvals[-1]),
+        "top_eigenvalue_ratio": float(eigvals[1] / eigvals[0]) if n > 1 and eigvals[0] > 0 else 0.0,
         "penalty": rho,
+        "penalty_updates": penalty_updates,
         "anderson_accepted": accel.accepted,
         "anderson_rejected": accel.rejected,
     }

@@ -122,6 +122,26 @@ class TestSweepCommand:
         svg = (tmp_path / "sweep_alpha1_sigma0.svg").read_text()
         assert svg.startswith("<svg")
 
+    def test_verbose_ends_with_summary(self, tmp_path):
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        out = tmp_path / "sweep.csv"
+        res = run_cli("sweep", "--config", str(cfg_path), "--out", str(out), "--verbose")
+        assert res.returncode == 0, res.stderr
+        rows = read_sweep_csv(out.read_text())
+        stderr = res.stderr.splitlines()
+        assert len(stderr) == len(rows) + 3  # one progress line per row, then the summary
+
+        def p50_p90(column):
+            values = sorted(row[column] for row in rows)  # 4 rows: nearest ranks 2 and 4
+            return f"{column}: p50={values[1]} p90={values[3]}"
+
+        assert stderr[-3:] == [
+            "trials: 4 converged=4 max-iter=0 failed=0",
+            p50_p90("iterations"),
+            p50_p90("wall_ms"),
+        ]
+
     def test_preset_requires_choice(self, tmp_path):
         assert run_cli("sweep").returncode == 1
         cfg = tmp_path / "c.cfg"

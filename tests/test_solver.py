@@ -27,6 +27,12 @@ def make_problem(n, k, m, omega, alpha, sigma, seed, **cfg_kw):
     return x, a, inst, est.weights(n), cfg
 
 
+def solve_recover_trial(seed, omega):
+    """The solve of `phasecs recover --m 40 --omega <omega> --seed <seed>`."""
+    x, a, inst, w, cfg = make_problem(16, 2, 40, omega, 0.75, 0.0, seed)
+    return x, solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+
+
 class TestWeightedShrink:
     def test_pure_trace_prox(self):
         v = np.diag([3.0, 5.0])
@@ -92,6 +98,11 @@ class TestRank1Extract:
 
     def test_diagonal(self):
         assert np.allclose(rank1_extract(np.diag([4.0, 1.0])), [2.0, 0.0])
+
+    def test_returns_descending_eigenvalues(self):
+        xhat, lam = rank1_extract(np.diag([1.0, 4.0, -2.0]), return_eigenvalues=True)
+        assert np.allclose(xhat, [0.0, 2.0, 0.0])
+        assert np.allclose(lam, [4.0, 1.0, -2.0])
 
     def test_sign_canonical(self):
         x = np.array([-1.0, 2.0])
@@ -166,15 +177,45 @@ class TestSolveSdp:
         # spends about 2000 sweeps in a phase where the duals drift by a
         # constant step; without the residual-scaled shift the accelerator
         # jumped along the drift and ran to the iteration cap
-        rng = np.random.default_rng(1739820329)
-        x = model.gen_sparse_signal(rng, 16, 2)
-        est = model.gen_support_estimate(rng, model.best_k_support(x, 2), 16, 2, 1.0, 0.75, 1.0)
-        a = model.gen_gaussian_matrix(rng, 40, 16)
-        inst = model.make_instance(a, x, 0.0, rng)
-        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, est.weights(16),
-                        SolverConfig(epsilon=inst.epsilon))
+        x, res = solve_recover_trial(1739820329, 1.0)
         assert res.status == "converged" and res.iterations <= 1000
         assert model.snr_db(x, res.xhat) >= 40.0
+
+    def test_penalty_ramp_trial_converges(self):
+        # `phasecs recover --m 40 --omega 0.3 --seed 601594546` needs the
+        # penalty raised from 1 to about 100; doubling it every 25 sweeps
+        # took 309 sweeps, one residual-balancing step every 10 takes 187
+        x, res = solve_recover_trial(601594546, 0.3)
+        assert res.status == "converged" and res.iterations <= 250
+        assert model.snr_db(x, res.xhat) >= 40.0
+        updates = res.diagnostics["penalty_updates"]
+        assert type(updates) is int and updates >= 1
+
+    def test_rebalance_waits_for_a_vetted_point(self):
+        # `phasecs recover --m 40 --omega 0.3 --seed 1512458062`, a trial with
+        # |x|^2 = 3.5e-4: at sweep 90 an extrapolated point with a large
+        # residual set off a tenfold penalty cut; rebalancing from it, before
+        # the safeguard dropped it, left the scaled duals far too large and
+        # the solve ran to the cap.  Absolute tolerances on so small a signal
+        # bound the SNR near 25 dB
+        x, res = solve_recover_trial(1512458062, 0.3)
+        assert res.status == "converged" and res.iterations <= 500
+        assert model.snr_db(x, res.xhat) >= 20.0
+
+    def test_fixed_penalty_reports_no_updates(self):
+        x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7, adapt_penalty=False)
+        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        assert res.diagnostics["penalty_updates"] == 0
+        assert res.diagnostics["penalty"] == cfg.penalty
+
+    def test_spectrum_diagnostics_match_eigvalsh(self):
+        x, a, inst, w, cfg = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3)
+        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        lam = np.linalg.eigvalsh(res.Z)
+        scale = np.abs(lam).max()
+        assert abs(res.diagnostics["min_eigenvalue"] - lam[0]) <= 1e-12 * scale
+        assert abs(res.diagnostics["top_eigenvalue_ratio"] - lam[-2] / lam[-1]) <= 1e-9
+        assert np.allclose(res.xhat, rank1_extract(res.Z), rtol=0, atol=1e-12 * np.sqrt(scale))
 
     @pytest.mark.parametrize("sigma, seed", [(0.0, 0), (0.0, 3), (0.05, 3), (0.05, 5)])
     def test_accelerated_minimiser_matches_plain(self, monkeypatch, sigma, seed):
@@ -234,14 +275,18 @@ def test_woodbury_normal_equation_residual(n, m):
     rng = np.random.default_rng(n * 100 + m)
     op = LiftedOperator.from_matrix(rng.standard_normal((m, n)))
     w = rng.choice([0.3, 1.0], size=n)
+    normal = _NormalSolver(op, w)
     r = rng.standard_normal((n, n))
     r = r + r.T
-    z, bz = _NormalSolver(op, w).solve(r)
     d = np.outer(w * w, w * w) + 1.0
-    residual = d * z + op.adjoint(op.forward(z)) - r
-    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(r)
-    # the solve hands back B(Z) without another forward map
-    assert np.linalg.norm(bz - op.forward(z)) <= 1e-10 * np.linalg.norm(op.forward(z))
+    for c in (np.zeros(m), rng.standard_normal(m)):
+        z, bz = normal.solve(r, c)
+        # the solve folds B*(c) into the right-hand side without forming it
+        rhs = r + op.adjoint(c)
+        residual = d * z + op.adjoint(op.forward(z)) - rhs
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+        # the solve hands back B(Z) without another forward map
+        assert np.linalg.norm(bz - op.forward(z)) <= 1e-10 * np.linalg.norm(op.forward(z))
 
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -303,10 +348,12 @@ class TestAnderson:
         x2 = accel.step(g1, np.array([0.0, 0.5]))
         assert accel.extrapolated and not np.array_equal(x2, g1)
         # the extrapolated point's residual exceeds that of the point it came from
+        assert accel.vetted(np.array([0.0, 0.5])) and not accel.vetted(np.array([1.0, 1.0]))
         out = accel.step(np.array([5.0, 5.0]), np.array([1.0, 1.0]))
         assert out is g1
         assert (accel.rejected, accel.accepted, accel.count) == (1, 0, 0)
         assert not accel.extrapolated
+        assert accel.vetted(np.array([9.0, 9.0]))  # a plain step is never rejected
 
     def test_accepted_extrapolation_is_counted(self):
         accel = _Anderson(2, 10)
