@@ -12,7 +12,7 @@ projection onto the eps ball).  The Z update solves the normal system
 (D + B* B) Z = rhs, D_ij = w_i^2 w_j^2 + 1, through the Woodbury identity
 with one m x m Cholesky factorization per run, at every m and N; the
 measurement part B*(c) of the right-hand side is folded into that solve,
-which also yields B(Z), so an iteration applies B once and B* three times.
+which also yields B(Z), so the Z update applies B once and B* once.
 
 One sweep is a fixed-point map T on the state s = (L, P, r) and their
 scaled duals, kept as one flat vector.  The loop runs a safeguarded type-II
@@ -26,10 +26,16 @@ exceeds the other tenfold, by the factor sqrt(pri/dua) clipped to
 [1/10, 10] (residual balancing, Wohlberg 2017); the scaled duals are divided
 by the same factor.  A penalty change takes the plain step and clears the
 memory, because rescaling the duals changes T, and it is made only at a
-point the safeguard accepts.  The convergence test is
-made on T(s) with the plain-ADMM thresholds.  The iteration is
-deterministic: Z and all duals start at zero, and no randomness is used
-anywhere.
+point the safeguard accepts.  ``ANDERSON_MEMORY`` is 20.
+
+The convergence test is made on T(s) with the plain-ADMM thresholds (Boyd et
+al. 2011, section 3.3) plus a bound on the measurement block, and it is
+lazy: every sweep computes the measurement and primal residuals; the dual
+residual, which costs one B*, only once the measurement block is within
+its bound or on a rebalance sweep; each threshold only once the tests
+before it pass, so the second B* of the dual threshold is rare.  The
+decisions are those of the full test.  The iteration is deterministic: Z
+and all duals start at zero, and no randomness is used anywhere.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .linalg import symmetrize
 from .model import canonical_sign
 
 # how many past differences the Anderson accelerator keeps
-ANDERSON_MEMORY = 10
+ANDERSON_MEMORY = 20
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,7 @@ class SolverConfig:
             raise ValueError("lam and epsilon must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True)
 class SolverResult:
     Z: np.ndarray
     xhat: np.ndarray
@@ -106,15 +112,17 @@ def weighted_shrink(v: np.ndarray, lam: float, penalty: float) -> np.ndarray:
 
     Off-diagonal entries are soft-thresholded by ``lam/penalty``; diagonal
     entries are first shifted by ``1/penalty`` (the trace contributes a
-    constant linear tilt there) and then thresholded the same way.
+    constant linear tilt there) and then thresholded the same way.  ``v``
+    must be symmetric: the map is entrywise, so the output is then exactly
+    symmetric and is not symmetrized again.
     """
     if penalty <= 0:
         raise ValueError("penalty must be positive")
     thr = lam / penalty
     shifted = v.copy()
     shifted.flat[:: v.shape[0] + 1] -= 1.0 / penalty
-    out = np.sign(shifted) * np.maximum(np.abs(shifted) - thr, 0.0)
-    return symmetrize(out)
+    shifted -= np.clip(shifted, -thr, thr)
+    return shifted
 
 
 def ball_project(v: np.ndarray, radius: float) -> np.ndarray:
@@ -144,7 +152,7 @@ def rank1_extract(z, return_eigenvalues: bool = False):
 
 
 def _psd_fast(m: np.ndarray) -> np.ndarray:
-    lam, v = np.linalg.eigh(symmetrize(m))
+    lam, v = np.linalg.eigh(m)
     lam = np.maximum(lam, 0.0)
     return symmetrize((v * lam) @ v.T)
 
@@ -280,8 +288,15 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     accel = _Anderson(x.size, ANDERSON_MEMORY)
     dim_pri = math.sqrt(2 * n * n + m)
     dim_dual = float(n)
+    feas_tol = 10.0 * cfg.tol_abs
+
+    def dual_residual(f):
+        # rho ||W dL W + dP + B*(dr)|| over the primal blocks dL, dP, dr of f
+        dvec = ww * f[:i_p].reshape(n, n) + f[i_p:i_r].reshape(n, n) + op.adjoint(f[i_r:i_dl])
+        return rho * math.sqrt(float(np.vdot(dvec, dvec)))
 
     status = "max-iter"
+    error = None
     pri = dua = math.inf
     iterations = cfg.max_iter
     feas = math.inf
@@ -312,25 +327,25 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
             f_r = f[i_dr:]
             feas = math.sqrt(float(f_r @ f_r))
             pri = math.sqrt(float(f_split @ f_split) + feas * feas)
-            dvec = (ww * f[:i_p].reshape(n, n) + f[i_p:i_r].reshape(n, n)
-                    + op.adjoint(f[i_r:i_dl]))
-            dua = rho * math.sqrt(float(np.vdot(dvec, dvec)))
-
-            g_pri = g[:i_dl]
-            scale_pri = math.sqrt(max(
-                float(np.vdot(wzw, wzw)) + float(np.vdot(z, z)) + float(bz_b @ bz_b),
-                float(g_pri @ g_pri),
-            ))
-            dual_vec = (ww * g[i_dl:i_dp].reshape(n, n) + g[i_dp:i_dr].reshape(n, n)
-                        + op.adjoint(dual_r))
-            scale_dual = rho * math.sqrt(float(np.vdot(dual_vec, dual_vec)))
-            eps_pri = dim_pri * cfg.tol_abs + cfg.tol_rel * scale_pri
-            eps_dual = dim_dual * cfg.tol_abs + cfg.tol_rel * scale_dual
-
-            if pri <= eps_pri and dua <= eps_dual and feas <= 10.0 * cfg.tol_abs:
-                status = "converged"
-                iterations = it
-                break
+            # the full test almost never passes, so its parts are computed
+            # only as far as the cheaper ones pass; the dual residual is also
+            # needed on a rebalance sweep
+            rebalance_sweep = cfg.adapt_penalty and it % 10 == 0
+            dua = dual_residual(f) if rebalance_sweep or feas <= feas_tol else None
+            if feas <= feas_tol:
+                g_pri = g[:i_dl]
+                scale_pri = math.sqrt(max(
+                    float(np.vdot(wzw, wzw)) + float(np.vdot(z, z)) + float(bz_b @ bz_b),
+                    float(g_pri @ g_pri),
+                ))
+                if pri <= dim_pri * cfg.tol_abs + cfg.tol_rel * scale_pri:
+                    dual_vec = (ww * g[i_dl:i_dp].reshape(n, n) + g[i_dp:i_dr].reshape(n, n)
+                                + op.adjoint(dual_r))
+                    scale_dual = rho * math.sqrt(float(np.vdot(dual_vec, dual_vec)))
+                    if dua <= dim_dual * cfg.tol_abs + cfg.tol_rel * scale_dual:
+                        status = "converged"
+                        iterations = it
+                        break
 
             # rebalance on a cadence; adjusting every iteration makes the
             # scaled duals thrash and can stall convergence outright.  The
@@ -339,7 +354,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
             # Residuals of an extrapolated point the safeguard is about to
             # drop say nothing about the iteration, so such a point is
             # replaced first and the rebalance waits for the next check
-            if (cfg.adapt_penalty and it % 10 == 0 and pri > 0 and dua > 0
+            if (rebalance_sweep and pri > 0 and dua > 0
                     and (pri > 10.0 * dua or dua > 10.0 * pri) and accel.vetted(f)):
                 factor = min(max(math.sqrt(pri / dua), 0.1), 10.0)
                 # rescaling the duals changes the map: take the plain step,
@@ -352,7 +367,13 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
             else:
                 x = accel.step(g, f)
     except (linalg.EigNonConvergenceError, np.linalg.LinAlgError) as exc:
-        return SolverResult(z, np.zeros(n), it, pri, dua, "failed", {"error": str(exc)})
+        iterations, error = it, str(exc)
+    # the residuals reported are those of the last completed sweep; a rebalance
+    # sweep always computes its dual residual, so rho is still that sweep's
+    if dua is None:
+        dua = dual_residual(f)
+    if error is not None:
+        return SolverResult(z, np.zeros(n), iterations, pri, dua, "failed", {"error": error})
 
     try:
         xhat, eigvals = rank1_extract(z, return_eigenvalues=True)
@@ -367,6 +388,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
         "split_r": feas,
         "min_eigenvalue": float(eigvals[-1]),
         "top_eigenvalue_ratio": float(eigvals[1] / eigvals[0]) if n > 1 and eigvals[0] > 0 else 0.0,
+        "objective": float(np.trace(wzw) + cfg.lam * np.abs(wzw).sum()),
         "penalty": rho,
         "penalty_updates": penalty_updates,
         "anderson_accepted": accel.accepted,

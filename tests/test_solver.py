@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasecs import model, solver
+from phasecs.linalg import symmetrize
 from phasecs.solver import (
     LiftedOperator,
     _Anderson,
@@ -69,6 +72,61 @@ class TestWeightedShrink:
     def test_rejects_bad_penalty(self):
         with pytest.raises(ValueError):
             weighted_shrink(np.eye(2), 1.0, 0.0)
+
+
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+def symmetric_matrices(max_n=6):
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        finite, min_size=n * n, max_size=n * n,
+    ).map(lambda vals: symmetrize(np.array(vals).reshape(n, n))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_matrices(), st.floats(0.0, 5.0), st.floats(0.1, 10.0))
+def test_weighted_shrink_subgradient_condition(v, lam, pen):
+    # 0 in I + lam d|L| + pen (L - V), entry by entry: the trace tilts the
+    # diagonal by 1, and G = pen (V - L) - I must equal lam sign(L) where
+    # L != 0 and lie in [-lam, lam] where L == 0
+    out = weighted_shrink(v, lam, pen)
+    assert np.array_equal(out, out.T)
+    g = pen * (v - out) - np.eye(len(v))
+    tol = 1e-12 * (1.0 + pen * np.abs(v).max() + lam)
+    nz = out != 0.0
+    assert np.all(np.abs(g[nz] - lam * np.sign(out[nz])) <= tol)
+    assert np.all(np.abs(g[~nz]) <= lam + tol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_matrices())
+def test_psd_projection_optimality(mat):
+    # Moreau: out is the projection onto the psd cone iff out >= 0,
+    # mat - out <= 0 and <out, mat - out> = 0
+    out = solver._psd_fast(mat)
+    assert np.array_equal(out, out.T)
+    rest = mat - out
+    tol = 1e-12 * (1.0 + np.abs(mat).sum())
+    assert np.linalg.eigvalsh(out)[0] >= -tol
+    assert np.linalg.eigvalsh(rest)[-1] <= tol
+    assert abs(np.vdot(out, rest)) <= tol * (1.0 + np.abs(mat).sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda m: st.lists(finite, min_size=m, max_size=m)),
+       st.floats(0.01, 20.0))
+def test_ball_project_kkt(vals, radius):
+    # KKT of min ||u - v||^2 / 2 s.t. ||u|| <= radius: u is feasible and
+    # v - u = mu u with mu >= 0 and mu (||u|| - radius) = 0
+    v = np.array(vals)
+    out = ball_project(v, radius)
+    norm = np.linalg.norm(out)
+    assert norm <= radius * (1.0 + 1e-12)
+    d = v - out
+    mu = float(d @ out) / float(out @ out) if norm > 0 else 0.0
+    assert mu >= -1e-12
+    assert np.linalg.norm(d - mu * out) <= 1e-12 * (1.0 + np.linalg.norm(v))
+    assert abs(mu * (norm - radius)) <= 1e-12 * (1.0 + mu * radius)
 
 
 class TestBallProject:
@@ -230,6 +288,50 @@ class TestSolveSdp:
         assert plain.diagnostics["anderson_accepted"] == 0
         assert np.linalg.norm(fast.Z - plain.Z) <= 1e-3 * np.linalg.norm(plain.Z)
 
+    @pytest.mark.parametrize("n, m, sigma, seed", [(8, 16, 0.0, 3), (16, 40, 0.0, 1),
+                                                   (16, 40, 0.05, 2)])
+    def test_state_blocks_stay_exactly_symmetric(self, monkeypatch, n, m, sigma, seed):
+        # the solver feeds weighted_shrink and _psd_fast symmetric blocks and
+        # does not symmetrize around them; symmetrizing there must change no bit
+        x, a, inst, w, cfg = make_problem(n, 2, m, 0.5, 0.5, sigma, seed)
+        op = LiftedOperator.from_matrix(a)
+        plain = solve_sdp(op, inst.b, w, cfg)
+        shrink, psd = solver.weighted_shrink, solver._psd_fast
+        monkeypatch.setattr(solver, "weighted_shrink",
+                            lambda v, lam, pen: symmetrize(shrink(v, lam, pen)))
+        monkeypatch.setattr(solver, "_psd_fast", lambda mat: psd(symmetrize(mat)))
+        patched = solve_sdp(op, inst.b, w, cfg)
+        assert patched.iterations == plain.iterations
+        assert patched.Z.tobytes() == plain.Z.tobytes()
+        assert patched.xhat.tobytes() == plain.xhat.tobytes()
+
+    def test_residuals_fresh_at_max_iter(self):
+        # sweep 10 is a rebalance sweep, which computes its dual residual in
+        # the loop; without rebalancing the same sweep's residual is computed
+        # after the loop.  The rebalance itself comes after the residuals
+        x, a, inst, w, cfg = make_problem(16, 2, 40, 0.3, 0.75, 0.0, 4, max_iter=10)
+        op = LiftedOperator.from_matrix(a)
+        adaptive = solve_sdp(op, inst.b, w, cfg)
+        fixed = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, adapt_penalty=False))
+        assert adaptive.status == fixed.status == "max-iter"
+        assert fixed.diagnostics["ball_violation"] > 10 * cfg.tol_abs  # not tested in the loop
+        assert adaptive.primal_residual == fixed.primal_residual
+        assert adaptive.dual_residual == fixed.dual_residual
+        short = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, max_iter=7, adapt_penalty=False))
+        assert np.isfinite(short.dual_residual) and short.dual_residual > 0
+
+    def test_reports_objective(self):
+        x, a, inst, w, cfg = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3, lam=0.5)
+        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        wzw = np.outer(w, w) * res.Z
+        expected = np.trace(wzw) + cfg.lam * np.abs(wzw).sum()
+        assert res.diagnostics["objective"] == pytest.approx(expected, rel=1e-12)
+
+    def test_result_has_no_instance_dict(self):
+        x, a, inst, w, cfg = make_problem(6, 1, 10, 0.5, 1.0, 0.0, 11)
+        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        assert not hasattr(res, "__dict__")
+
     def test_shape_validation(self):
         op = LiftedOperator.from_matrix(np.eye(3))
         with pytest.raises(ValueError):
@@ -287,9 +389,6 @@ def test_woodbury_normal_equation_residual(n, m):
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
         # the solve hands back B(Z) without another forward map
         assert np.linalg.norm(bz - op.forward(z)) <= 1e-10 * np.linalg.norm(op.forward(z))
-
-
-finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=60, deadline=None)
