@@ -19,11 +19,12 @@ from .certify import (
     srip_bounds,
     weighted_nsp_check,
 )
-from .linalg import TOL, EigenDecomposition, eig_sym, kernel_basis, psd_project, solve_spd
+from .linalg import TOL, EigenDecomposition, eig_sym, kernel_basis, solve_spd
 from .model import (
     PhaselessInstance,
     SupportEstimate,
     best_k_support,
+    draw_trial,
     gen_compressible_signal,
     gen_gaussian_matrix,
     gen_sparse_signal,

@@ -36,7 +36,7 @@ from .certify import (
 )
 from .linalg import EigNonConvergenceError, NotPositiveDefiniteError
 from .plots import line_chart
-from .solver import LiftedOperator, SolverConfig, solve_sdp
+from .solver import LiftedOperator, SolverConfig, SolverResult, solve_sdp
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,11 +75,11 @@ class SweepConfig:
     sigmas: tuple[float, ...] = (0.0, 0.1)
     trials: int = 10
     master_seed: int = 1
-    lam: float = 1.0
-    penalty: float = 1.0
-    tol_abs: float = 1e-6
-    tol_rel: float = 1e-4
-    max_iter: int = 5000
+    lam: float = SolverConfig.lam
+    penalty: float = SolverConfig.penalty
+    tol_abs: float = SolverConfig.tol_abs
+    tol_rel: float = SolverConfig.tol_rel
+    max_iter: int = SolverConfig.max_iter
 
     def validate(self) -> None:
         if self.signal not in ("sparse", "compressible"):
@@ -90,14 +90,13 @@ class SweepConfig:
             raise UsageError("trials must be at least 1")
         if not (self.alphas and self.omegas and self.ms and self.sigmas):
             raise UsageError("grid lists must be nonempty")
+        if not 1 <= self.k <= self.n or min(self.ms) < 1:
+            raise UsageError("need 1 <= k <= N and every m >= 1")
         for alpha in self.alphas:
-            size = int(math.floor(self.rho * self.k + 0.5))
-            size_in = int(math.floor(alpha * self.rho * self.k + 0.5))
-            if size_in > min(self.k, size) or size - size_in > self.n - self.k:
-                raise UsageError(
-                    f"infeasible support estimate for alpha={alpha}, rho={self.rho}, "
-                    f"k={self.k}, N={self.n}"
-                )
+            try:
+                model.support_estimate_sizes(self.n, self.k, self.rho, alpha)
+            except ValueError as exc:
+                raise UsageError(f"alpha={alpha}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -177,6 +176,22 @@ def parse_sweep_config(text: str) -> SweepConfig:
     return cfg
 
 
+def solver_config(settings) -> SolverConfig:
+    """Solver settings of a sweep config or of the ``recover`` flags."""
+    return SolverConfig(lam=settings.lam, penalty=settings.penalty, tol_abs=settings.tol_abs,
+                        tol_rel=settings.tol_rel, max_iter=settings.max_iter)
+
+
+def solve_trial(instance: model.PhaselessInstance, estimate: model.SupportEstimate,
+                solver_cfg: SolverConfig) -> tuple[SolverResult, float]:
+    """Solve a drawn trial at its noise level ``epsilon``; the SNR is NaN if the solve failed."""
+    cfg = dataclasses.replace(solver_cfg, epsilon=instance.epsilon)
+    result = solve_sdp(LiftedOperator.from_matrix(instance.A), instance.b,
+                       estimate.weights(instance.x.size), cfg)
+    snr = model.snr_db(instance.x, result.xhat) if result.status != "failed" else math.nan
+    return result, snr
+
+
 def _quantized(value: float) -> int:
     return int(round(value * 1_000_000_000))
 
@@ -195,23 +210,12 @@ def run_trial(cfg: SweepConfig, alpha: float, omega: float, m: int, sigma: float
         _quantized(alpha), _quantized(omega), m, trial,
     )
     seed = model.derived_seed(cfg.master_seed, *key)
-    rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    if cfg.signal == "sparse":
-        x = model.gen_sparse_signal(rng, cfg.n, cfg.k)
-    else:
-        x = model.gen_compressible_signal(cfg.n, cfg.theta, rng)
-    t0 = model.best_k_support(x, cfg.k)
-    estimate = model.gen_support_estimate(rng, t0, cfg.n, cfg.k, cfg.rho, alpha, omega)
-    a = model.gen_gaussian_matrix(rng, m, cfg.n)
-    instance = model.make_instance(a, x, sigma, rng)
-    solver_cfg = SolverConfig(
-        lam=cfg.lam, penalty=cfg.penalty, tol_abs=cfg.tol_abs,
-        tol_rel=cfg.tol_rel, max_iter=cfg.max_iter, epsilon=instance.epsilon,
+    instance, estimate = model.draw_trial(
+        np.random.default_rng(seed), cfg.signal, cfg.n, cfg.k, m, cfg.rho, alpha, omega,
+        sigma, cfg.theta,
     )
-    result = solve_sdp(LiftedOperator.from_matrix(a), instance.b,
-                       estimate.weights(cfg.n), solver_cfg)
-    snr = model.snr_db(x, result.xhat) if result.status != "failed" else math.nan
+    result, snr = solve_trial(instance, estimate, solver_config(cfg))
     wall_ms = int(round((time.perf_counter() - start) * 1000))
     return SweepRecord(
         signal_kind=cfg.signal, n=cfg.n, k=cfg.k, theta=cfg.theta, rho=cfg.rho,
@@ -281,7 +285,7 @@ def read_sweep_csv(text: str) -> list[dict]:
         raise ValueError("missing schema header comment")
     if lines[0] != f"# schema={SWEEP_SCHEMA}":
         raise ValueError(f"unsupported schema line {lines[0]!r}")
-    if lines[1].split(",") != SWEEP_COLUMNS:
+    if len(lines) < 2 or lines[1].split(",") != SWEEP_COLUMNS:
         raise ValueError("unexpected CSV header")
     rows = []
     for ln in lines[2:]:
@@ -457,21 +461,11 @@ def cmd_constants(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    x = model.gen_sparse_signal(rng, args.n, args.k)
-    t0 = model.best_k_support(x, args.k)
-    estimate = model.gen_support_estimate(
-        rng, t0, args.n, args.k, args.rho, args.alpha, args.omega
+    instance, estimate = model.draw_trial(
+        np.random.default_rng(args.seed), "sparse", args.n, args.k, args.m, args.rho,
+        args.alpha, args.omega, args.sigma,
     )
-    a = model.gen_gaussian_matrix(rng, args.m, args.n)
-    instance = model.make_instance(a, x, args.sigma, rng)
-    cfg = SolverConfig(
-        lam=args.lam, penalty=args.penalty, tol_abs=args.tol_abs,
-        tol_rel=args.tol_rel, max_iter=args.max_iter, epsilon=instance.epsilon,
-    )
-    result = solve_sdp(LiftedOperator.from_matrix(a), instance.b,
-                       estimate.weights(args.n), cfg)
-    snr = model.snr_db(x, result.xhat) if result.status != "failed" else math.nan
+    result, snr = solve_trial(instance, estimate, solver_config(args))
     report = [
         f"n: {args.n}", f"k: {args.k}", f"m: {args.m}",
         f"omega: {args.omega:g}", f"alpha: {args.alpha:g}", f"rho: {args.rho:g}",
@@ -542,7 +536,7 @@ def cmd_certify(args) -> int:
         report = {
             "check": "rip", "k": rep.order, "delta": rep.delta,
             "witness": {"support": list(rep.delta_support)},
-            "enumerated_count": rep.enumerated, "caps_hit": [],
+            "enumerated_count": rep.enumerated,
         }
     elif args.check == "srip":
         rep = srip_bounds(a, args.k)
@@ -554,7 +548,7 @@ def cmd_certify(args) -> int:
                 "lower_rows": list(rep.lower_rows),
                 "upper_support": list(rep.upper_support),
             },
-            "enumerated_count": rep.enumerated, "caps_hit": [],
+            "enumerated_count": rep.enumerated,
         }
     else:
         w = _weights_from_args(args, n)
@@ -564,7 +558,7 @@ def cmd_certify(args) -> int:
             "check": args.check, "k": args.k,
             "status": verdict.status, "margin": _jsonable(verdict.margin),
             "witness": _witness_json(verdict.witness),
-            "enumerated_count": verdict.enumerated, "caps_hit": [],
+            "enumerated_count": verdict.enumerated,
         }
     _write_text(args.out, json.dumps(_jsonable(report), indent=2))
     return EXIT_OK
@@ -664,11 +658,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--penalty", type=float, default=1.0)
-    p.add_argument("--tol-abs", type=float, default=1e-6)
-    p.add_argument("--tol-rel", type=float, default=1e-4)
-    p.add_argument("--max-iter", type=int, default=5000)
+    p.add_argument("--lam", type=float, default=SolverConfig.lam)
+    p.add_argument("--penalty", type=float, default=SolverConfig.penalty)
+    p.add_argument("--tol-abs", type=float, default=SolverConfig.tol_abs)
+    p.add_argument("--tol-rel", type=float, default=SolverConfig.tol_rel)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p.add_argument("--out")
     p.set_defaults(func=cmd_recover)
 

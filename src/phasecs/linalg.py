@@ -95,14 +95,6 @@ def eig_sym(m) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=lam[::-1], eigenvectors=v[:, ::-1])
 
 
-def psd_project(m) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix: clamp negative eigenvalues."""
-    dec = eig_sym(m)
-    lam = np.maximum(dec.eigenvalues, 0.0)
-    v = dec.eigenvectors
-    return symmetrize((v * lam) @ v.T)
-
-
 def kernel_basis(a, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of the numerical null space of ``a``, as columns.
 

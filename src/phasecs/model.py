@@ -30,10 +30,6 @@ def derived_seed(master_seed: int, *keys: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _round_half_up(value: float) -> int:
-    return int(math.floor(value + 0.5))
-
-
 @dataclass(frozen=True)
 class SupportEstimate:
     """Prior support guess with its accuracy parameters.
@@ -87,7 +83,7 @@ def gen_compressible_signal(n: int, theta: float, rng: np.random.Generator) -> n
     Signs are i.i.d. uniform in {-1, +1} and the magnitudes are placed at
     randomly permuted positions, so the dominant support is nontrivial.
     """
-    if theta <= 0:
+    if theta is None or theta <= 0:
         raise ValueError("theta must be positive")
     magnitudes = np.arange(1, n + 1, dtype=float) ** (-theta)
     signs = rng.choice([-1.0, 1.0], size=n)
@@ -106,35 +102,31 @@ def best_k_support(x: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order[:k])
 
 
-def gen_support_estimate(
-    rng: np.random.Generator,
-    t0: np.ndarray,
-    n: int,
-    k: int,
-    rho: float,
-    alpha: float,
-    omega: float,
-) -> SupportEstimate:
+def support_estimate_sizes(n: int, k: int, rho: float, alpha: float) -> tuple[int, int]:
+    """Index counts in and outside a size-k ``T0`` of a support estimate.
+
+    The estimate has ``round(rho*k)`` indices, ``round(alpha*rho*k)`` of them in
+    ``T0``, rounded half up; ``ValueError`` if ``T0`` or its complement is too small.
+    """
+    size = math.floor(rho * k + 0.5)
+    size_in = math.floor(alpha * rho * k + 0.5)
+    size_out = size - size_in
+    if size_in > min(k, size) or size_out > n - k:
+        raise ValueError(f"infeasible estimate: {size_in} indices in T0 and {size_out} "
+                         f"outside requested, |T0|={k}, N={n}")
+    return size_in, size_out
+
+
+def gen_support_estimate(rng: np.random.Generator, t0: np.ndarray, n: int, k: int, rho: float,
+                         alpha: float, omega: float) -> SupportEstimate:
     """Random support estimate of size ``round(rho*k)`` hitting ``t0`` at rate ``alpha``.
 
-    ``round(alpha*rho*k)`` indices are sampled uniformly from ``t0`` and the
-    rest uniformly from its complement.  Non-integer targets round half up,
-    so the realized alpha is approximate.
+    The counts come from :func:`support_estimate_sizes`; the correct indices
+    are sampled uniformly from ``t0`` and the rest uniformly from its
+    complement.
     """
     t0 = np.asarray(t0, dtype=int)
-    size = _round_half_up(rho * k)
-    size_in = _round_half_up(alpha * rho * k)
-    size_out = size - size_in
-    if size_in > min(t0.size, size):
-        raise ValueError(
-            f"infeasible estimate: {size_in} correct indices requested, "
-            f"|T0|={t0.size}, |estimate|={size}"
-        )
-    if size_out > n - t0.size:
-        raise ValueError(
-            f"infeasible estimate: {size_out} wrong indices requested but only "
-            f"{n - t0.size} positions outside T0"
-        )
+    size_in, size_out = support_estimate_sizes(n, k, rho, alpha)
     inside = rng.choice(t0, size=size_in, replace=False) if size_in else np.empty(0, int)
     # not np.setdiff1d: its np.unique imports numpy.ma on first use, which
     # costs every recover process about 0.7 MB of resident memory
@@ -169,6 +161,27 @@ def make_instance(
     return PhaselessInstance(
         A=A, x=x, e=e, sigma=float(sigma), epsilon=float(np.linalg.norm(e)), b=b
     )
+
+
+def draw_trial(rng: np.random.Generator, signal: str, n: int, k: int, m: int, rho: float,
+               alpha: float, omega: float, sigma: float,
+               theta: float | None = None) -> tuple[PhaselessInstance, SupportEstimate]:
+    """One experiment trial: signal, support estimate, matrix, then noise.
+
+    The signal is sparse or compressible with decay ``theta`` (ignored by a
+    sparse trial); the estimate is drawn against its best k-term support.  All
+    draws come from ``rng`` in that order, so trials that differ only in
+    ``sigma`` share signal, estimate and matrix.
+    """
+    if signal == "sparse":
+        x = gen_sparse_signal(rng, n, k)
+    elif signal == "compressible":
+        x = gen_compressible_signal(n, theta, rng)
+    else:
+        raise ValueError(f"unknown signal kind {signal!r}")
+    estimate = gen_support_estimate(rng, best_k_support(x, k), n, k, rho, alpha, omega)
+    a = gen_gaussian_matrix(rng, m, n)
+    return make_instance(a, x, sigma, rng), estimate
 
 
 def snr_db(x: np.ndarray, xhat: np.ndarray) -> float:

@@ -73,9 +73,6 @@ class LiftedOperator:
     def adjoint(self, c: np.ndarray) -> np.ndarray:
         return (self.a * c[:, None]).T @ self.a
 
-    def sensor(self, i: int) -> np.ndarray:
-        return np.outer(self.a[i], self.a[i])
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -151,7 +148,8 @@ def rank1_extract(z, return_eigenvalues: bool = False):
     return (xhat, dec.eigenvalues) if return_eigenvalues else xhat
 
 
-def _psd_fast(m: np.ndarray) -> np.ndarray:
+def _psd_project(m: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest positive semidefinite matrix: clamp negative eigenvalues."""
     lam, v = np.linalg.eigh(m)
     lam = np.maximum(lam, 0.0)
     return symmetrize((v * lam) @ v.T)
@@ -312,7 +310,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
             bz_b = bz - b
 
             l_aux = weighted_shrink(wzw + dual_l, cfg.lam, rho)
-            p_aux = _psd_fast(z + dual_p)
+            p_aux = _psd_project(z + dual_p)
             r_aux = ball_project(bz_b + dual_r, cfg.epsilon)
             dual_r = dual_r + (bz_b - r_aux)
             g = np.concatenate((

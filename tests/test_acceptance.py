@@ -23,8 +23,8 @@ from phasecs.certify import (
     srip_bounds,
     weighted_nsp_check,
 )
-from phasecs.cli import SweepConfig, run_sweep
-from phasecs.solver import LiftedOperator, SolverConfig, solve_sdp
+from phasecs.cli import SweepConfig, run_sweep, solve_trial
+from phasecs.solver import SolverConfig
 
 GRID = [round(0.1 * i, 1) for i in range(11)]
 SNR_CAP = 300.0  # caps exact recoveries so means stay finite
@@ -50,20 +50,12 @@ def sparse_recovery_batch():
     runs = []
     for omega in (0.3, 1.0):
         for trial in range(10):
-            rng = model.substream(616, int(omega * 10), trial)
-            x = model.gen_sparse_signal(rng, 16, 2)
-            t0 = model.best_k_support(x, 2)
-            est = model.gen_support_estimate(rng, t0, 16, 2, 1.0, 0.75, omega)
-            a = model.gen_gaussian_matrix(rng, 40, 16)
-            inst = model.make_instance(a, x, 0.0, rng)
-            cfg = SolverConfig(epsilon=0.0)
+            inst, est = model.draw_trial(model.substream(616, int(omega * 10), trial),
+                                         "sparse", 16, 2, 40, 1.0, 0.75, omega, 0.0)
             start = time.perf_counter()
-            res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, est.weights(16), cfg)
+            res, snr = solve_trial(inst, est, SolverConfig())
             wall = time.perf_counter() - start
-            runs.append({
-                "x": x, "result": res, "wall_s": wall, "cfg": cfg,
-                "snr": model.snr_db(x, res.xhat),
-            })
+            runs.append({"result": res, "wall_s": wall, "snr": snr})
     return runs
 
 
@@ -307,16 +299,12 @@ def test_criterion_9_error_bound_coherence(sparse_recovery_batch):
     # compressible probes: observed error against the assembled bound
     worst_ratio = 0.0
     for seed in (1, 2, 3, 4, 5):
-        rng = model.substream(321, seed)
-        x = model.gen_compressible_signal(16, 4.5, rng)
-        t0 = model.best_k_support(x, 4)
-        est = model.gen_support_estimate(rng, t0, 16, 4, 1.0, 0.75, 0.5)
-        a = model.gen_gaussian_matrix(rng, 48, 16)
-        inst = model.make_instance(a, x, 0.0, rng)
-        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, est.weights(16),
-                        SolverConfig(epsilon=0.0))
+        inst, est = model.draw_trial(model.substream(321, seed), "compressible", 16, 4, 48,
+                                     1.0, 0.75, 0.5, 0.0, theta=4.5)
+        res, _ = solve_trial(inst, est, SolverConfig())
+        x = inst.x
         err = min(np.linalg.norm(res.xhat - x), np.linalg.norm(res.xhat + x))
-        tail_t0, tail_joint = model.tail_norms(x, t0, est.indices)
+        tail_t0, tail_joint = model.tail_norms(x, model.best_k_support(x, 4), est.indices)
         c1, c2 = theory.error_constants(4.0, 0.3, 0.5, 1.0, 0.75)
         bound = theory.error_bound(c1, c2, 0.0, 0.0, 0.0, 4, 0.5, tail_t0, tail_joint)
         ok = ok and err <= bound

@@ -206,9 +206,53 @@ class TestSweepHarness:
         assert all(r.status == "max-iter" for r in recs)
         assert read_sweep_csv("\n".join(sweep_csv_lines(recs)))  # still serializes
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"k": 4, "rho": 2.0, "alphas": (0.5, 0.0)}, "alpha=0.0: infeasible"),
+        ({"ms": (12, 0)}, "every m"),
+        ({"k": 9}, "k <= N"),
+    ])
+    def test_bad_grid_refused_before_any_trial(self, monkeypatch, fields, message):
+        def no_trial(*_):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trial", no_trial)
+        cfg = SweepConfig(**{"signal": "sparse", "n": 8, "k": 1, "alphas": (1.0,),
+                             "omegas": (1.0,), "ms": (12,), "sigmas": (0.0,),
+                             "trials": 1, **fields})
+        with pytest.raises(cli.UsageError, match=message):
+            run_sweep(cfg)
+
+    def test_row_seed_reproduces_with_recover(self, tmp_path):
+        # a sparse row's grid point and seed, given to `phasecs recover` with
+        # the sweep's solver settings, reproduce the row; each of these
+        # settings at its default would change at least one row
+        cfg = SweepConfig(signal="sparse", n=8, k=2, alphas=(0.5,), omegas=(0.3, 1.0),
+                          ms=(16,), sigmas=(0.0, 0.1), trials=2, master_seed=4,
+                          lam=0.5, penalty=2.0, tol_abs=1e-7, tol_rel=0.1, max_iter=250)
+        rows = read_sweep_csv("\n".join(sweep_csv_lines(run_sweep(cfg))))
+        assert len(rows) == 8
+        out = tmp_path / "recover.txt"
+        for row in rows:
+            flags = {"n": row["N"], "k": row["k"], "m": row["m"], "omega": row["omega"],
+                     "alpha": row["alpha"], "rho": row["rho"], "sigma": row["sigma"],
+                     "seed": row["seed"], "lam": cfg.lam, "penalty": cfg.penalty,
+                     "tol-abs": cfg.tol_abs, "tol-rel": cfg.tol_rel, "max-iter": cfg.max_iter}
+            argv = [arg for key, value in flags.items() for arg in (f"--{key}", str(value))]
+            cli.main(["recover", *argv, "--out", str(out)])
+            report = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+            assert float(report["snr_db"]) == row["snr_db"]
+            assert int(report["iterations"]) == row["iterations"]
+            assert report["status"] == row["status"]
+
     def test_parse_rejects_bad_line(self):
         with pytest.raises(Exception):
             parse_sweep_config("just some words\n")
+
+
+@pytest.mark.parametrize("text", ["", f"# schema={cli.SWEEP_SCHEMA}\n"])
+def test_read_sweep_csv_rejects_missing_header(text):
+    with pytest.raises(ValueError):
+        read_sweep_csv(text)
 
 
 class TestCertifyCommand:
@@ -217,6 +261,7 @@ class TestCertifyCommand:
         assert res.returncode == 0
         report = json.loads(res.stdout)
         assert report["delta"] == 0.0
+        assert "caps_hit" not in report  # only a refusal names the cap it hit
 
     def test_builtin_failure_example(self):
         res = run_cli("certify", "--example", "failure-2x2", "--check", "pnsp", "--k", "2")

@@ -7,9 +7,9 @@ from phasecs.linalg import (
     NotPositiveDefiniteError,
     eig_sym,
     kernel_basis,
-    psd_project,
     solve_spd,
 )
+from phasecs.solver import _psd_project
 
 RT2 = np.sqrt(2.0)
 
@@ -89,17 +89,19 @@ def test_eig_rejects_asymmetric():
 
 
 class TestPsdProject:
+    # the package's one psd projection is the solver's prox of the P block
+
     def test_clamps_negative_diagonal(self):
-        assert np.allclose(psd_project(np.diag([1.0, -2.0])), np.diag([1.0, 0.0]))
+        assert np.allclose(_psd_project(np.diag([1.0, -2.0])), np.diag([1.0, 0.0]))
 
     def test_psd_input_unchanged(self):
         rng = np.random.default_rng(3)
         b = rng.standard_normal((4, 4))
         p = b @ b.T
-        assert np.abs(psd_project(p) - p).max() <= 1e-10 * np.abs(p).max()
+        assert np.abs(_psd_project(p) - p).max() <= 1e-10 * np.abs(p).max()
 
     def test_closed_form_2x2(self):
-        out = psd_project([[0.0, 1.0], [1.0, 0.0]])
+        out = _psd_project([[0.0, 1.0], [1.0, 0.0]])
         assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_idempotent_and_psd(self):
@@ -107,10 +109,10 @@ class TestPsdProject:
         for _ in range(10):
             m = rng.standard_normal((5, 5))
             m = m + m.T
-            p = psd_project(m)
+            p = _psd_project(m)
             lam = eig_sym(p).eigenvalues
             assert lam.min() >= -TOL.psd_min_eig
-            assert np.abs(psd_project(p) - p).max() <= 1e-9 * max(1.0, np.abs(p).max())
+            assert np.abs(_psd_project(p) - p).max() <= 1e-9 * max(1.0, np.abs(p).max())
 
     def test_matches_analytic_2x2(self):
         rng = np.random.default_rng(19)
@@ -127,7 +129,7 @@ class TestPsdProject:
                     v = np.array([lam - c, b])
                 v = v / np.linalg.norm(v)
                 expected += lam * np.outer(v, v)
-            assert np.abs(psd_project(m) - expected).max() <= 1e-10
+            assert np.abs(_psd_project(m) - expected).max() <= 1e-10
 
 
 class TestKernelBasis:

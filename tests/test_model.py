@@ -99,9 +99,51 @@ class TestSupportEstimate:
         with pytest.raises(ValueError):
             model.gen_support_estimate(rng_for(0), t0, 5, 4, 1.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("n, k, rho, alpha, sizes", [
+        (32, 4, 1.0, 0.75, (3, 1)), (16, 4, 1.5, 0.5, (3, 3)), (8, 3, 1.0, 0.5, (2, 1)),
+    ])
+    def test_sizes_round_half_up(self, n, k, rho, alpha, sizes):
+        assert model.support_estimate_sizes(n, k, rho, alpha) == sizes
+
+    @pytest.mark.parametrize("n, k, rho, alpha", [(5, 4, 1.0, 0.0), (8, 4, 2.0, 1.0)])
+    def test_infeasible_sizes_raise(self, n, k, rho, alpha):
+        with pytest.raises(ValueError, match="infeasible"):
+            model.support_estimate_sizes(n, k, rho, alpha)
+
     def test_weights_pattern(self):
         est = model.SupportEstimate(indices=(1, 3), omega=0.4, rho=1.0, alpha=1.0)
         assert np.allclose(est.weights(5), [1.0, 0.4, 1.0, 0.4, 1.0])
+
+
+class TestDrawTrial:
+    def test_sparse_ignores_theta(self):
+        plain, est = model.draw_trial(rng_for(5), "sparse", 16, 3, 20, 1.0, 0.5, 0.3, 0.0)
+        tilted, est_theta = model.draw_trial(rng_for(5), "sparse", 16, 3, 20, 1.0, 0.5, 0.3,
+                                             0.0, theta=4.5)
+        assert np.count_nonzero(plain.x) == 3
+        assert np.array_equal(plain.x, tilted.x) and np.array_equal(plain.A, tilted.A)
+        assert est == est_theta
+
+    def test_noise_is_drawn_last(self):
+        # trials that differ only in sigma share signal, estimate and matrix
+        draw = lambda sigma: model.draw_trial(rng_for(6), "compressible", 16, 4, 24, 1.0,
+                                              0.75, 0.5, sigma, theta=4.5)
+        (clean, est_clean), (noisy, est_noisy) = draw(0.0), draw(0.1)
+        assert np.array_equal(clean.x, noisy.x) and np.array_equal(clean.A, noisy.A)
+        assert est_clean == est_noisy
+        assert clean.epsilon == 0.0 < noisy.epsilon
+
+    def test_estimate_against_best_k_support(self):
+        inst, est = model.draw_trial(rng_for(7), "compressible", 16, 4, 24, 1.0, 1.0, 0.5,
+                                     0.0, theta=2.0)
+        assert list(est.indices) == model.best_k_support(inst.x, 4).tolist()
+        assert inst.A.shape == (24, 16) and est.omega == 0.5
+
+    @pytest.mark.parametrize("signal", ["dense", "compressible"])
+    def test_bad_signal_rejected(self, signal):
+        # a compressible trial needs theta
+        with pytest.raises(ValueError):
+            model.draw_trial(rng_for(0), signal, 8, 2, 10, 1.0, 0.5, 0.5, 0.0)
 
 
 class TestGaussianMatrix:

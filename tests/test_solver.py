@@ -20,14 +20,10 @@ from phasecs.solver import (
 
 
 def make_problem(n, k, m, omega, alpha, sigma, seed, **cfg_kw):
-    rng = np.random.default_rng(seed)
-    x = model.gen_sparse_signal(rng, n, k)
-    t0 = model.best_k_support(x, k)
-    est = model.gen_support_estimate(rng, t0, n, k, 1.0, alpha, omega)
-    a = model.gen_gaussian_matrix(rng, m, n)
-    inst = model.make_instance(a, x, sigma, rng)
+    inst, est = model.draw_trial(np.random.default_rng(seed), "sparse", n, k, m, 1.0,
+                                 alpha, omega, sigma)
     cfg = SolverConfig(epsilon=inst.epsilon, **cfg_kw)
-    return x, a, inst, est.weights(n), cfg
+    return inst.x, inst.A, inst, est.weights(n), cfg
 
 
 def solve_recover_trial(seed, omega):
@@ -103,7 +99,7 @@ def test_weighted_shrink_subgradient_condition(v, lam, pen):
 def test_psd_projection_optimality(mat):
     # Moreau: out is the projection onto the psd cone iff out >= 0,
     # mat - out <= 0 and <out, mat - out> = 0
-    out = solver._psd_fast(mat)
+    out = solver._psd_project(mat)
     assert np.array_equal(out, out.T)
     rest = mat - out
     tol = 1e-12 * (1.0 + np.abs(mat).sum())
@@ -291,15 +287,15 @@ class TestSolveSdp:
     @pytest.mark.parametrize("n, m, sigma, seed", [(8, 16, 0.0, 3), (16, 40, 0.0, 1),
                                                    (16, 40, 0.05, 2)])
     def test_state_blocks_stay_exactly_symmetric(self, monkeypatch, n, m, sigma, seed):
-        # the solver feeds weighted_shrink and _psd_fast symmetric blocks and
+        # the solver feeds weighted_shrink and _psd_project symmetric blocks and
         # does not symmetrize around them; symmetrizing there must change no bit
         x, a, inst, w, cfg = make_problem(n, 2, m, 0.5, 0.5, sigma, seed)
         op = LiftedOperator.from_matrix(a)
         plain = solve_sdp(op, inst.b, w, cfg)
-        shrink, psd = solver.weighted_shrink, solver._psd_fast
+        shrink, psd = solver.weighted_shrink, solver._psd_project
         monkeypatch.setattr(solver, "weighted_shrink",
                             lambda v, lam, pen: symmetrize(shrink(v, lam, pen)))
-        monkeypatch.setattr(solver, "_psd_fast", lambda mat: psd(symmetrize(mat)))
+        monkeypatch.setattr(solver, "_psd_project", lambda mat: psd(symmetrize(mat)))
         patched = solve_sdp(op, inst.b, w, cfg)
         assert patched.iterations == plain.iterations
         assert patched.Z.tobytes() == plain.Z.tobytes()
@@ -365,11 +361,6 @@ class TestLiftedOperator:
         c = rng.standard_normal(5)
         # <B(Z), c> == <Z, B*(c)>
         assert abs(op.forward(z) @ c - (z * op.adjoint(c)).sum()) <= 1e-10
-
-    def test_sensor(self):
-        a = np.array([[1.0, 2.0], [0.0, 1.0]])
-        op = LiftedOperator.from_matrix(a)
-        assert np.allclose(op.sensor(0), [[1.0, 2.0], [2.0, 4.0]])
 
 
 @pytest.mark.parametrize("n, m", [(4, 20), (6, 10), (5, 60)])
