@@ -43,7 +43,7 @@ EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_CAP = 3
 
-SWEEP_SCHEMA = "phasecs.sweep.v5"
+SWEEP_SCHEMA = "phasecs.sweep.v6"
 SWEEP_COLUMNS = [
     "signal_kind", "N", "k", "theta", "rho", "alpha", "omega", "m", "sigma",
     "trial", "seed", "snr_db", "iterations", "status", "wall_ms",

@@ -28,9 +28,19 @@ by the same factor.  A penalty change takes the plain step and clears the
 memory, because rescaling the duals changes T, and it is made only at a
 point the safeguard accepts.  ``ANDERSON_MEMORY`` is 20.
 
+The program is positively homogeneous: scaling b and eps by c scales the
+minimiser by c.  The loop therefore runs on b/||b|| and eps/||b|| (as conic
+splitting solvers rescale their data, O'Donoghue et al. 2016, SCS), and its
+result is scaled back: Z, the primal residual, the feasibility and split
+measures and the objective by ||b||, xhat by sqrt(||b||); the dual
+residual carries no units of b and is reported as computed, and the
+reported penalty is that of the normalised iteration.  The trajectory, and
+so the iteration count, does not depend on the units of b.
+
 The convergence test is made on T(s) with the plain-ADMM thresholds (Boyd et
-al. 2011, section 3.3) plus a bound on the measurement block, and it is
-lazy: every sweep computes the measurement and primal residuals; the dual
+al. 2011, section 3.3) plus a bound on the measurement block; run on the
+normalised data, ``tol_abs`` acts relative to ||b||.  The test is lazy:
+every sweep computes the measurement and primal residuals; the dual
 residual, which costs one B*, only once the measurement block is within
 its bound or on a rebalance sweep; each threshold only once the tests
 before it pass, so the second B* of the dual threshold is rare.  The
@@ -257,10 +267,20 @@ class _Anderson:
 def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> SolverResult:
     """Run the accelerated consensus splitting on the lifted program.
 
+    The iteration runs on ``b / ||b||`` and ``epsilon / ||b||`` (``b = 0`` is
+    left as it is), so every threshold acts relative to ``||b||``.
     Convergence requires the stacked primal and dual residuals to fall below
     the usual absolute-plus-relative thresholds and additionally the
     measurement block to be within ``10 * tol_abs`` of its projection, which
-    guarantees ``||B(Z) - b|| <= epsilon + 10 * tol_abs`` at exit.
+    guarantees ``||B(Z) - b|| <= epsilon + 10 * tol_abs * ||b||`` at exit.
+
+    ``Z``, ``xhat``, the primal residual and the diagnostics ``feasibility``,
+    ``ball_violation``, ``split_*``, ``min_eigenvalue`` and ``objective`` are
+    in the units of ``b``; the dual residual is free of them.  ``penalty`` is
+    the final penalty of the normalised iteration: the same run on the
+    caller's data would use ``penalty / ||b||``.  ``stop_reason`` is
+    ``converged``, ``max-iter``, ``eig-failure`` or
+    ``factorization-failure``; the last two have status ``failed``.
     """
     cfg = cfg or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -274,7 +294,13 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     except (linalg.NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
         zero = np.zeros((n, n))
         return SolverResult(zero, np.zeros(n), 0, math.inf, math.inf, "failed",
-                            {"error": str(exc)})
+                            {"stop_reason": "factorization-failure", "error": str(exc)})
+
+    # the loop solves the program for b/||b|| and epsilon/||b||; by homogeneity
+    # its results are scaled back at exit
+    unit = math.sqrt(float(b @ b)) or 1.0
+    b = b / unit
+    epsilon = cfg.epsilon / unit
 
     ww = np.outer(w, w)
     rho = cfg.penalty
@@ -311,7 +337,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
 
             l_aux = weighted_shrink(wzw + dual_l, cfg.lam, rho)
             p_aux = _psd_project(z + dual_p)
-            r_aux = ball_project(bz_b + dual_r, cfg.epsilon)
+            r_aux = ball_project(bz_b + dual_r, epsilon)
             dual_r = dual_r + (bz_b - r_aux)
             g = np.concatenate((
                 l_aux.ravel(), p_aux.ravel(), r_aux,
@@ -370,26 +396,30 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     # sweep always computes its dual residual, so rho is still that sweep's
     if dua is None:
         dua = dual_residual(f)
+    if error is None:
+        try:
+            xhat, eigvals = rank1_extract(z, return_eigenvalues=True)
+        except (linalg.EigNonConvergenceError, np.linalg.LinAlgError) as exc:
+            error = str(exc)
+    # back to the caller's units: Z, its residuals and the objective scale with
+    # unit, xhat with sqrt(unit); the dual residual does not scale
     if error is not None:
-        return SolverResult(z, np.zeros(n), iterations, pri, dua, "failed", {"error": error})
-
-    try:
-        xhat, eigvals = rank1_extract(z, return_eigenvalues=True)
-    except (linalg.EigNonConvergenceError, np.linalg.LinAlgError) as exc:
-        return SolverResult(z, np.zeros(n), iterations, pri, dua, "failed",
-                            {"error": str(exc)})
+        return SolverResult(unit * z, np.zeros(n), iterations, unit * pri, dua, "failed",
+                            {"stop_reason": "eig-failure", "error": error})
     diagnostics = {
-        "feasibility": float(np.linalg.norm(op.forward(z) - b)),
-        "ball_violation": feas,
-        "split_l": float(np.linalg.norm(f[i_dl:i_dp])),
-        "split_p": float(np.linalg.norm(f[i_dp:i_dr])),
-        "split_r": feas,
-        "min_eigenvalue": float(eigvals[-1]),
+        "stop_reason": status,
+        "feasibility": unit * float(np.linalg.norm(op.forward(z) - b)),
+        "ball_violation": unit * feas,
+        "split_l": unit * float(np.linalg.norm(f[i_dl:i_dp])),
+        "split_p": unit * float(np.linalg.norm(f[i_dp:i_dr])),
+        "split_r": unit * feas,
+        "min_eigenvalue": unit * float(eigvals[-1]),
         "top_eigenvalue_ratio": float(eigvals[1] / eigvals[0]) if n > 1 and eigvals[0] > 0 else 0.0,
-        "objective": float(np.trace(wzw) + cfg.lam * np.abs(wzw).sum()),
+        "objective": unit * float(np.trace(wzw) + cfg.lam * np.abs(wzw).sum()),
         "penalty": rho,
         "penalty_updates": penalty_updates,
         "anderson_accepted": accel.accepted,
         "anderson_rejected": accel.rejected,
     }
-    return SolverResult(z, xhat, iterations, pri, dua, status, diagnostics)
+    return SolverResult(unit * z, math.sqrt(unit) * xhat, iterations, unit * pri, dua, status,
+                        diagnostics)
