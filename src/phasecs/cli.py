@@ -43,7 +43,7 @@ EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_CAP = 3
 
-SWEEP_SCHEMA = "phasecs.sweep.v6"
+SWEEP_SCHEMA = "phasecs.sweep.v7"
 SWEEP_COLUMNS = [
     "signal_kind", "N", "k", "theta", "rho", "alpha", "omega", "m", "sigma",
     "trial", "seed", "snr_db", "iterations", "status", "wall_ms",
@@ -466,6 +466,7 @@ def cmd_recover(args) -> int:
         args.alpha, args.omega, args.sigma,
     )
     result, snr = solve_trial(instance, estimate, solver_config(args))
+    stop_reason = result.diagnostics["stop_reason"]
     report = [
         f"n: {args.n}", f"k: {args.k}", f"m: {args.m}",
         f"omega: {args.omega:g}", f"alpha: {args.alpha:g}", f"rho: {args.rho:g}",
@@ -474,11 +475,18 @@ def cmd_recover(args) -> int:
         f"snr_db: {_fmt(snr)}",
         f"iterations: {result.iterations}",
         f"status: {result.status}",
+        f"stop_reason: {stop_reason}",
         f"feasibility: {result.diagnostics.get('feasibility', math.nan):.3e}",
     ]
+    # every report line is one "key: value" line, so the message is joined
+    error = " ".join(str(result.diagnostics.get("error", "")).split())
+    if error:
+        report.append(f"error: {error}")
     _write_text(args.out, "\n".join(report))
     if result.status != "converged":
-        print(f"solver did not converge (status={result.status})", file=sys.stderr)
+        detail = f": {error}" if error else ""
+        print(f"solver did not converge (status={result.status}, stop_reason={stop_reason})"
+              f"{detail}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 

@@ -7,10 +7,18 @@ come from ``eigh``, null spaces from the SVD and SPD solves from a
 Cholesky factor.  Failures of ``eigh`` and of the Cholesky factorization
 surface as the named errors below; an SVD that does not converge raises
 ``numpy.linalg.LinAlgError``.
+
+``svec`` and ``smat`` convert between a symmetric n x n matrix and its
+packed form, the vector of n(n+1)/2 upper-triangle entries in row-major
+order with the off-diagonal ones scaled by sqrt(2).  The scaling makes the
+map an isometry, ``svec(X) @ svec(Y) == <X, Y>_F``, as in the PSD cone of
+conic splitting solvers (O'Donoghue et al. 2016, SCS).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +86,50 @@ def as_sym_matrix(m, name: str = "matrix") -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+@dataclass(frozen=True)
+class SvecLayout:
+    """Index arrays of the packed layout for one order n (read-only)."""
+
+    upper: np.ndarray  # (n(n+1)/2,) row-major flat indices of the upper triangle
+    full: np.ndarray   # (n*n,) packed position of entry (min(i, j), max(i, j))
+    scale: np.ndarray  # (n(n+1)/2,) 1 on the diagonal, sqrt(2) off it
+    diag: np.ndarray   # (n,) packed positions of the diagonal entries
+
+
+@functools.lru_cache(maxsize=64)
+def svec_layout(n: int) -> SvecLayout:
+    """The packed layout of order n, built once per n."""
+    rows, cols = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[rows, cols] = np.arange(rows.size)
+    pos[cols, rows] = pos[rows, cols]
+    arrays = (rows * n + cols, pos.ravel(), np.where(rows == cols, 1.0, math.sqrt(2.0)),
+              pos.diagonal().copy())
+    for a in arrays:
+        a.setflags(write=False)
+    return SvecLayout(*arrays)
+
+
+def svec_order(size: int) -> int:
+    """The order n of the symmetric matrices whose packed form has ``size`` entries."""
+    n = (math.isqrt(8 * size + 1) - 1) // 2
+    if n * (n + 1) // 2 != size:
+        raise ValueError(f"{size} is not the length of a packed symmetric matrix")
+    return n
+
+
+def svec(m: np.ndarray) -> np.ndarray:
+    """Packed form of a symmetric matrix; only the upper triangle is read."""
+    m = np.asarray(m, dtype=float)
+    lay = svec_layout(m.shape[0])
+    return m.take(lay.upper) * lay.scale
+
+
+def smat(v: np.ndarray) -> np.ndarray:
+    """The symmetric matrix of a packed vector; exactly symmetric by construction."""
+    n = svec_order(v.size)
+    lay = svec_layout(n)
+    return (v / lay.scale).take(lay.full).reshape(n, n)
 
 
 def eig_sym(m) -> EigenDecomposition:

@@ -14,9 +14,19 @@ with one m x m Cholesky factorization per run, at every m and N; the
 measurement part B*(c) of the right-hand side is folded into that solve,
 which also yields B(Z), so the Z update applies B once and B* once.
 
+Every symmetric matrix of the iteration (Z, L, P, their duals and the
+operands of B and B*) is held in the packed form ``linalg.svec``: the
+N(N+1)/2 upper-triangle entries, row-major, with the off-diagonal ones
+scaled by sqrt(2).  The map is an isometry, so inner products and residual
+norms are those of the full matrices; each block is symmetric by
+construction and nothing is symmetrized.  Only the psd projection unpacks,
+for its eigendecomposition.  The returned Z is ``smat`` of the packed
+iterate, exactly symmetric.
+
 One sweep is a fixed-point map T on the state s = (L, P, r) and their
-scaled duals, kept as one flat vector.  The loop runs a safeguarded type-II
-Anderson accelerator on T (Walker & Ni 2011): after a sweep that has not
+scaled duals, kept as one flat vector of 2N(N+1) + 2m entries (624 at
+N=16, m=40).  The loop runs a safeguarded type-II Anderson accelerator on T
+(Walker & Ni 2011) directly on that vector: after a sweep that has not
 converged, the next state is T(s) - dG gamma, where gamma fits the residual
 f = T(s) - s by the last ``ANDERSON_MEMORY`` differences of f and of T.  An
 extrapolated state whose residual is larger than that of the state it came
@@ -56,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import symmetrize
+from .linalg import smat, svec
 from .model import canonical_sign
 
 # how many past differences the Anderson accelerator keeps
@@ -65,9 +75,22 @@ ANDERSON_MEMORY = 20
 
 @dataclass(frozen=True)
 class LiftedOperator:
-    """Forward map Z -> (a_i' Z a_i)_i and its adjoint for a sensing matrix."""
+    """Forward map Z -> (a_i' Z a_i)_i and its adjoint for a sensing matrix.
+
+    Both act on the packed layout: ``sensors`` holds svec(a_i a_i') as rows
+    (m x N(N+1)/2), built once, so ``forward(svec(Z))`` is ``sensors @ svec(Z)``
+    and ``adjoint(c)`` is svec(sum_i c_i a_i a_i') = ``c @ sensors``.
+    """
 
     a: np.ndarray  # (m, n), rows are the sensing vectors
+    sensors: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m, n = self.a.shape
+        lay = linalg.svec_layout(n)
+        # row i is svec(a_i a_i')
+        lifts = (self.a[:, :, None] * self.a[:, None, :]).reshape(m, n * n)
+        object.__setattr__(self, "sensors", lifts[:, lay.upper] * lay.scale)
 
     @classmethod
     def from_matrix(cls, a) -> "LiftedOperator":
@@ -78,10 +101,10 @@ class LiftedOperator:
         return self.a.shape
 
     def forward(self, z: np.ndarray) -> np.ndarray:
-        return ((self.a @ z) * self.a).sum(1)
+        return self.sensors @ z
 
     def adjoint(self, c: np.ndarray) -> np.ndarray:
-        return (self.a * c[:, None]).T @ self.a
+        return c @ self.sensors
 
 
 @dataclass(frozen=True)
@@ -117,18 +140,19 @@ class SolverResult:
 def weighted_shrink(v: np.ndarray, lam: float, penalty: float) -> np.ndarray:
     """Proximal map of ``L -> Tr(L) + lam ||L||_1`` at ``v`` with the given penalty.
 
-    Off-diagonal entries are soft-thresholded by ``lam/penalty``; diagonal
+    ``v`` and the result are packed (``linalg.svec``).  Entries of L are
+    soft-thresholded by ``lam/penalty``, so a packed off-diagonal entry,
+    sqrt(2) L_ij, is thresholded by ``sqrt(2) lam/penalty``.  Diagonal
     entries are first shifted by ``1/penalty`` (the trace contributes a
-    constant linear tilt there) and then thresholded the same way.  ``v``
-    must be symmetric: the map is entrywise, so the output is then exactly
-    symmetric and is not symmetrized again.
+    constant linear tilt there) and then thresholded by ``lam/penalty``.
     """
     if penalty <= 0:
         raise ValueError("penalty must be positive")
-    thr = lam / penalty
+    lay = linalg.svec_layout(linalg.svec_order(v.size))
+    thr = (lam / penalty) * lay.scale
     shifted = v.copy()
-    shifted.flat[:: v.shape[0] + 1] -= 1.0 / penalty
-    shifted -= np.clip(shifted, -thr, thr)
+    shifted[lay.diag] -= 1.0 / penalty
+    shifted -= np.minimum(np.maximum(shifted, -thr), thr)
     return shifted
 
 
@@ -140,7 +164,7 @@ def ball_project(v: np.ndarray, radius: float) -> np.ndarray:
     if nv <= radius:
         return v.copy()
     if radius == 0.0:
-        return np.zeros_like(v)
+        return np.zeros(v.shape)
     return v * (radius / nv)
 
 
@@ -158,39 +182,43 @@ def rank1_extract(z, return_eigenvalues: bool = False):
     return (xhat, dec.eigenvalues) if return_eigenvalues else xhat
 
 
-def _psd_project(m: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix: clamp negative eigenvalues."""
-    lam, v = np.linalg.eigh(m)
-    lam = np.maximum(lam, 0.0)
-    return symmetrize((v * lam) @ v.T)
+def _psd_project(v: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest positive semidefinite matrix: clamp negative eigenvalues.
+
+    ``v`` and the result are packed; the result is the upper triangle of the
+    reassembled matrix.
+    """
+    lam, vec = np.linalg.eigh(smat(v))
+    return svec((vec * np.maximum(lam, 0.0)) @ vec.T)
 
 
 class _NormalSolver:
     """Solves (D + B* B) Z = R0 + B*(c), D_ij = w_i^2 w_j^2 + 1, for symmetric R0.
 
-    Woodbury: with H = 1/D entrywise and S the m x N^2 matrix of vectorised
-    sensors a_i a_i', the inverse is H - H S' (I + S diag(H) S')^{-1} S H.
+    Woodbury: with H = 1/D entrywise and S = ``op.sensors``, the m x N(N+1)/2
+    matrix of packed sensors, the inverse is H - H S' (I + S diag(h) S')^{-1} S H.
+    H acts entrywise, so on packed operands it is ``h``, the upper triangle of
+    H without the sqrt(2) scaling.  Z, R0 and the results are packed.
     """
 
     def __init__(self, op: LiftedOperator, w: np.ndarray):
         m, n = op.shape
         self.op = op
-        self.h = 1.0 / (np.outer(w * w, w * w) + 1.0)
-        sensors = (op.a[:, :, None] * op.a[:, None, :]).reshape(m, n * n)
-        g = np.eye(m) + (sensors * self.h.ravel()) @ sensors.T
+        self.h = (1.0 / (np.outer(w * w, w * w) + 1.0)).take(linalg.svec_layout(n).upper)
+        g = np.eye(m) + (op.sensors * self.h) @ op.sensors.T
         self.g_inv = linalg.solve_spd(g, np.eye(m))
 
     def solve(self, r0: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return Z and B(Z).
 
-        With G = I + S diag(H) S' and R = R0 + B*(c), Woodbury gives
+        With G = I + S diag(h) S' and R = R0 + B*(c), Woodbury gives
         Z = H o R - H o B*(G^{-1} B(H o R)).  Since B(H o B*(c)) = (G - I) c,
         this is Z = H o R0 - H o B*(s) with s = G^{-1}(B(H o R0) - c), and
         B(Z) = c + s exactly; B*(c) is never formed.
         """
         x1 = self.h * r0
         s = self.g_inv @ (self.op.forward(x1) - c)
-        return symmetrize(x1 - self.h * self.op.adjoint(s)), c + s
+        return x1 - self.h * self.op.adjoint(s), c + s
 
 
 class _Anderson:
@@ -302,13 +330,14 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     b = b / unit
     epsilon = cfg.epsilon / unit
 
-    ww = np.outer(w, w)
+    # W Z W acts entrywise, so on packed Z it is ww times the packed Z
+    ww = np.outer(w, w).take(linalg.svec_layout(n).upper)
     rho = cfg.penalty
     penalty_updates = 0
-    # flat state x = (L, P, r, dual_L, dual_P, dual_r)
-    nn = n * n
-    i_p, i_r, i_dl, i_dp, i_dr = nn, 2 * nn, 2 * nn + m, 3 * nn + m, 4 * nn + m
-    x = np.zeros(4 * nn + 2 * m)
+    # flat state x = (L, P, r, dual_L, dual_P, dual_r), the matrices packed
+    d = n * (n + 1) // 2
+    i_p, i_r, i_dl, i_dp, i_dr = d, 2 * d, 2 * d + m, 3 * d + m, 4 * d + m
+    x = np.zeros(4 * d + 2 * m)
     accel = _Anderson(x.size, ANDERSON_MEMORY)
     dim_pri = math.sqrt(2 * n * n + m)
     dim_dual = float(n)
@@ -316,21 +345,21 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
 
     def dual_residual(f):
         # rho ||W dL W + dP + B*(dr)|| over the primal blocks dL, dP, dr of f
-        dvec = ww * f[:i_p].reshape(n, n) + f[i_p:i_r].reshape(n, n) + op.adjoint(f[i_r:i_dl])
-        return rho * math.sqrt(float(np.vdot(dvec, dvec)))
+        dvec = ww * f[:i_p] + f[i_p:i_r] + op.adjoint(f[i_r:i_dl])
+        return rho * math.sqrt(float(dvec @ dvec))
 
     status = "max-iter"
     error = None
     pri = dua = math.inf
     iterations = cfg.max_iter
     feas = math.inf
-    z = np.zeros((n, n))
+    z = np.zeros(d)
     try:
         for it in range(1, cfg.max_iter + 1):
-            dual_l = x[i_dl:i_dp].reshape(n, n)
-            dual_p = x[i_dp:i_dr].reshape(n, n)
+            dual_l = x[i_dl:i_dp]
+            dual_p = x[i_dp:i_dr]
             dual_r = x[i_dr:]
-            r0 = ww * (x[:i_p].reshape(n, n) - dual_l) + (x[i_p:i_r].reshape(n, n) - dual_p)
+            r0 = ww * (x[:i_p] - dual_l) + (x[i_p:i_r] - dual_p)
             z, bz = normal.solve(r0, b + (x[i_r:i_dl] - dual_r))
             wzw = ww * z
             bz_b = bz - b
@@ -340,8 +369,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
             r_aux = ball_project(bz_b + dual_r, epsilon)
             dual_r = dual_r + (bz_b - r_aux)
             g = np.concatenate((
-                l_aux.ravel(), p_aux.ravel(), r_aux,
-                (dual_l + (wzw - l_aux)).ravel(), (dual_p + (z - p_aux)).ravel(), dual_r,
+                l_aux, p_aux, r_aux, dual_l + (wzw - l_aux), dual_p + (z - p_aux), dual_r,
             ))
             # f = T(x) - x: its dual blocks are the primal residuals, and its
             # primal blocks give the dual residual
@@ -359,13 +387,12 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
             if feas <= feas_tol:
                 g_pri = g[:i_dl]
                 scale_pri = math.sqrt(max(
-                    float(np.vdot(wzw, wzw)) + float(np.vdot(z, z)) + float(bz_b @ bz_b),
+                    float(wzw @ wzw) + float(z @ z) + float(bz_b @ bz_b),
                     float(g_pri @ g_pri),
                 ))
                 if pri <= dim_pri * cfg.tol_abs + cfg.tol_rel * scale_pri:
-                    dual_vec = (ww * g[i_dl:i_dp].reshape(n, n) + g[i_dp:i_dr].reshape(n, n)
-                                + op.adjoint(dual_r))
-                    scale_dual = rho * math.sqrt(float(np.vdot(dual_vec, dual_vec)))
+                    dual_vec = ww * g[i_dl:i_dp] + g[i_dp:i_dr] + op.adjoint(dual_r)
+                    scale_dual = rho * math.sqrt(float(dual_vec @ dual_vec))
                     if dua <= dim_dual * cfg.tol_abs + cfg.tol_rel * scale_dual:
                         status = "converged"
                         iterations = it
@@ -396,16 +423,18 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     # sweep always computes its dual residual, so rho is still that sweep's
     if dua is None:
         dua = dual_residual(f)
+    z_mat = smat(z)
     if error is None:
         try:
-            xhat, eigvals = rank1_extract(z, return_eigenvalues=True)
+            xhat, eigvals = rank1_extract(z_mat, return_eigenvalues=True)
         except (linalg.EigNonConvergenceError, np.linalg.LinAlgError) as exc:
             error = str(exc)
     # back to the caller's units: Z, its residuals and the objective scale with
     # unit, xhat with sqrt(unit); the dual residual does not scale
     if error is not None:
-        return SolverResult(unit * z, np.zeros(n), iterations, unit * pri, dua, "failed",
+        return SolverResult(unit * z_mat, np.zeros(n), iterations, unit * pri, dua, "failed",
                             {"stop_reason": "eig-failure", "error": error})
+    wzw_mat = np.outer(w, w) * z_mat
     diagnostics = {
         "stop_reason": status,
         "feasibility": unit * float(np.linalg.norm(op.forward(z) - b)),
@@ -415,11 +444,11 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
         "split_r": unit * feas,
         "min_eigenvalue": unit * float(eigvals[-1]),
         "top_eigenvalue_ratio": float(eigvals[1] / eigvals[0]) if n > 1 and eigvals[0] > 0 else 0.0,
-        "objective": unit * float(np.trace(wzw) + cfg.lam * np.abs(wzw).sum()),
+        "objective": unit * float(np.trace(wzw_mat) + cfg.lam * np.abs(wzw_mat).sum()),
         "penalty": rho,
         "penalty_updates": penalty_updates,
         "anderson_accepted": accel.accepted,
         "anderson_rejected": accel.rejected,
     }
-    return SolverResult(unit * z, math.sqrt(unit) * xhat, iterations, unit * pri, dua, status,
+    return SolverResult(unit * z_mat, math.sqrt(unit) * xhat, iterations, unit * pri, dua, status,
                         diagnostics)

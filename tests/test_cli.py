@@ -106,6 +106,8 @@ class TestRecoverCommand:
                       "--seed", "7", "--max-iter", "5")
         assert res.returncode == 2
         assert "status: max-iter" in res.stdout
+        assert "stop_reason: max-iter" in res.stdout
+        assert "stop_reason=max-iter" in res.stderr
 
 
 class TestSweepCommand:
@@ -322,7 +324,7 @@ class TestOracleCommand:
         assert res.returncode == 1
 
 
-def test_eigensolver_failure_is_solver_exit(monkeypatch, capsys):
+def test_eigensolver_failure_is_solver_exit(monkeypatch, capsys, tmp_path):
     def fail(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -330,6 +332,15 @@ def test_eigensolver_failure_is_solver_exit(monkeypatch, capsys):
     code = cli.main(["certify", "--identity", "4", "--check", "rip", "--k", "1"])
     assert code == EXIT_SOLVER == 2
     assert "numerical failure" in capsys.readouterr().err
+    # recover names the stop reason and the error, each on one report line
+    out = tmp_path / "recover.txt"
+    code = cli.main(["recover", "--n", "6", "--k", "1", "--m", "12", "--out", str(out)])
+    assert code == EXIT_SOLVER
+    report = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+    assert (report["status"], report["stop_reason"]) == ("failed", "eig-failure")
+    assert report["error"] == "Eigenvalues did not converge"
+    err = capsys.readouterr().err
+    assert "stop_reason=eig-failure" in err and "Eigenvalues did not converge" in err
 
 
 @pytest.mark.parametrize("error", [NotPositiveDefiniteError, np.linalg.LinAlgError])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasecs.linalg import (
     TOL,
@@ -7,9 +9,12 @@ from phasecs.linalg import (
     NotPositiveDefiniteError,
     eig_sym,
     kernel_basis,
+    smat,
     solve_spd,
+    svec,
+    svec_order,
 )
-from phasecs.solver import _psd_project
+from phasecs.solver import _psd_project as _psd_project_packed
 
 RT2 = np.sqrt(2.0)
 
@@ -88,8 +93,56 @@ def test_eig_rejects_asymmetric():
         eig_sym([[0.0, 1.0], [0.0, 0.0]])
 
 
+def symmetric_pairs(max_n=8):
+    finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+    def pair(n):
+        entries = st.lists(finite, min_size=n * n, max_size=n * n).map(
+            lambda vals: np.array(vals).reshape(n, n)).map(lambda m: 0.5 * (m + m.T))
+        return st.tuples(entries, entries)
+
+    return st.integers(1, max_n).flatmap(pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_pairs())
+def test_smat_inverts_svec(pair):
+    # the sqrt(2) scaling is undone by a division, so an off-diagonal entry
+    # comes back within one unit in the last place; the diagonal is not
+    # scaled and comes back bitwise, and smat is symmetric by construction
+    x, _ = pair
+    v = svec(x)
+    back = smat(v)
+    assert v.shape == (len(x) * (len(x) + 1) // 2,)
+    assert back.tobytes() == back.T.copy().tobytes()
+    assert np.diag(back).tobytes() == np.diag(x).tobytes()
+    assert np.all(np.abs(back - x) <= np.spacing(np.abs(x)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_pairs())
+def test_svec_is_an_isometry(pair):
+    # the floor covers products in the subnormal range
+    x, y = pair
+    tol = 1e-12 * np.abs(x * y).sum() + 1e-300
+    assert abs(svec(x) @ svec(y) - np.vdot(x, y)) <= tol
+
+
+def test_svec_order():
+    assert [svec_order(d) for d in (0, 1, 3, 6, 136)] == [0, 1, 2, 3, 16]
+    for d in (2, 4, 135):
+        with pytest.raises(ValueError):
+            svec_order(d)
+    assert np.array_equal(svec([[1.0, 2.0], [2.0, 3.0]]), [1.0, 2.0 * RT2, 3.0])
+
+
+def _psd_project(m):
+    return smat(_psd_project_packed(svec(m)))
+
+
 class TestPsdProject:
-    # the package's one psd projection is the solver's prox of the P block
+    # the package's one psd projection is the solver's prox of the P block,
+    # which maps packed matrices to packed matrices
 
     def test_clamps_negative_diagonal(self):
         assert np.allclose(_psd_project(np.diag([1.0, -2.0])), np.diag([1.0, 0.0]))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasecs import linalg, model, solver
-from phasecs.linalg import symmetrize
+from phasecs.linalg import smat, svec
 from phasecs.solver import (
     LiftedOperator,
     _Anderson,
@@ -33,19 +33,20 @@ def solve_recover_trial(seed, omega):
 
 
 class TestWeightedShrink:
+    # weighted_shrink maps packed matrices to packed matrices
     def test_pure_trace_prox(self):
         v = np.diag([3.0, 5.0])
-        out = weighted_shrink(v, 0.0, 2.0)
+        out = smat(weighted_shrink(svec(v), 0.0, 2.0))
         assert np.allclose(out, np.diag([2.5, 4.5]))
 
     def test_dead_zone(self):
         v = np.array([[1.0, 0.3], [0.3, 1.0]])
-        out = weighted_shrink(v, 0.5, 1.0)
+        out = smat(weighted_shrink(svec(v), 0.5, 1.0))
         assert out[0, 1] == 0.0
 
     def test_diagonal_shift_then_threshold(self):
         v = np.diag([2.0, 2.0])
-        out = weighted_shrink(v, 1.0, 1.0)
+        out = smat(weighted_shrink(svec(v), 1.0, 1.0))
         assert np.allclose(out, np.zeros((2, 2)))
 
     def test_is_proximal_map(self):
@@ -58,7 +59,7 @@ class TestWeightedShrink:
         def objective(l):
             return np.trace(l) + lam * np.abs(l).sum() + 0.5 * pen * ((l - v) ** 2).sum()
 
-        out = weighted_shrink(v, lam, pen)
+        out = smat(weighted_shrink(svec(v), lam, pen))
         base = objective(out)
         for _ in range(1000):
             pert = rng.standard_normal((3, 3)) * rng.choice([1e-3, 1e-1, 1.0])
@@ -67,7 +68,7 @@ class TestWeightedShrink:
 
     def test_rejects_bad_penalty(self):
         with pytest.raises(ValueError):
-            weighted_shrink(np.eye(2), 1.0, 0.0)
+            weighted_shrink(svec(np.eye(2)), 1.0, 0.0)
 
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -76,7 +77,7 @@ finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 def symmetric_matrices(max_n=6):
     return st.integers(1, max_n).flatmap(lambda n: st.lists(
         finite, min_size=n * n, max_size=n * n,
-    ).map(lambda vals: symmetrize(np.array(vals).reshape(n, n))))
+    ).map(lambda vals: np.array(vals).reshape(n, n)).map(lambda m: 0.5 * (m + m.T)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -85,7 +86,7 @@ def test_weighted_shrink_subgradient_condition(v, lam, pen):
     # 0 in I + lam d|L| + pen (L - V), entry by entry: the trace tilts the
     # diagonal by 1, and G = pen (V - L) - I must equal lam sign(L) where
     # L != 0 and lie in [-lam, lam] where L == 0
-    out = weighted_shrink(v, lam, pen)
+    out = smat(weighted_shrink(svec(v), lam, pen))
     assert np.array_equal(out, out.T)
     g = pen * (v - out) - np.eye(len(v))
     tol = 1e-12 * (1.0 + pen * np.abs(v).max() + lam)
@@ -99,7 +100,7 @@ def test_weighted_shrink_subgradient_condition(v, lam, pen):
 def test_psd_projection_optimality(mat):
     # Moreau: out is the projection onto the psd cone iff out >= 0,
     # mat - out <= 0 and <out, mat - out> = 0
-    out = solver._psd_project(mat)
+    out = smat(solver._psd_project(svec(mat)))
     assert np.array_equal(out, out.T)
     rest = mat - out
     tol = 1e-12 * (1.0 + np.abs(mat).sum())
@@ -286,22 +287,15 @@ class TestSolveSdp:
         assert plain.diagnostics["anderson_accepted"] == 0
         assert np.linalg.norm(fast.Z - plain.Z) <= 1e-3 * np.linalg.norm(plain.Z)
 
-    @pytest.mark.parametrize("n, m, sigma, seed", [(8, 16, 0.0, 3), (16, 40, 0.0, 1),
-                                                   (16, 40, 0.05, 2)])
-    def test_state_blocks_stay_exactly_symmetric(self, monkeypatch, n, m, sigma, seed):
-        # the solver feeds weighted_shrink and _psd_project symmetric blocks and
-        # does not symmetrize around them; symmetrizing there must change no bit
-        x, a, inst, w, cfg = make_problem(n, 2, m, 0.5, 0.5, sigma, seed)
-        op = LiftedOperator.from_matrix(a)
-        plain = solve_sdp(op, inst.b, w, cfg)
-        shrink, psd = solver.weighted_shrink, solver._psd_project
-        monkeypatch.setattr(solver, "weighted_shrink",
-                            lambda v, lam, pen: symmetrize(shrink(v, lam, pen)))
-        monkeypatch.setattr(solver, "_psd_project", lambda mat: psd(symmetrize(mat)))
-        patched = solve_sdp(op, inst.b, w, cfg)
-        assert patched.iterations == plain.iterations
-        assert patched.Z.tobytes() == plain.Z.tobytes()
-        assert patched.xhat.tobytes() == plain.xhat.tobytes()
+    @pytest.mark.parametrize("n, m, sigma, seed, max_iter", [
+        (8, 16, 0.0, 3, 5000), (16, 40, 0.0, 1, 5000), (16, 40, 0.05, 2, 5000),
+        (8, 16, 0.0, 3, 4),  # max-iter exit
+    ])
+    def test_returned_z_is_exactly_symmetric(self, n, m, sigma, seed, max_iter):
+        x, a, inst, w, cfg = make_problem(n, 2, m, 0.5, 0.5, sigma, seed, max_iter=max_iter)
+        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        assert res.status == ("converged" if max_iter == 5000 else "max-iter")
+        assert res.Z.tobytes() == res.Z.T.copy().tobytes()
 
     def test_residuals_fresh_at_max_iter(self):
         # sweep 10 is a rebalance sweep, which computes its dual residual in
@@ -416,15 +410,15 @@ class TestLiftedOperator:
         z = z + z.T
         op = LiftedOperator.from_matrix(a)
         expected = np.array([row @ z @ row for row in a])
-        assert np.allclose(op.forward(z), expected)
+        assert np.allclose(op.forward(svec(z)), expected)
 
     def test_forward_of_lift_is_square(self):
         rng = np.random.default_rng(23)
         a = rng.standard_normal((6, 3))
         x = rng.standard_normal(3)
         op = LiftedOperator.from_matrix(a)
-        assert np.allclose(op.forward(np.outer(x, x)), (a @ x) ** 2)
-        assert np.all(op.forward(np.outer(x, x)) >= 0)
+        assert np.allclose(op.forward(svec(np.outer(x, x))), (a @ x) ** 2)
+        assert np.all(op.forward(svec(np.outer(x, x))) >= 0)
 
     def test_adjoint_consistency(self):
         rng = np.random.default_rng(29)
@@ -434,7 +428,7 @@ class TestLiftedOperator:
         z = z + z.T
         c = rng.standard_normal(5)
         # <B(Z), c> == <Z, B*(c)>
-        assert abs(op.forward(z) @ c - (z * op.adjoint(c)).sum()) <= 1e-10
+        assert abs(op.forward(svec(z)) @ c - (z * smat(op.adjoint(c))).sum()) <= 1e-10
 
 
 @pytest.mark.parametrize("n, m", [(4, 20), (6, 10), (5, 60)])
@@ -447,28 +441,28 @@ def test_woodbury_normal_equation_residual(n, m):
     r = r + r.T
     d = np.outer(w * w, w * w) + 1.0
     for c in (np.zeros(m), rng.standard_normal(m)):
-        z, bz = normal.solve(r, c)
+        z, bz = normal.solve(svec(r), c)
         # the solve folds B*(c) into the right-hand side without forming it
-        rhs = r + op.adjoint(c)
-        residual = d * z + op.adjoint(op.forward(z)) - rhs
+        rhs = r + smat(op.adjoint(c))
+        residual = d * smat(z) + smat(op.adjoint(op.forward(z))) - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
         # the solve hands back B(Z) without another forward map
         assert np.linalg.norm(bz - op.forward(z)) <= 1e-10 * np.linalg.norm(op.forward(z))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 8), st.data())
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
 def test_lifted_operator_forward_and_adjoint(n, m, data):
     a = np.array(data.draw(st.lists(finite, min_size=m * n, max_size=m * n))).reshape(m, n)
     z = np.array(data.draw(st.lists(finite, min_size=n * n, max_size=n * n))).reshape(n, n)
     z = z + z.T
     c = np.array(data.draw(st.lists(finite, min_size=m, max_size=m)))
     op = LiftedOperator.from_matrix(a)
-    bz = op.forward(z)
+    bz = op.forward(svec(z))
     scale = 1.0 + np.abs(a).max() ** 2 * np.abs(z).sum()
     assert np.abs(bz - [row @ z @ row for row in a]).max() <= 1e-12 * scale
     # <B(Z), c> == <Z, B*(c)>
-    assert abs(bz @ c - (z * op.adjoint(c)).sum()) <= 1e-12 * scale * (1.0 + np.abs(c).sum())
+    assert abs(bz @ c - (z * smat(op.adjoint(c))).sum()) <= 1e-12 * scale * (1.0 + np.abs(c).sum())
 
 
 def test_config_validation():
