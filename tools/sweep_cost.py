@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Microseconds per ADMM sweep of ``solve_sdp`` on three fixed trial sets.
 
-    python3 tools/sweep_cost.py             # all three sets
-    python3 tools/sweep_cost.py --reps 15   # more repetitions per set
+    python3 tools/sweep_cost.py
 
 Run from anywhere; the package is imported from ``src/`` of this checkout,
 and BLAS is pinned to one thread.  Each set is 16 trials drawn as
@@ -20,8 +19,9 @@ The trials are drawn before timing.  One repetition solves every trial of
 a set once and gives one figure: the summed wall time of the ``solve_sdp``
 calls (setup, sweeps and the rank-1 extraction) over the summed sweep
 count.  The first repetition warms caches and is not counted.  One line
-per set gives the median of ``--reps`` figures, the quartiles and the
-total sweeps of one repetition, which is the same in every repetition.
+per set gives the median of 7 figures, their quartiles and the sweeps of
+one repetition, which are the same in every repetition (a second number
+after a slash would mean they were not).
 """
 
 import os
@@ -48,6 +48,7 @@ SETS = {
     "n32-m36": (32, 4, 36, 300),
 }
 SEEDS = range(7000, 7008)
+REPS = 7
 OMEGAS = (0.3, 1.0)
 ALPHA = 0.75
 
@@ -75,21 +76,17 @@ def one_rep(trials) -> tuple[float, int]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--reps", type=int, default=7, help="figures per set (default 7)")
-    args = parser.parse_args(argv)
-    if args.reps < 1:
-        parser.error("--reps must be at least 1")
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     for name, params in SETS.items():
         trials = draw(*params)
         one_rep(trials)
         figures, counts = [], set()
-        for _ in range(args.reps):
+        for _ in range(REPS):
             seconds, sweeps = one_rep(trials)
             figures.append(1e6 * seconds / sweeps)
             counts.add(sweeps)
         q1, med, q3 = np.percentile(figures, [25, 50, 75])
-        print(f"{name}: {med:.1f} us/sweep (quartiles {q1:.1f}-{q3:.1f}, {args.reps} reps)  "
+        print(f"{name}: {med:.1f} us/sweep (quartiles {q1:.1f}-{q3:.1f}, {REPS} reps)  "
               f"sweeps {'/'.join(map(str, sorted(counts)))}", flush=True)
     return 0
 
