@@ -16,6 +16,16 @@ The brute-force oracles enumerate basic solutions (candidates supported on
 at most ``min(m, N)`` columns), which contains every vertex of the optimal
 face.  Rank-deficient column subsets are skipped and flagged, so results on
 inputs far from general position should be read with care.
+
+The enumeration caps are fixed; beyond one, a check refuses with
+:class:`CapExceededError` and never falls back to sampling.  They are
+2,000,000 supports (``rip_constant``, ``srip_bounds``), 14 rows
+(``srip_bounds``, ``brute_force_phaseless``), 12 rows
+(``phaseless_nsp_check``), 12 columns (the l1 oracles) and, in exact mode,
+kernel dimension 2 (``weighted_nsp_check``) and one-dimensional kernels on
+both blocks of a row split (``phaseless_nsp_check``).  Falsify mode draws
+from a generator seeded with 0: 200 kernel samples for the weighted check, 5
+draws per row split and support for the phaseless one.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -114,40 +125,84 @@ def phaseless_slack(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Restricted isometry constants
+# Shared enumerations
 # ---------------------------------------------------------------------------
 
 
-def rip_constant(a, k: int, support_cap: int = 2_000_000) -> RipReport:
+def _check_order(k: int, n: int, w=None) -> np.ndarray | None:
+    """Refuse a weight vector of the wrong length, then an order outside
+    ``1 <= k <= n``; returns ``w`` as floats (None when not given)."""
+    if w is not None:
+        w = np.asarray(w, dtype=float)
+        if w.shape != (n,):
+            raise ValueError("weight vector length must match the column count")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    return w
+
+
+def _half_subsets(m: int):
+    """Subsets of rows 1..m-1 in bit order (bit i stands for row i+1).
+
+    Row 0 always stays out, so each subset stands for one pair of
+    complementary row splits, or for one pair of antipodal sign patterns.
+    """
+    for bits in range(1 << max(m - 1, 0)):
+        yield tuple(i + 1 for i in range(m - 1) if bits >> i & 1)
+
+
+def _split_kernels(a: np.ndarray):
+    """``(rows, ker_S, ker_complement)`` for each half subset ``S`` of the rows.
+
+    The kernel of an empty row block is the whole space, ``np.eye(N)``.
+    """
+    m, n = a.shape
+    for rows in _half_subsets(m):
+        mask = np.zeros(m, dtype=bool)
+        mask[list(rows)] = True
+        a_s, a_c = a[mask, :], a[~mask, :]
+        ker_s = kernel_basis(a_s) if a_s.shape[0] else np.eye(n)
+        ker_c = kernel_basis(a_c) if a_c.shape[0] else np.eye(n)
+        yield rows, ker_s, ker_c
+
+
+def _gram_spectra(a: np.ndarray, supports):
+    """``(T, eigenvalues of A_T^T A_T)``, descending, for each support ``T``."""
+    for t in supports:
+        cols = a[:, t]
+        yield t, eig_sym(cols.T @ cols).eigenvalues
+
+
+# ---------------------------------------------------------------------------
+# Restricted isometry constants
+# ---------------------------------------------------------------------------
+
+_SUPPORT_CAP = 2_000_000  # supports enumerated by rip_constant and srip_bounds
+_SRIP_ROW_CAP = 14
+
+
+def rip_constant(a, k: int) -> RipReport:
     """Exact isometry constant of order ``k`` by exhaustive support enumeration.
 
     ``delta = max over |T| = k of max |eig(A_T^T A_T - I)|``.  Refuses (no
-    sampling fallback) when ``C(N, k)`` exceeds ``support_cap``.
+    sampling fallback) when ``C(N, k)`` exceeds 2,000,000.
     """
     a = as_matrix(a)
     n = a.shape[1]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    _check_order(k, n)
     count = math.comb(n, k)
-    if count > support_cap:
-        raise CapExceededError("support enumeration cap", f"C({n},{k})={count} > {support_cap}")
-    best = -1.0
-    best_t: tuple[int, ...] = ()
-    for t in combinations(range(n), k):
-        cols = a[:, t]
-        lam = eig_sym(cols.T @ cols).eigenvalues
-        dev = float(np.abs(lam - 1.0).max())
-        if dev > best:
-            best, best_t = dev, t
-    return RipReport(order=k, delta=best, delta_support=best_t, enumerated=count)
+    if count > _SUPPORT_CAP:
+        raise CapExceededError("support enumeration cap", f"C({n},{k})={count} > {_SUPPORT_CAP}")
+    # max returns the first maximum: ties keep the earliest support
+    delta, best_t = max(
+        ((float(np.abs(lam - 1.0).max()), t)
+         for t, lam in _gram_spectra(a, combinations(range(n), k))),
+        key=itemgetter(0),
+    )
+    return RipReport(order=k, delta=delta, delta_support=best_t, enumerated=count)
 
 
-def srip_bounds(
-    a,
-    k: int,
-    row_cap: int = 14,
-    support_cap: int = 2_000_000,
-) -> RipReport:
+def srip_bounds(a, k: int) -> RipReport:
     """Exact two-sided isometry bounds over half-size row subsets.
 
     ``theta_minus`` is the worst lower bound over row subsets of size
@@ -157,35 +212,23 @@ def srip_bounds(
     """
     a = as_matrix(a)
     m, n = a.shape
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    if m > row_cap:
-        raise CapExceededError("row subset cap", f"m={m} > {row_cap}")
+    _check_order(k, n)
+    if m > _SRIP_ROW_CAP:
+        raise CapExceededError("row subset cap", f"m={m} > {_SRIP_ROW_CAP}")
     n_supports = math.comb(n, k)
-    if n_supports > support_cap:
+    if n_supports > _SUPPORT_CAP:
         raise CapExceededError("support enumeration cap", f"C({n},{k})={n_supports}")
-    half = (m + 1) // 2
     supports = list(combinations(range(n), k))
-
-    theta_plus = -math.inf
-    upper_t: tuple[int, ...] = ()
-    for t in supports:
-        cols = a[:, t]
-        lam_max = float(eig_sym(cols.T @ cols).eigenvalues[0])
-        if lam_max > theta_plus:
-            theta_plus, upper_t = lam_max, t
-
-    theta_minus = math.inf
-    lower_t: tuple[int, ...] = ()
-    lower_rows: tuple[int, ...] = ()
-    subsets = list(combinations(range(m), half))
-    for rows in subsets:
-        sub = a[list(rows), :]
-        for t in supports:
-            cols = sub[:, t]
-            lam_min = float(eig_sym(cols.T @ cols).eigenvalues[-1])
-            if lam_min < theta_minus:
-                theta_minus, lower_t, lower_rows = lam_min, t, rows
+    # min and max return the first extremum: ties keep the earliest candidate
+    theta_plus, upper_t = max(
+        ((float(lam[0]), t) for t, lam in _gram_spectra(a, supports)), key=itemgetter(0)
+    )
+    subsets = list(combinations(range(m), (m + 1) // 2))
+    theta_minus, lower_t, lower_rows = min(
+        ((float(lam[-1]), t, rows)
+         for rows in subsets for t, lam in _gram_spectra(a[list(rows), :], supports)),
+        key=itemgetter(0),
+    )
     return RipReport(
         order=k,
         theta_minus=theta_minus,
@@ -329,15 +372,14 @@ def _nsp_exact_dim2(kernel: np.ndarray, k: int, w: np.ndarray) -> NspVerdict:
     return _classify(best, NspWitness(h, best_t), total)
 
 
-def _nsp_falsify(
-    kernel: np.ndarray, k: int, w: np.ndarray, rng: np.random.Generator, samples: int
-) -> NspVerdict:
+def _nsp_falsify(kernel: np.ndarray, k: int, w: np.ndarray) -> NspVerdict:
     dim = kernel.shape[1]
+    rng = np.random.default_rng(0)
     best = math.inf
     best_h = None
     best_t: tuple[int, ...] = ()
     evals = 0
-    for _ in range(samples):
+    for _ in range(200):
         c = rng.standard_normal(dim)
         c /= np.linalg.norm(c)
         h = kernel @ c
@@ -365,29 +407,18 @@ def _nsp_falsify(
     return NspVerdict("indeterminate", best, None, evals)
 
 
-def weighted_nsp_check(
-    a,
-    k: int,
-    w,
-    mode: str = "exact",
-    rng: np.random.Generator | None = None,
-    samples: int = 200,
-) -> NspVerdict:
+def weighted_nsp_check(a, k: int, w, mode: str = "exact") -> NspVerdict:
     """Check the weighted null space property of order ``k`` for ``a``.
 
     Exact mode handles kernel dimensions up to 2 (dimension 0 holds
     vacuously; dimensions 1 and 2 are minimized in closed form over the
     kernel sphere and all supports) and refuses beyond that.  Falsify mode
-    searches for violations by random kernel sampling with sign-pattern
-    descent; it can return "fails" or "indeterminate" but never certifies.
+    searches for violations from 200 random kernel samples (seed 0) with
+    sign-pattern descent; it can return "fails" or "indeterminate" but never
+    certifies.
     """
     a = as_matrix(a)
-    n = a.shape[1]
-    w = np.asarray(w, dtype=float)
-    if w.shape != (n,):
-        raise ValueError("weight vector length must match the column count")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    w = _check_order(k, a.shape[1], w)
     kernel = kernel_basis(a)
     dim = kernel.shape[1]
     if mode == "exact":
@@ -404,20 +435,13 @@ def weighted_nsp_check(
     if mode == "falsify":
         if dim == 0:
             return NspVerdict("indeterminate", math.inf, None, 0)
-        return _nsp_falsify(kernel, k, w, rng or np.random.default_rng(0), samples)
+        return _nsp_falsify(kernel, k, w)
     raise ValueError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
 # Phaseless weighted null space property
 # ---------------------------------------------------------------------------
-
-
-def _row_split(a: np.ndarray, rows: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    m = a.shape[0]
-    mask = np.zeros(m, dtype=bool)
-    mask[list(rows)] = True
-    return a[mask, :], a[~mask, :]
 
 
 def _phaseless_pair(u0, v0, k, w):
@@ -458,16 +482,10 @@ def _phaseless_pair(u0, v0, k, w):
     return _circle_min(coef, xs, ys, angles, point_ok=point_ok, arc_ok=arc_feasible)
 
 
-def phaseless_nsp_check(
-    a,
-    k: int,
-    w,
-    mode: str = "exact",
-    require_nonzero_v: bool = True,
-    row_cap: int = 12,
-    rng: np.random.Generator | None = None,
-    draws: int = 5,
-) -> NspVerdict:
+_PNSP_ROW_CAP = 12
+
+
+def phaseless_nsp_check(a, k: int, w, mode: str = "exact") -> NspVerdict:
     """Check the phaseless weighted null space property of order ``k``.
 
     For every split of the rows into (S, complement), every pair of nonzero
@@ -476,45 +494,22 @@ def phaseless_nsp_check(
     ``||u + v||_{1,w} < ||u - v||_{1,w}``.  Splits where either kernel is
     trivial impose no constraint.  Exact mode requires both kernels to be
     one-dimensional whenever both are nontrivial and refuses otherwise.
-
-    ``require_nonzero_v=False`` switches to the looser reading in which only
-    u must be nonzero; pairs (u, 0) then violate the strict inequality
-    outright whenever u is k-sparse (only checked for one-dimensional
-    kernels).
     """
     a = as_matrix(a)
     m, n = a.shape
-    w = np.asarray(w, dtype=float)
-    if w.shape != (n,):
-        raise ValueError("weight vector length must match the column count")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    if m > row_cap:
-        raise CapExceededError("row split cap", f"m={m} > {row_cap}")
+    w = _check_order(k, n, w)
+    if m > _PNSP_ROW_CAP:
+        raise CapExceededError("row split cap", f"m={m} > {_PNSP_ROW_CAP}")
     if mode == "falsify":
-        return _phaseless_falsify(a, k, w, rng or np.random.default_rng(0), draws)
+        return _phaseless_falsify(a, k, w)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
 
     best = math.inf
     best_witness: PhaselessWitness | None = None
     total = 0
-    for mask_bits in range(1 << max(m - 1, 0)):
-        rows = tuple(i + 1 for i in range(m - 1) if mask_bits >> i & 1)
-        a_s, a_c = _row_split(a, rows)
-        ker_s = kernel_basis(a_s) if a_s.shape[0] else np.eye(n)
-        ker_c = kernel_basis(a_c) if a_c.shape[0] else np.eye(n)
+    for rows, ker_s, ker_c in _split_kernels(a):
         dims = (ker_s.shape[1], ker_c.shape[1])
-
-        if not require_nonzero_v:
-            comp = tuple(i for i in range(m) if i not in rows)
-            for ker, u_rows in ((ker_s, rows), (ker_c, comp)):
-                if ker.shape[1] == 1:
-                    u0 = ker[:, 0] / np.linalg.norm(ker[:, 0])
-                    if np.sum(np.abs(u0) > TOL.struct_zero) <= k:
-                        witness = PhaselessWitness(u0, np.zeros(n), u_rows)
-                        return NspVerdict("fails", 0.0, witness, total + 1)
-
         if dims[0] == 0 or dims[1] == 0:
             continue
         if dims != (1, 1):
@@ -536,19 +531,14 @@ def phaseless_nsp_check(
     return _classify(best, best_witness, total)
 
 
-def _phaseless_falsify(
-    a: np.ndarray, k: int, w: np.ndarray, rng: np.random.Generator, draws: int
-) -> NspVerdict:
-    m, n = a.shape
+def _phaseless_falsify(a: np.ndarray, k: int, w: np.ndarray) -> NspVerdict:
+    n = a.shape[1]
+    rng = np.random.default_rng(0)
     best = math.inf
     best_witness: PhaselessWitness | None = None
     evals = 0
     supports = list(combinations(range(n), k))
-    for mask_bits in range(1 << max(m - 1, 0)):
-        rows = tuple(i + 1 for i in range(m - 1) if mask_bits >> i & 1)
-        a_s, a_c = _row_split(a, rows)
-        ker_s = kernel_basis(a_s) if a_s.shape[0] else np.eye(n)
-        ker_c = kernel_basis(a_c) if a_c.shape[0] else np.eye(n)
+    for rows, ker_s, ker_c in _split_kernels(a):
         du, dv = ker_s.shape[1], ker_c.shape[1]
         if du == 0 or dv == 0:
             continue
@@ -558,7 +548,7 @@ def _phaseless_falsify(
             coeff_space = kernel_basis(stacked[off, :]) if off.size else np.eye(du + dv)
             if coeff_space.shape[1] == 0:
                 continue
-            for _ in range(draws):
+            for _ in range(5):
                 c = coeff_space @ rng.standard_normal(coeff_space.shape[1])
                 u = ker_s @ c[:du]
                 v = ker_c @ c[du:]
@@ -581,6 +571,9 @@ def _phaseless_falsify(
 # Brute-force weighted l1 oracles
 # ---------------------------------------------------------------------------
 
+_ORACLE_DIM_CAP = 12
+_SIGN_ROW_CAP = 14
+
 
 class ExhaustiveL1Oracle:
     """Vertex enumeration for ``min ||z||_{1,w} subject to A z = y``.
@@ -589,12 +582,12 @@ class ExhaustiveL1Oracle:
     so repeated solves against the same matrix are cheap.
     """
 
-    def __init__(self, a, dim_cap: int = 12):
+    def __init__(self, a):
         a = as_matrix(a)
         self.a = a
         self.m, self.n = a.shape
-        if self.n > dim_cap:
-            raise CapExceededError("oracle dimension cap", f"N={self.n} > {dim_cap}")
+        if self.n > _ORACLE_DIM_CAP:
+            raise CapExceededError("oracle dimension cap", f"N={self.n} > {_ORACLE_DIM_CAP}")
         self.degenerate = False
         self._supports: list[tuple[list[int], np.ndarray]] = []
         for size in range(1, min(self.m, self.n) + 1):
@@ -620,12 +613,19 @@ class ExhaustiveL1Oracle:
             if np.linalg.norm(self.a @ z - y) > feas_tol:
                 continue
             candidates.append((weighted_l1(z, w), z))
-        if not candidates:
-            return L1MinResult([], None, self.degenerate)
-        vmin = min(c for c, _ in candidates)
-        tie = vmin + TOL.oracle_value_tie * (1.0 + abs(vmin))
-        kept = [z for c, z in candidates if c <= tie]
-        return L1MinResult(_dedupe(kept), vmin, self.degenerate)
+        return _cheapest(candidates, self.degenerate)
+
+
+def _cheapest(candidates, degenerate: bool, transform=None) -> L1MinResult:
+    """Minimizer set of ``(cost, vector)`` candidates: the vectors within the
+    cost-tie width of the minimum, each passed through ``transform`` when one
+    is given, deduplicated."""
+    if not candidates:
+        return L1MinResult([], None, degenerate)
+    vmin = min(c for c, _ in candidates)
+    tie = vmin + TOL.oracle_value_tie * (1.0 + abs(vmin))
+    kept = [z if transform is None else transform(z) for c, z in candidates if c <= tie]
+    return L1MinResult(_dedupe(kept), vmin, degenerate)
 
 
 def _dedupe(vectors: list[np.ndarray]) -> list[np.ndarray]:
@@ -643,7 +643,7 @@ def brute_force_weighted_l1(a, y, w) -> L1MinResult:
     return ExhaustiveL1Oracle(a).solve(y, w)
 
 
-def brute_force_phaseless(a, b_abs, w, row_cap: int = 14) -> L1MinResult:
+def brute_force_phaseless(a, b_abs, w) -> L1MinResult:
     """Exact minimizer set of ``min ||z||_{1,w} s.t. |A z| = b_abs``, up to sign.
 
     Enumerates sign patterns on the measurements (one per antipodal pair),
@@ -653,28 +653,21 @@ def brute_force_phaseless(a, b_abs, w, row_cap: int = 14) -> L1MinResult:
     """
     a = as_matrix(a)
     m = a.shape[0]
-    if m > row_cap:
-        raise CapExceededError("sign pattern cap", f"m={m} > {row_cap}")
+    if m > _SIGN_ROW_CAP:
+        raise CapExceededError("sign pattern cap", f"m={m} > {_SIGN_ROW_CAP}")
     b_abs = np.asarray(b_abs, dtype=float)
     oracle = ExhaustiveL1Oracle(a)
     if float(np.linalg.norm(b_abs)) <= 1e-12:
         return L1MinResult([np.zeros(a.shape[1])], 0.0, oracle.degenerate)
     collected: list[tuple[float, np.ndarray]] = []
-    for bits in range(1 << max(m - 1, 0)):
+    for rows in _half_subsets(m):
         sigma = np.ones(m)
-        for i in range(m - 1):
-            if bits >> i & 1:
-                sigma[i + 1] = -1.0
+        sigma[list(rows)] = -1
         res = oracle.solve(sigma * b_abs, w)
         if res.value is None:
             continue
         collected.extend((res.value, z) for z in res.minimizers)
-    if not collected:
-        return L1MinResult([], None, oracle.degenerate)
-    vmin = min(c for c, _ in collected)
-    tie = vmin + TOL.oracle_value_tie * (1.0 + abs(vmin))
-    kept = [canonical_sign(z) for c, z in collected if c <= tie]
-    return L1MinResult(_dedupe(kept), vmin, oracle.degenerate)
+    return _cheapest(collected, oracle.degenerate, canonical_sign)
 
 
 def recovers_uniquely(result: L1MinResult, x, up_to_sign: bool = False) -> bool:

@@ -24,8 +24,6 @@ import numpy as np
 from . import model, theory
 from .certify import (
     CapExceededError,
-    NspWitness,
-    PhaselessWitness,
     brute_force_phaseless,
     brute_force_weighted_l1,
     phaseless_nsp_check,
@@ -358,18 +356,6 @@ def _jsonable(obj):
     return obj
 
 
-def _witness_json(witness):
-    if witness is None:
-        return None
-    if isinstance(witness, NspWitness):
-        return {"kernel_vector": _jsonable(witness.kernel_vector),
-                "support": list(witness.support)}
-    if isinstance(witness, PhaselessWitness):
-        return {"u": _jsonable(witness.u), "v": _jsonable(witness.v),
-                "rows": list(witness.rows)}
-    return _jsonable(witness)
-
-
 def read_matrix_file(path: str) -> np.ndarray:
     """Plain-text matrix: first line ``m N``, then m rows of N decimals."""
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
@@ -565,7 +551,7 @@ def cmd_certify(args) -> int:
         report = {
             "check": args.check, "k": args.k,
             "status": verdict.status, "margin": _jsonable(verdict.margin),
-            "witness": _witness_json(verdict.witness),
+            "witness": _jsonable(verdict.witness),
             "enumerated_count": verdict.enumerated,
         }
     _write_text(args.out, json.dumps(_jsonable(report), indent=2))

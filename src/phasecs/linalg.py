@@ -61,10 +61,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray   # shape (n,), descending
     eigenvectors: np.ndarray  # shape (n, n), columns match eigenvalues
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
@@ -145,21 +141,18 @@ def eig_sym(m) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=lam[::-1], eigenvectors=v[:, ::-1])
 
 
-def kernel_basis(a, tol: float | None = None) -> np.ndarray:
+def kernel_basis(a) -> np.ndarray:
     """Orthonormal basis of the numerical null space of ``a``, as columns.
 
-    Directions ``v`` with ``||a v|| <= tol`` are kept; the default tolerance
-    is ``TOL.kernel_tol_rel * max(m, N) * max|a|``.  The candidates are the
+    Directions ``v`` with ``||a v|| <= tol`` are kept, where ``tol`` is
+    ``TOL.kernel_tol_rel * max(m, N) * max|a|``.  The candidates are the
     right singular vectors of ``a``, so the cut is made at the accuracy of
     ``a`` itself rather than of ``a.T @ a``.  May return a (N, 0) array.
     """
     a = as_matrix(a)
     m, n = a.shape
     scale = np.abs(a).max() if a.size else 0.0
-    if tol is None:
-        tol = TOL.kernel_tol_rel * max(m, n) * scale
-    elif tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = TOL.kernel_tol_rel * max(m, n) * scale
     v = np.linalg.svd(a)[2].T
     # selection by the directly evaluated residual is the contract
     keep = np.linalg.norm(a @ v, axis=0) <= tol

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasecs import model
 from phasecs.certify import (
@@ -67,7 +69,7 @@ class TestRip:
 
     def test_cap_refusal(self):
         with pytest.raises(CapExceededError) as err:
-            rip_constant(np.ones((2, 40)), 20, support_cap=1000)
+            rip_constant(np.ones((2, 40)), 20)
         assert "support enumeration cap" in str(err.value)
 
 
@@ -180,8 +182,7 @@ class TestWeightedNsp:
     def test_falsify_high_dim_kernel(self):
         rng = np.random.default_rng(73)
         a = model.gen_gaussian_matrix(rng, 2, 6)  # kernel dimension 4
-        v = weighted_nsp_check(a, 2, np.ones(6), mode="falsify",
-                               rng=np.random.default_rng(0))
+        v = weighted_nsp_check(a, 2, np.ones(6), mode="falsify")
         assert v.status in ("fails", "indeterminate")
         if v.status == "fails":
             assert nsp_slack(v.witness.kernel_vector, v.witness.support, np.ones(6)) <= 1e-9
@@ -209,11 +210,6 @@ class TestPhaselessNsp:
     def test_identity_sparsity_filter(self):
         assert phaseless_nsp_check(np.eye(2), 1, np.ones(2)).status == "holds-exact"
         assert phaseless_nsp_check(np.eye(2), 2, np.ones(2)).status == "fails"
-
-    def test_loose_reading_flag(self):
-        v = phaseless_nsp_check(np.eye(2), 1, np.ones(2), require_nonzero_v=False)
-        assert v.status == "fails"
-        assert np.linalg.norm(v.witness.v) == 0.0
 
     def test_row_cap(self):
         with pytest.raises(CapExceededError):
@@ -419,6 +415,85 @@ class TestEquivalences:
                 xw = verdict.witness.u + verdict.witness.v
                 res = brute_force_phaseless(a, np.abs(a @ xw), w)
                 assert not recovers_uniquely(res, xw, up_to_sign=True)
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic checks: exact symmetries of the certified properties
+# ---------------------------------------------------------------------------
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def assert_close(x, y):
+    assert x == y or abs(x - y) <= 1e-9 * (1.0 + abs(x))
+
+
+def assert_same_verdict(base, other):
+    assert other.status == base.status
+    assert_close(base.margin, other.margin)
+
+
+def random_signs(rng, size):
+    return rng.choice([-1.0, 1.0], size=size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.integers(1, 3), SEEDS)
+def test_isometry_constants_ignore_column_signs(m, n, k, seed):
+    # A D has the Gram matrices D_T A_T^T A_T D_T: the same spectra
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    a = model.gen_gaussian_matrix(rng, m, n)
+    flipped = a * random_signs(rng, n)
+    assert_close(rip_constant(a, k).delta, rip_constant(flipped, k).delta)
+    base, other = srip_bounds(a, k), srip_bounds(flipped, k)
+    assert_close(base.theta_minus, other.theta_minus)
+    assert_close(base.theta_plus, other.theta_plus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 7), st.sampled_from([1, 2]), st.sampled_from([1, 2]), SEEDS)
+def test_weighted_nsp_depends_only_on_the_kernel(n, dim, k, seed):
+    # the verdict is a function of ker A and w: G A (G invertible) has the same
+    # kernel, and a column permutation or sign flip maps the kernel onto one
+    # with the same weighted magnitudes once w is permuted along
+    rng = np.random.default_rng(seed)
+    a = model.gen_gaussian_matrix(rng, n - dim, n)
+    w = rng.uniform(0.1, 1.0, n)
+    base = weighted_nsp_check(a, k, w)
+    q = np.linalg.qr(rng.standard_normal((n - dim, n - dim)))[0]
+    g = q * rng.uniform(0.5, 2.0, n - dim)
+    perm = rng.permutation(n)
+    for a2, w2 in ((g @ a, w), (a[:, perm], w[perm]), (a * random_signs(rng, n), w)):
+        assert_same_verdict(base, weighted_nsp_check(a2, k, w2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 5), SEEDS)
+def test_phaseless_checks_ignore_row_signs_and_order(n, k, seed):
+    # |A x| only changes by the same signs and order, and the row splits of
+    # D P A are those of A relabelled, with the same kernels on each block;
+    # m = 2(N-1) makes every split with two nontrivial kernels a 1 + 1 split
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    m = 2 * (n - 1)
+    a = model.gen_gaussian_matrix(rng, m, n)
+    w = rng.uniform(0.1, 1.0, n)
+    x = np.zeros(n)
+    x[rng.choice(n, k, replace=False)] = rng.standard_normal(k)
+    base = phaseless_nsp_check(a, k, w)
+    base_res = brute_force_phaseless(a, np.abs(a @ x), w)
+    for a2 in (a * random_signs(rng, m)[:, None], a[rng.permutation(m)]):
+        assert_same_verdict(base, phaseless_nsp_check(a2, k, w))
+        res = brute_force_phaseless(a2, np.abs(a2 @ x), w)
+        assert (res.value is None) == (base_res.value is None)
+        if res.value is None:
+            continue
+        assert_close(base_res.value, res.value)
+        assert len(res.minimizers) == len(base_res.minimizers)
+        for z in base_res.minimizers:
+            gap = min(np.abs(z - u).max() for u in res.minimizers)
+            assert gap <= 1e-7 * (1.0 + np.abs(z).max())
 
 
 def test_canonical_sign():
