@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from operator import itemgetter
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .model import canonical_sign, weighted_l1
 
 _TWO_PI = 2.0 * math.pi
 _QUARTERS = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
+_QUARTERS_AND_TWO_PI = np.append(_QUARTERS, _TWO_PI)
 
 
 class CapExceededError(RuntimeError):
@@ -166,11 +166,32 @@ def _split_kernels(a: np.ndarray):
         yield rows, ker_s, ker_c
 
 
-def _gram_spectra(a: np.ndarray, supports):
-    """``(T, eigenvalues of A_T^T A_T)``, descending, for each support ``T``."""
-    for t in supports:
-        cols = a[:, t]
-        yield t, eig_sym(cols.T @ cols).eigenvalues
+def _supports(n: int, k: int) -> np.ndarray:
+    """The k-subsets of ``range(n)`` in lexicographic order, one per row."""
+    count = math.comb(n, k)
+    flat = chain.from_iterable(combinations(range(n), k))
+    return np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+
+
+_GRAM_CHUNK_ENTRIES = 8192  # entries of the stacked A_T per eig_sym call (64 KB)
+
+
+def _gram_spectra(a: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``A_T^T A_T``, descending, one row per row ``T`` of
+    ``supports``, from one stacked ``eig_sym`` call per chunk of supports.
+
+    Each ``A_T`` is laid out C-contiguous, as ``a[:, T]`` is, so the stacked
+    product and eigensolver round exactly as one call per support does.
+    Chunks keep every temporary of a call small, so a large enumeration
+    does not leave a large, mostly free heap behind.
+    """
+    step = max(1, _GRAM_CHUNK_ENTRIES // max(a.shape[0] * supports.shape[1], 1))
+    spectra = []
+    for start in range(0, len(supports), step):
+        chunk = supports[start:start + step]
+        cols = np.ascontiguousarray(a[:, chunk].transpose(1, 0, 2))
+        spectra.append(eig_sym(cols.transpose(0, 2, 1) @ cols).eigenvalues)
+    return np.concatenate(spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +214,12 @@ def rip_constant(a, k: int) -> RipReport:
     count = math.comb(n, k)
     if count > _SUPPORT_CAP:
         raise CapExceededError("support enumeration cap", f"C({n},{k})={count} > {_SUPPORT_CAP}")
-    # max returns the first maximum: ties keep the earliest support
-    delta, best_t = max(
-        ((float(np.abs(lam - 1.0).max()), t)
-         for t, lam in _gram_spectra(a, combinations(range(n), k))),
-        key=itemgetter(0),
-    )
-    return RipReport(order=k, delta=delta, delta_support=best_t, enumerated=count)
+    supports = _supports(n, k)
+    deltas = np.abs(_gram_spectra(a, supports) - 1.0).max(axis=1)
+    # argmax returns the first maximum: ties keep the earliest support
+    best = int(np.argmax(deltas))
+    return RipReport(order=k, delta=float(deltas[best]),
+                     delta_support=tuple(supports[best].tolist()), enumerated=count)
 
 
 def srip_bounds(a, k: int) -> RipReport:
@@ -218,24 +238,25 @@ def srip_bounds(a, k: int) -> RipReport:
     n_supports = math.comb(n, k)
     if n_supports > _SUPPORT_CAP:
         raise CapExceededError("support enumeration cap", f"C({n},{k})={n_supports}")
-    supports = list(combinations(range(n), k))
-    # min and max return the first extremum: ties keep the earliest candidate
-    theta_plus, upper_t = max(
-        ((float(lam[0]), t) for t, lam in _gram_spectra(a, supports)), key=itemgetter(0)
-    )
+    supports = _supports(n, k)
+    # argmax, argmin and the strict test keep the first extremum: ties keep
+    # the earliest candidate, row subsets before supports
+    upper = _gram_spectra(a, supports)[:, 0]
+    upper_j = int(np.argmax(upper))
     subsets = list(combinations(range(m), (m + 1) // 2))
-    theta_minus, lower_t, lower_rows = min(
-        ((float(lam[-1]), t, rows)
-         for rows in subsets for t, lam in _gram_spectra(a[list(rows), :], supports)),
-        key=itemgetter(0),
-    )
+    theta_minus = math.inf
+    for rows in subsets:
+        lower = _gram_spectra(a[list(rows), :], supports)[:, -1]
+        j = int(np.argmin(lower))
+        if lower[j] < theta_minus:
+            theta_minus, lower_j, lower_rows = float(lower[j]), j, rows
     return RipReport(
         order=k,
         theta_minus=theta_minus,
-        theta_plus=theta_plus,
-        lower_support=lower_t,
+        theta_plus=float(upper[upper_j]),
+        lower_support=tuple(supports[lower_j].tolist()),
         lower_rows=lower_rows,
-        upper_support=upper_t,
+        upper_support=tuple(supports[upper_j].tolist()),
         enumerated=n_supports * (len(subsets) + 1),
     )
 
@@ -250,6 +271,14 @@ def srip_bounds(a, k: int) -> RipReport:
 # is constant and g is a single sinusoid a cos(phi) + b sin(phi), so the
 # minimum over each closed arc is attained at an endpoint or at the interior
 # stationary angle.  Evaluating those candidates is exact up to roundoff.
+#
+# The evaluation is vectorised: one call builds every candidate of every arc
+# and evaluates g on all of them with array operations, one row per angle.
+# It keeps the operations and their order of a loop over the candidates
+# (cos/sin and atan2 from ``math``, the same elementwise products, a
+# row-wise pairwise sum, the first minimum in candidate order), so value,
+# angle and candidate count are bitwise those of that loop; the scalar loop
+# is kept in the tests as the reference.
 
 
 def _breakpoints(xs: np.ndarray, ys: np.ndarray, extra=()) -> np.ndarray:
@@ -273,59 +302,58 @@ def _breakpoints(xs: np.ndarray, ys: np.ndarray, extra=()) -> np.ndarray:
     return np.asarray(keep)
 
 
-def _circle_min(coef, xs, ys, angles, point_ok=None, arc_ok: bool = True):
+def _cos_sin(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``cos(phi)`` and ``sin(phi)``, shape (len, 1), from ``math``:
+    numpy's vectorised cos/sin may round differently on another CPU."""
+    phis = phis.tolist()
+    return (np.array([math.cos(p) for p in phis])[:, None],
+            np.array([math.sin(p) for p in phis])[:, None])
+
+
+def _circle_min(coef, xs, ys, angles, keep=None, arc_ok: bool = True):
     """Minimize ``sum coef |xs cos + ys sin|`` over candidate angles and arcs.
 
-    ``point_ok(phi)`` filters breakpoint candidates; ``arc_ok`` gates interior
-    candidates.  Returns ``(min_value, argmin_phi, n_candidates)``; the value
-    is None when every candidate was filtered out.
+    ``keep`` (a boolean mask over ``angles``) filters breakpoint candidates;
+    ``arc_ok`` gates interior candidates.  Returns ``(min_value, argmin_phi,
+    n_candidates)``; the value is None when every candidate was filtered out.
     """
-
-    def g(phi: float) -> float:
-        return float(np.sum(coef * np.abs(xs * math.cos(phi) + ys * math.sin(phi))))
-
-    best = math.inf
-    best_phi = None
-    n_cand = 0
-
-    for phi in angles:
-        if point_ok is not None and not point_ok(phi):
-            continue
-        val = g(phi)
-        n_cand += 1
-        if val < best:
-            best, best_phi = val, phi
-
+    # candidates in loop order: the kept breakpoints, then for each arc its
+    # midpoint if g is constant there, else its stationary angle and that
+    # angle plus 2pi where they fall inside the arc; `wrap` marks the
+    # stationary ones, which are reported reduced to [0, 2pi)
+    cands = [angles if keep is None else angles[keep]]
+    wrap = [np.zeros(len(cands[0]), dtype=bool)]
     if arc_ok:
         if len(angles) == 0:
-            arcs = [(0.0, _TWO_PI)]
+            lo, hi = np.array([0.0]), np.array([_TWO_PI])
         else:
-            arcs = [(angles[i], angles[i + 1]) for i in range(len(angles) - 1)]
-            arcs.append((angles[-1], angles[0] + _TWO_PI))
-        for lo, hi in arcs:
-            if hi - lo <= 1e-12:
-                continue
-            mid = 0.5 * (lo + hi)
-            sgn = np.sign(xs * math.cos(mid) + ys * math.sin(mid))
-            aa = float(np.sum(coef * sgn * xs))
-            bb = float(np.sum(coef * sgn * ys))
-            if aa == 0.0 and bb == 0.0:
-                # g is constant on this arc; sample its interior once
-                val = g(mid)
-                n_cand += 1
-                if val < best:
-                    best, best_phi = val, mid
-                continue
-            star = math.atan2(-bb, -aa) % _TWO_PI
-            for cand in (star, star + _TWO_PI):
-                if lo + 1e-12 < cand < hi - 1e-12:
-                    val = g(cand)
-                    n_cand += 1
-                    if val < best:
-                        best, best_phi = val, cand % _TWO_PI
-    if n_cand == 0:
+            lo, hi = angles, np.append(angles[1:], angles[0] + _TWO_PI)
+        wide = hi - lo > 1e-12
+        lo, hi = lo[wide], hi[wide]
+        mid = 0.5 * (lo + hi)
+        c, s = _cos_sin(mid)
+        weighted = coef * np.sign(xs * c + ys * s)
+        aa = (weighted * xs).sum(axis=-1)
+        bb = (weighted * ys).sum(axis=-1)
+        flat = (aa == 0.0) & (bb == 0.0)
+        star = np.array([math.atan2(-b, -a) % _TWO_PI
+                         for a, b in zip(aa.tolist(), bb.tolist())])
+        per_arc = np.column_stack([np.where(flat, mid, star), star + _TWO_PI])
+        inside = (lo[:, None] + 1e-12 < per_arc) & (per_arc < hi[:, None] - 1e-12)
+        inside[:, 0] |= flat
+        inside[:, 1] &= ~flat
+        cands.append(per_arc[inside])
+        wrap.append(np.column_stack([~flat, np.ones_like(flat)])[inside])
+    cands = np.concatenate(cands)
+    if cands.size == 0:
         return None, None, 0
-    return best, best_phi, n_cand
+    c, s = _cos_sin(cands)
+    vals = (coef * np.abs(xs * c + ys * s)).sum(axis=-1)
+    best = int(np.argmin(vals))  # the first minimum, as the strict loop keeps
+    phi = float(cands[best])
+    if np.concatenate(wrap)[best]:
+        phi %= _TWO_PI
+    return float(vals[best]), phi, int(cands.size)
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +495,13 @@ def _phaseless_pair(u0, v0, k, w):
 
     angles = _breakpoints(xs, ys, extra=_QUARTERS)
 
-    def support_at(phi: float) -> int:
-        p = u0[active] * math.cos(phi) + v0[active] * math.sin(phi)
-        return int(np.sum(np.abs(p) > TOL.struct_zero))
-
-    def excluded(phi: float) -> bool:
-        phi = phi % _TWO_PI
-        d = np.abs(phi - np.concatenate([_QUARTERS, [_TWO_PI]]))
-        return bool(d.min() <= 1e-9)
-
-    def point_ok(phi: float) -> bool:
-        return not excluded(phi) and support_at(phi) <= k
-
-    return _circle_min(coef, xs, ys, angles, point_ok=point_ok, arc_ok=arc_feasible)
+    # a breakpoint is a candidate when it is no quarter angle and u + v has
+    # at most k coordinates above the structural zero there
+    excluded = (np.abs(angles[:, None] % _TWO_PI - _QUARTERS_AND_TWO_PI) <= 1e-9).any(axis=1)
+    c, s = _cos_sin(angles)
+    support = (np.abs(u0[active] * c + v0[active] * s) > TOL.struct_zero).sum(axis=1)
+    return _circle_min(coef, xs, ys, angles, keep=~excluded & (support <= k),
+                       arc_ok=arc_feasible)
 
 
 _PNSP_ROW_CAP = 12

@@ -6,7 +6,9 @@ There is one numerical core: LAPACK through ``numpy.linalg``.  Eigenpairs
 come from ``eigh``, null spaces from the SVD and SPD solves from a
 Cholesky factor.  Failures of ``eigh`` and of the Cholesky factorization
 surface as the named errors below; an SVD that does not converge raises
-``numpy.linalg.LinAlgError``.
+``numpy.linalg.LinAlgError``.  ``eig_sym`` also takes a stack ``(..., n, n)``
+and decomposes it in one LAPACK call, with eigenpairs bitwise equal to those
+of one call per matrix.
 
 ``svec`` and ``smat`` convert between a symmetric n x n matrix and its
 packed form, the vector of n(n+1)/2 upper-triangle entries in row-major
@@ -56,16 +58,21 @@ TOL = Tolerances()
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenpairs of a symmetric matrix, eigenvalues sorted descending."""
+    """Eigenpairs of a symmetric matrix, or of each matrix of a stack,
+    eigenvalues sorted descending."""
 
-    eigenvalues: np.ndarray   # shape (n,), descending
-    eigenvectors: np.ndarray  # shape (n, n), columns match eigenvalues
+    eigenvalues: np.ndarray   # shape (..., n), descending
+    eigenvectors: np.ndarray  # shape (..., n, n), columns match eigenvalues
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
+    return _finite(a, name)
+
+
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
     if a.size and not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
     return a
@@ -73,13 +80,20 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def as_sym_matrix(m, name: str = "matrix") -> np.ndarray:
     """Validate near-symmetry and return the exactly symmetrized matrix."""
-    m = as_matrix(m, name)
-    if m.shape[0] != m.shape[1]:
+    return _symmetrized(as_matrix(m, name), name)
+
+
+def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
+    """Check each matrix of a finite stack ``(..., n, n)`` for near-symmetry
+    against its own largest entry, and return the stack exactly symmetrized."""
+    if m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    scale = np.abs(m).max() if m.size else 0.0
-    if scale and np.abs(m - m.T).max() > 1e-8 * scale:
-        raise ValueError(f"{name} is not symmetric")
-    return 0.5 * (m + m.T)
+    mt = np.swapaxes(m, -1, -2)
+    if m.size:
+        scale = np.abs(m).max(axis=(-2, -1))
+        if (np.abs(m - mt).max(axis=(-2, -1)) > 1e-8 * scale).any():
+            raise ValueError(f"{name} is not symmetric")
+    return 0.5 * (m + mt)
 
 
 @dataclass(frozen=True)
@@ -131,14 +145,17 @@ def smat(v: np.ndarray) -> np.ndarray:
 def eig_sym(m) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    Raises :class:`EigNonConvergenceError` if LAPACK fails to converge.
+    ``m`` may be a stack ``(..., n, n)``; each matrix is validated on its own
+    and the results are stacked the same way.  Raises
+    :class:`EigNonConvergenceError` if LAPACK fails to converge on any matrix.
     """
-    m = as_sym_matrix(m)
+    m = np.asarray(m, dtype=float)
+    m = _symmetrized(as_matrix(m) if m.ndim < 3 else _finite(m, "matrix"), "matrix")
     try:
         lam, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EigNonConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    return EigenDecomposition(eigenvalues=lam[::-1], eigenvectors=v[:, ::-1])
+    return EigenDecomposition(eigenvalues=lam[..., ::-1], eigenvectors=v[..., ::-1])
 
 
 def kernel_basis(a) -> np.ndarray:

@@ -3,13 +3,18 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasecs import model
 from phasecs.certify import (
+    _QUARTERS,
+    _TWO_PI,
     CapExceededError,
     ExhaustiveL1Oracle,
+    _breakpoints,
+    _circle_min,
+    _phaseless_pair,
     brute_force_phaseless,
     brute_force_weighted_l1,
     canonical_sign,
@@ -21,6 +26,7 @@ from phasecs.certify import (
     srip_bounds,
     weighted_nsp_check,
 )
+from phasecs.linalg import TOL
 
 A_2x3 = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 A_SPARK = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
@@ -296,6 +302,33 @@ class TestPhaselessNsp:
 
 
 class TestL1Oracle:
+    def test_matches_highs_lp(self):
+        # differential check: the weighted-l1 program as an LP over z = p - q,
+        # p, q >= 0, solved by HiGHS; the vertex enumeration must find its
+        # optimal value, and its point when the enumeration finds one minimiser
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(67)
+        for trial in range(30):
+            n = 4 + trial % 9
+            m = int(rng.integers(1, min(n, 8) + 1))
+            a = model.gen_gaussian_matrix(rng, m, n)
+            w = rng.uniform(0.1, 1.0, n) if trial % 3 else np.ones(n)
+            if trial % 2:
+                y = rng.standard_normal(m)
+            else:
+                k = max(1, m // 3)
+                x = np.zeros(n)
+                x[rng.choice(n, k, replace=False)] = rng.standard_normal(k)
+                y = a @ x
+            res = ExhaustiveL1Oracle(a).solve(y, w)
+            lp = linprog(np.concatenate([w, w]), A_eq=np.hstack([a, -a]), b_eq=y,
+                         bounds=(0, None), method="highs")
+            assert lp.status == 0
+            assert abs(lp.fun - res.value) <= 1e-7 * (1.0 + abs(res.value))
+            if len(res.minimizers) == 1:
+                z, ref = lp.x[:n] - lp.x[n:], res.minimizers[0]
+                assert np.abs(z - ref).max() <= 1e-6 * (1.0 + np.abs(ref).max())
+
     def test_identity_unique(self):
         res = brute_force_weighted_l1(np.eye(2), np.array([3.0, -4.0]), np.ones(2))
         assert recovers_uniquely(res, np.array([3.0, -4.0]))
@@ -500,3 +533,131 @@ def test_canonical_sign():
     assert np.array_equal(canonical_sign(np.array([-1.0, 2.0])), [1.0, -2.0])
     assert np.array_equal(canonical_sign(np.array([0.0, -3.0])), [0.0, 3.0])
     assert np.array_equal(canonical_sign(np.zeros(2)), np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# The vectorised circle minimiser against the scalar loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def scalar_circle_min(coef, xs, ys, angles, point_ok=None, arc_ok=True):
+    """Reference: one candidate angle at a time, in loop order."""
+
+    def g(phi):
+        return float(np.sum(coef * np.abs(xs * math.cos(phi) + ys * math.sin(phi))))
+
+    best = math.inf
+    best_phi = None
+    n_cand = 0
+    for phi in angles:
+        if point_ok is not None and not point_ok(phi):
+            continue
+        val = g(phi)
+        n_cand += 1
+        if val < best:
+            best, best_phi = val, phi
+    if arc_ok:
+        if len(angles) == 0:
+            arcs = [(0.0, _TWO_PI)]
+        else:
+            arcs = [(angles[i], angles[i + 1]) for i in range(len(angles) - 1)]
+            arcs.append((angles[-1], angles[0] + _TWO_PI))
+        for lo, hi in arcs:
+            if hi - lo <= 1e-12:
+                continue
+            mid = 0.5 * (lo + hi)
+            sgn = np.sign(xs * math.cos(mid) + ys * math.sin(mid))
+            aa = float(np.sum(coef * sgn * xs))
+            bb = float(np.sum(coef * sgn * ys))
+            if aa == 0.0 and bb == 0.0:
+                val = g(mid)
+                n_cand += 1
+                if val < best:
+                    best, best_phi = val, mid
+                continue
+            star = math.atan2(-bb, -aa) % _TWO_PI
+            for cand in (star, star + _TWO_PI):
+                if lo + 1e-12 < cand < hi - 1e-12:
+                    val = g(cand)
+                    n_cand += 1
+                    if val < best:
+                        best, best_phi = val, cand % _TWO_PI
+    if n_cand == 0:
+        return None, None, 0
+    return best, best_phi, n_cand
+
+
+def scalar_phaseless_pair(u0, v0, k, w):
+    """Reference: the phaseless candidate filter applied one angle at a time."""
+    active = np.flatnonzero(np.maximum(np.abs(u0), np.abs(v0)) > TOL.struct_zero)
+    xs = np.concatenate([u0, u0])
+    ys = np.concatenate([-v0, v0])
+    coef = np.concatenate([w, -w])
+    angles = _breakpoints(xs, ys, extra=_QUARTERS)
+
+    def point_ok(phi):
+        d = np.abs(phi % _TWO_PI - np.concatenate([_QUARTERS, [_TWO_PI]]))
+        if d.min() <= 1e-9:
+            return False
+        p = u0[active] * math.cos(phi) + v0[active] * math.sin(phi)
+        return int(np.sum(np.abs(p) > TOL.struct_zero)) <= k
+
+    return scalar_circle_min(coef, xs, ys, angles, point_ok=point_ok,
+                             arc_ok=active.size <= k)
+
+
+def assert_bitwise_same_min(new, ref):
+    # value and angle compared by float.hex, the candidate count exactly
+    hexed = [None if v is None else float(v).hex() for v in new[:2]]
+    assert hexed == [None if v is None else float(v).hex() for v in ref[:2]]
+    assert new[2] == ref[2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 2),
+       st.sampled_from(["mixed", "negative", "sparse", "zero"]),
+       st.sampled_from(["breakpoints", "quarters", "random"]),
+       st.one_of(st.none(), st.floats(-1.0, 7.0)), st.booleans(), SEEDS)
+@example(1, 0, "zero", "random", -1.0, True, 2)  # one arc, its midpoint past 2pi is the minimum
+def test_circle_min_matches_scalar_loop(n, n_zero, coef_kind, angle_kind, cut, arc_ok, seed):
+    # zero terms have no breakpoint; n = 0 leaves an empty angle list (one
+    # arc, the whole circle); zero coefficients make every arc constant;
+    # negative ones put minima inside arcs, also past 2pi on the last arc;
+    # random angle lists give midpoints past 2pi; a negative cut rejects
+    # every breakpoint.  Each example checks several draws.
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        xs = np.concatenate([rng.standard_normal(n), np.zeros(n_zero)])
+        ys = np.concatenate([rng.standard_normal(n), np.zeros(n_zero)])
+        coef = rng.standard_normal(n + n_zero)
+        if coef_kind == "negative":
+            coef = -np.abs(coef)
+        elif coef_kind == "zero":
+            coef[:] = 0.0
+        elif coef_kind == "sparse":
+            coef[rng.random(coef.size) < 0.5] = 0.0
+        if angle_kind == "random":
+            angles = np.sort(rng.uniform(0.0, _TWO_PI, int(rng.integers(0, 4))))
+        else:
+            angles = _breakpoints(xs, ys, extra=_QUARTERS if angle_kind == "quarters" else ())
+        keep = None if cut is None else angles < cut
+        point_ok = None if cut is None else (lambda phi: phi < cut)
+        assert_bitwise_same_min(_circle_min(coef, xs, ys, angles, keep=keep, arc_ok=arc_ok),
+                                scalar_circle_min(coef, xs, ys, angles, point_ok, arc_ok))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2), st.booleans(), SEEDS)
+def test_phaseless_pair_matches_scalar_loop(n, k, n_zero, one_sided, seed):
+    # coordinates zero in both kernel vectors are inactive; a coordinate zero
+    # in u0 alone puts a term's breakpoint on a quarter angle; k below the
+    # active count leaves only breakpoint candidates, often none
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    u0, v0 = rng.standard_normal(n), rng.standard_normal(n)
+    u0[:n_zero] = v0[:n_zero] = 0.0
+    if one_sided:
+        u0[-1] = 0.0
+    u0, v0 = u0 / max(np.linalg.norm(u0), 1e-300), v0 / max(np.linalg.norm(v0), 1e-300)
+    w = rng.uniform(0.05, 1.0, n)
+    assert_bitwise_same_min(_phaseless_pair(u0, v0, k, w), scalar_phaseless_pair(u0, v0, k, w))

@@ -94,6 +94,43 @@ def test_eig_rejects_asymmetric():
         eig_sym([[0.0, 1.0], [0.0, 0.0]])
 
 
+def test_eig_stack_matches_per_matrix_calls():
+    # one LAPACK call over the stack, bitwise the eigenpairs of one call per
+    # matrix; the Gram stack is shaped as certify's support enumeration builds it
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((5, 7))
+    cols = np.ascontiguousarray(a[:, [[0, 1, 2], [1, 3, 6], [2, 4, 5]]].transpose(1, 0, 2))
+    sym = rng.standard_normal((2, 3, 6, 6))
+    for stack in (cols.transpose(0, 2, 1) @ cols, sym + np.swapaxes(sym, -1, -2),
+                  rng.standard_normal((4, 1, 1))):
+        dec = eig_sym(stack)
+        assert dec.eigenvalues.shape == stack.shape[:-1]
+        for idx in np.ndindex(stack.shape[:-2]):
+            one = eig_sym(stack[idx])
+            assert dec.eigenvalues[idx].tobytes() == one.eigenvalues.tobytes()
+            assert dec.eigenvectors[idx].tobytes() == one.eigenvectors.tobytes()
+
+
+def test_eig_stack_rejects_one_asymmetric_member():
+    # each matrix is judged against its own scale: the asymmetry of the
+    # small member is far below the large member's entries
+    stack = np.stack([1e6 * np.eye(2), np.eye(2), np.eye(2)])
+    eig_sym(stack)
+    stack[1, 0, 1] = 1e-4
+    with pytest.raises(ValueError, match="not symmetric"):
+        eig_sym(stack)
+
+
+def test_eig_stack_nonconvergence_signal(monkeypatch):
+    def fail(m):
+        assert m.shape == (3, 2, 2)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(EigNonConvergenceError):
+        eig_sym(np.stack([np.eye(2)] * 3))
+
+
 def symmetric_of_order(n):
     finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
     return st.lists(finite, min_size=n * n, max_size=n * n).map(

@@ -22,7 +22,10 @@ Inputs, all drawn from fixed seeds:
   modes), recorded as the exception type and message.
 
 Serialisation: floats via ``float.hex``, arrays via dtype, shape and
-``tobytes``, dataclasses field by field, sequences element by element.
+``tobytes``, dataclasses field by field, sequences element by element, an
+``ExhaustiveL1Oracle`` by its public state ``(m, n, degenerate)`` (its
+internal support table is left out, so a new layout of that table changes no
+digest; every ``solve`` output is digested).
 Each output line is the certifier, the number of calls digested and the
 hex digest.
 """
@@ -61,7 +64,7 @@ def serialise(obj) -> bytes:
         fields = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
         return type(obj).__name__.encode() + serialise(fields)
     if isinstance(obj, certify.ExhaustiveL1Oracle):
-        return b"oracle" + serialise((obj.m, obj.n, obj.degenerate, obj._supports))
+        return b"oracle" + serialise((obj.m, obj.n, obj.degenerate))
     raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 

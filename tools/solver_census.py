@@ -19,7 +19,10 @@ default solver settings through ``cli.solve_trial``.  The cells:
 One line per cell gives the trial count, total sweeps, the p50/p90/max of
 sweeps per trial, the count that stopped at ``max_iter``, the count that
 failed, mean and min SNR in dB over the trials that did not fail, mean
-penalty updates per trial and the median of ||b||.
+penalty updates per trial and the median of ||b||.  After it comes one line
+per trial that stopped at ``max_iter``: seed, m, omega, sigma, sweeps and
+SNR.  A cell's mean SNR moves with rounding through these trials, so they
+are listed one by one.
 """
 
 import os
@@ -48,8 +51,8 @@ ALPHA = 0.75
 
 
 def census(n, k, ms, omegas, sigmas, seeds) -> dict:
-    iters, snrs, updates, norms = [], [], [], []
-    capped = failed = 0
+    iters, snrs, updates, norms, capped = [], [], [], [], []
+    failed = 0
     for seed, m, omega, sigma in itertools.product(seeds, ms, omegas, sigmas):
         inst, est = model.draw_trial(np.random.default_rng(seed), "sparse", n, k, m, 1.0,
                                      ALPHA, omega, sigma)
@@ -59,7 +62,8 @@ def census(n, k, ms, omegas, sigmas, seeds) -> dict:
         if result.status == "failed":
             failed += 1
             continue
-        capped += result.status == "max-iter"
+        if result.status == "max-iter":
+            capped.append((seed, m, omega, sigma, result.iterations, snr))
         snrs.append(snr)
         updates.append(result.diagnostics["penalty_updates"])
     return {
@@ -68,12 +72,13 @@ def census(n, k, ms, omegas, sigmas, seeds) -> dict:
         "p50": float(np.percentile(iters, 50)),
         "p90": float(np.percentile(iters, 90)),
         "max": int(max(iters)),
-        "capped": int(capped),
+        "capped": len(capped),
         "failed": failed,
         "snr_mean": float(np.mean(snrs)) if snrs else float("nan"),
         "snr_min": float(min(snrs)) if snrs else float("nan"),
         "updates_mean": float(np.mean(updates)) if updates else float("nan"),
         "b_norm_median": float(np.median(norms)),
+        "capped_trials": capped,
     }
 
 
@@ -90,6 +95,9 @@ def main(argv=None) -> int:
               f"snr mean {r['snr_mean']:.1f} dB  min {r['snr_min']:.1f} dB  "
               f"penalty updates {r['updates_mean']:.2f}/trial  "
               f"median |b| {r['b_norm_median']:.3g}", flush=True)
+        for seed, m, omega, sigma, sweeps, snr in r["capped_trials"]:
+            print(f"  capped: seed {seed}  m {m}  omega {omega:g}  sigma {sigma:g}  "
+                  f"sweeps {sweeps}  snr {snr:.1f} dB", flush=True)
     return 0
 
 
