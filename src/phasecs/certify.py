@@ -15,7 +15,11 @@ unit-l2-normalized kernel vectors.
 The brute-force oracles enumerate basic solutions (candidates supported on
 at most ``min(m, N)`` columns), which contains every vertex of the optimal
 face.  Rank-deficient column subsets are skipped and flagged, so results on
-inputs far from general position should be read with care.
+inputs far from general position should be read with care.  The support
+pseudo-inverses are computed per support size, in stacked LAPACK calls that
+round as one call per support does.  A right-hand side or weight vector of
+the wrong length or with a non-finite entry is refused with a ``ValueError``
+that names it.
 
 The enumeration caps are fixed; beyond one, a check refuses with
 :class:`CapExceededError` and never falls back to sampling.  They are
@@ -36,7 +40,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .linalg import TOL, as_matrix, eig_sym, kernel_basis
+from .linalg import TOL, _finite, as_matrix, eig_sym, kernel_basis
 from .model import canonical_sign, weighted_l1
 
 _TWO_PI = 2.0 * math.pi
@@ -173,25 +177,29 @@ def _supports(n: int, k: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
 
 
-_GRAM_CHUNK_ENTRIES = 8192  # entries of the stacked A_T per eig_sym call (64 KB)
+_STACK_CHUNK_ENTRIES = 8192  # entries of the stacked A_T per LAPACK call (64 KB)
+
+
+def _column_stacks(a: np.ndarray, supports: np.ndarray):
+    """``(chunk, cols)`` for consecutive chunks of the rows of ``supports``:
+    ``cols[i]`` is ``a[:, chunk[i]]``, stacked.
+
+    Each ``A_T`` is laid out C-contiguous, as ``a[:, T]`` is, so a stacked
+    LAPACK call or product on ``cols`` rounds exactly as one call per
+    support does.  Chunks keep every temporary of a call small, so a large
+    enumeration does not leave a large, mostly free heap behind.
+    """
+    step = max(1, _STACK_CHUNK_ENTRIES // max(a.shape[0] * supports.shape[1], 1))
+    for start in range(0, len(supports), step):
+        chunk = supports[start:start + step]
+        yield chunk, np.ascontiguousarray(a[:, chunk].transpose(1, 0, 2))
 
 
 def _gram_spectra(a: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """Eigenvalues of ``A_T^T A_T``, descending, one row per row ``T`` of
-    ``supports``, from one stacked ``eig_sym`` call per chunk of supports.
-
-    Each ``A_T`` is laid out C-contiguous, as ``a[:, T]`` is, so the stacked
-    product and eigensolver round exactly as one call per support does.
-    Chunks keep every temporary of a call small, so a large enumeration
-    does not leave a large, mostly free heap behind.
-    """
-    step = max(1, _GRAM_CHUNK_ENTRIES // max(a.shape[0] * supports.shape[1], 1))
-    spectra = []
-    for start in range(0, len(supports), step):
-        chunk = supports[start:start + step]
-        cols = np.ascontiguousarray(a[:, chunk].transpose(1, 0, 2))
-        spectra.append(eig_sym(cols.transpose(0, 2, 1) @ cols).eigenvalues)
-    return np.concatenate(spectra)
+    ``supports``, from one stacked ``eig_sym`` call per chunk of supports."""
+    return np.concatenate([eig_sym(cols.transpose(0, 2, 1) @ cols).eigenvalues
+                           for _, cols in _column_stacks(a, supports)])
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +608,10 @@ _SIGN_ROW_CAP = 14
 class ExhaustiveL1Oracle:
     """Vertex enumeration for ``min ||z||_{1,w} subject to A z = y``.
 
-    Pseudo-inverses of all full-column-rank supports are precomputed once,
-    so repeated solves against the same matrix are cheap.
+    Pseudo-inverses of all full-column-rank supports are precomputed per
+    support size, one stacked SVD and ``pinv`` call per chunk of supports,
+    so repeated solves against the same matrix are cheap.  They, and so the
+    candidates of ``solve``, are bitwise those of one call per support.
     """
 
     def __init__(self, a):
@@ -611,31 +621,47 @@ class ExhaustiveL1Oracle:
         if self.n > _ORACLE_DIM_CAP:
             raise CapExceededError("oracle dimension cap", f"N={self.n} > {_ORACLE_DIM_CAP}")
         self.degenerate = False
-        self._supports: list[tuple[list[int], np.ndarray]] = []
+        # one (supports, pseudo-inverses) pair per support size: the
+        # full-rank supports in lexicographic order, one per row, and their
+        # pseudo-inverses stacked alike
+        self._table: list[tuple[np.ndarray, np.ndarray]] = []
         for size in range(1, min(self.m, self.n) + 1):
-            for t in combinations(range(self.n), size):
-                cols = a[:, t]
+            kept, pinvs = [], []
+            for chunk, cols in _column_stacks(a, _supports(self.n, size)):
                 sing = np.linalg.svd(cols, compute_uv=False)
-                if sing[-1] <= 1e-10 * max(sing[0], 1e-300):
+                full = sing[:, -1] > 1e-10 * np.maximum(sing[:, 0], 1e-300)
+                if not full.all():
                     self.degenerate = True
-                    continue
-                self._supports.append((list(t), np.linalg.pinv(cols)))
+                    chunk, cols = chunk[full], cols[full]
+                kept.append(chunk)
+                pinvs.append(np.linalg.pinv(cols))
+            self._table.append((np.concatenate(kept), np.concatenate(pinvs)))
 
     def solve(self, y, w) -> L1MinResult:
-        y = np.asarray(y, dtype=float)
-        w = np.asarray(w, dtype=float)
+        y = _check_vector(y, self.m, "y")
+        w = _check_vector(w, self.n, "w")
         yn = float(np.linalg.norm(y))
         if yn <= 1e-12:
             return L1MinResult([np.zeros(self.n)], 0.0, self.degenerate)
         feas_tol = TOL.oracle_feasibility * (1.0 + yn)
         candidates: list[tuple[float, np.ndarray]] = []
-        for t, pinv in self._supports:
-            z = np.zeros(self.n)
-            z[t] = pinv @ y
-            if np.linalg.norm(self.a @ z - y) > feas_tol:
-                continue
-            candidates.append((weighted_l1(z, w), z))
+        for supports, pinvs in self._table:
+            for t, pinv in zip(supports, pinvs):
+                z = np.zeros(self.n)
+                z[t] = pinv @ y
+                if np.linalg.norm(self.a @ z - y) > feas_tol:
+                    continue
+                candidates.append((weighted_l1(z, w), z))
         return _cheapest(candidates, self.degenerate)
+
+
+def _check_vector(v, size: int, name: str) -> np.ndarray:
+    """``v`` as a float vector of length ``size``; refuses another shape and
+    non-finite entries with a ``ValueError`` naming ``name``."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {v.shape}")
+    return _finite(v, name)
 
 
 def _cheapest(candidates, degenerate: bool, transform=None) -> L1MinResult:
@@ -651,13 +677,32 @@ def _cheapest(candidates, degenerate: bool, transform=None) -> L1MinResult:
 
 
 def _dedupe(vectors: list[np.ndarray]) -> list[np.ndarray]:
-    ordered = sorted(vectors, key=lambda z: tuple(np.round(z, 9)))
-    unique: list[np.ndarray] = []
-    for z in ordered:
-        scale = 1.0 + max((np.abs(u).max() for u in unique), default=0.0)
-        if not any(np.abs(z - u).max() <= 1e-7 * scale for u in unique):
-            unique.append(z)
-    return unique[:]  # exact-size copy: results are kept by the thousand
+    """The vectors in ascending order of their entries rounded to 9 digits,
+    less each one within ``1e-7 * (1 + top)`` in the max norm of one kept
+    before it, where ``top`` is the largest magnitude kept so far.
+
+    The walk keeps, for every row, its least distance to the vectors kept so
+    far; ``top`` grows only when a vector is kept, so the next vector kept is
+    the first later row whose distance exceeds the present threshold.  Every
+    temporary is at most (rows, N).
+    """
+    if len(vectors) <= 1:
+        return vectors[:]
+    rows = np.array(vectors)
+    # lexsort is stable and takes its last key first, as tuple order does
+    order = np.lexsort(np.round(rows, 9).T[::-1])
+    rows = rows[order]
+    nearest = np.full(len(rows), math.inf)
+    kept, top, i = [], 0.0, 0
+    while True:
+        kept.append(vectors[order[i]])
+        top = max(top, float(np.abs(rows[i]).max()))
+        later = nearest[i + 1:]
+        np.minimum(later, np.abs(rows[i + 1:] - rows[i]).max(axis=1), out=later)
+        beyond = np.flatnonzero(later > 1e-7 * (1.0 + top))
+        if not beyond.size:
+            return kept[:]  # exact-size copy: results are kept by the thousand
+        i += 1 + int(beyond[0])
 
 
 def brute_force_weighted_l1(a, y, w) -> L1MinResult:
@@ -674,13 +719,14 @@ def brute_force_phaseless(a, b_abs, w) -> L1MinResult:
     stands for the pair +-z).
     """
     a = as_matrix(a)
-    m = a.shape[0]
+    m, n = a.shape
     if m > _SIGN_ROW_CAP:
         raise CapExceededError("sign pattern cap", f"m={m} > {_SIGN_ROW_CAP}")
-    b_abs = np.asarray(b_abs, dtype=float)
+    b_abs = _check_vector(b_abs, m, "b_abs")
+    w = _check_vector(w, n, "w")
     oracle = ExhaustiveL1Oracle(a)
     if float(np.linalg.norm(b_abs)) <= 1e-12:
-        return L1MinResult([np.zeros(a.shape[1])], 0.0, oracle.degenerate)
+        return L1MinResult([np.zeros(n)], 0.0, oracle.degenerate)
     collected: list[tuple[float, np.ndarray]] = []
     for rows in _half_subsets(m):
         sigma = np.ones(m)

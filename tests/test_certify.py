@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -12,8 +13,10 @@ from phasecs.certify import (
     _TWO_PI,
     CapExceededError,
     ExhaustiveL1Oracle,
+    L1MinResult,
     _breakpoints,
     _circle_min,
+    _dedupe,
     _phaseless_pair,
     brute_force_phaseless,
     brute_force_weighted_l1,
@@ -364,6 +367,20 @@ class TestL1Oracle:
         with pytest.raises(CapExceededError):
             ExhaustiveL1Oracle(np.ones((2, 13)))
 
+    @pytest.mark.parametrize("y, w, name", [
+        ([math.nan, 1.0, 2.0], np.ones(5), "y"),
+        ([math.inf, 1.0, 2.0], np.ones(5), "y"),
+        ([1.0, 2.0], np.ones(5), "y"),
+        ([[1.0, 2.0, 3.0]], np.ones(5), "y"),
+        ([1.0, 2.0, 3.0], np.ones(4), "w"),
+        ([0.0, 0.0, 0.0], np.ones(6), "w"),  # refused before the zero shortcut
+        ([1.0, 2.0, 3.0], [1.0, 1.0, math.nan, 1.0, 1.0], "w"),
+    ])
+    def test_refuses_bad_vectors(self, y, w, name):
+        a = model.gen_gaussian_matrix(np.random.default_rng(5), 3, 5)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            ExhaustiveL1Oracle(a).solve(y, w)
+
 
 class TestPhaselessOracle:
     def test_identity_four_minimizers(self):
@@ -379,6 +396,17 @@ class TestPhaselessOracle:
         x = np.array([1.0, -2.0])
         res = brute_force_phaseless(a, np.abs(a @ x), np.ones(2))
         assert recovers_uniquely(res, x, up_to_sign=True)
+
+    @pytest.mark.parametrize("b_abs, w, name", [
+        ([math.nan, 1.0, 2.0], np.ones(2), "b_abs"),
+        ([1.0, 2.0], np.ones(2), "b_abs"),
+        ([1.0, 2.0, 1.0], np.ones(3), "w"),
+        ([0.0, 0.0, 0.0], np.ones(1), "w"),
+    ])
+    def test_refuses_bad_vectors(self, b_abs, w, name):
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match=f"^{name} "):
+            brute_force_phaseless(a, b_abs, w)
 
     def test_zero_magnitudes(self):
         res = brute_force_phaseless(A_SPARK, np.zeros(4), np.ones(2))
@@ -661,3 +689,179 @@ def test_phaseless_pair_matches_scalar_loop(n, k, n_zero, one_sided, seed):
     u0, v0 = u0 / max(np.linalg.norm(u0), 1e-300), v0 / max(np.linalg.norm(v0), 1e-300)
     w = rng.uniform(0.05, 1.0, n)
     assert_bitwise_same_min(_phaseless_pair(u0, v0, k, w), scalar_phaseless_pair(u0, v0, k, w))
+
+
+# ---------------------------------------------------------------------------
+# The bulk deduplication and the stacked oracle table against the loops
+# they replaced
+# ---------------------------------------------------------------------------
+
+
+def scalar_dedupe(vectors):
+    """Reference: sort by the rounded entries, then test each vector against
+    every one kept so far."""
+    ordered = sorted(vectors, key=lambda z: tuple(np.round(z, 9)))
+    unique = []
+    for z in ordered:
+        scale = 1.0 + max((np.abs(u).max() for u in unique), default=0.0)
+        if not any(np.abs(z - u).max() <= 1e-7 * scale for u in unique):
+            unique.append(z)
+    return unique
+
+
+def assert_same_objects(new, ref):
+    assert [id(z) for z in new] == [id(z) for z in ref]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 12),
+       st.lists(st.sampled_from([0.0, 1e-9, 0.5, 0.999, 1.001, 2.0]), min_size=1, max_size=4),
+       st.booleans(), st.booleans(), SEEDS)
+def test_dedupe_matches_scalar_loop(n, n_base, n_copies, factors, shared_lead, signed_zeros,
+                                    seed):
+    # a few vertices at magnitudes from 1e-3 to 1e3, so that a later kept
+    # vector often raises the threshold 1e-7 (1 + top); their copies are
+    # moved in one entry by a factor of the largest threshold, from exact
+    # and 1e-9 copies to just under and just over it.  A shared first entry
+    # lets a copy moved there sort after a larger vertex, which then has
+    # raised the threshold; signed zeros tie -0.0 against 0.0 in the sort
+    rng = np.random.default_rng(seed)
+    base = [rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4) for _ in range(n_base)]
+    if shared_lead:
+        for z in base:
+            z[0] = base[0][0]
+    if signed_zeros:
+        for z in base:
+            z[rng.random(n) < 0.5] = 0.0
+    thresholds = [1e-7 * (1.0 + np.abs(z).max()) for z in base]
+    vectors = list(base)
+    for _ in range(n_copies):
+        j = int(rng.integers(n_base))
+        z = base[j].copy()
+        z[rng.integers(n)] += rng.choice([-1.0, 1.0]) * rng.choice(factors) * max(thresholds)
+        if signed_zeros:
+            z[z == 0.0] *= -1.0
+        vectors.append(z)
+    order = rng.permutation(len(vectors))
+    vectors = [vectors[i] for i in order]
+    assert_same_objects(_dedupe(vectors), scalar_dedupe(vectors))
+
+
+def test_dedupe_threshold_grows_mid_walk():
+    # after (0, 0.5) is kept, (1e-6, 0.5) is 1e-6 from it, over 1e-7 (1 + 0.5);
+    # (0, 100) sorts between them and raises the threshold to 1.01e-5, so
+    # the loop drops (1e-6, 0.5) when it reaches it
+    small, large, near = np.array([0.0, 0.5]), np.array([0.0, 100.0]), np.array([1e-6, 0.5])
+    vectors = [near, large, small]
+    assert_same_objects(_dedupe(vectors), [small, large])
+    assert_same_objects(_dedupe(vectors), scalar_dedupe(vectors))
+
+
+def test_dedupe_signed_zero():
+    pos, neg = np.array([0.0, 1.0]), np.array([-0.0, 1.0])
+    for vectors in ([pos, neg], [neg, pos]):
+        assert_same_objects(_dedupe(vectors), [vectors[0]])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 386])
+def test_dedupe_sizes(rows):
+    # 386 rows is the largest tie set of the certify-batch oracles: copies
+    # of three vertices, each moved by about 1e-9, in a random order
+    rng = np.random.default_rng(rows)
+    base = rng.standard_normal((3, 12))
+    vectors = [base[i % 3] + 1e-9 * rng.standard_normal(12) for i in range(rows)]
+    assert_same_objects(_dedupe(vectors), scalar_dedupe(vectors))
+    assert len(_dedupe(vectors)) == min(rows, 3)
+
+
+def test_dedupe_memory_stays_linear():
+    # a pairwise (rows, rows, N) distance tensor would take 14 MB here
+    rng = np.random.default_rng(3)
+    vectors = list(rng.standard_normal((386, 12)))
+    tracemalloc.start()
+    try:
+        _dedupe(vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def scalar_oracle(a):
+    """Reference: the support table built one support at a time, as
+    ``(degenerate, [(support, pinv), ...])``."""
+    m, n = a.shape
+    degenerate, table = False, []
+    for size in range(1, min(m, n) + 1):
+        for t in combinations(range(n), size):
+            cols = a[:, t]
+            sing = np.linalg.svd(cols, compute_uv=False)
+            if sing[-1] <= 1e-10 * max(sing[0], 1e-300):
+                degenerate = True
+                continue
+            table.append((list(t), np.linalg.pinv(cols)))
+    return degenerate, table
+
+
+def scalar_solve(a, degenerate, table, y, w):
+    """Reference: ``ExhaustiveL1Oracle.solve`` over the per-support table."""
+    n = a.shape[1]
+    yn = float(np.linalg.norm(y))
+    feas_tol = TOL.oracle_feasibility * (1.0 + yn)
+    candidates = []
+    for t, pinv in table:
+        z = np.zeros(n)
+        z[t] = pinv @ y
+        if np.linalg.norm(a @ z - y) > feas_tol:
+            continue
+        candidates.append((model.weighted_l1(z, w), z))
+    if not candidates:
+        return L1MinResult([], None, degenerate)
+    vmin = min(c for c, _ in candidates)
+    tie = vmin + TOL.oracle_value_tie * (1.0 + abs(vmin))
+    return L1MinResult(scalar_dedupe([z for c, z in candidates if c <= tie]), vmin, degenerate)
+
+
+def oracle_matrix(kind, rng):
+    if kind == "wide":
+        return model.gen_gaussian_matrix(rng, 3, 7)
+    if kind == "tall":
+        return model.gen_gaussian_matrix(rng, 6, 4)
+    if kind == "chunked":  # the 924 six-supports span several stacked calls
+        return model.gen_gaussian_matrix(rng, 6, 12)
+    a = model.gen_gaussian_matrix(rng, 4, 6)
+    if kind == "duplicate":
+        a[:, 4] = a[:, 1]
+    elif kind == "zero":
+        a[:, 2] = 0.0
+    elif kind == "collinear":
+        a[:, 5] = -2.5 * a[:, 0]
+    return a
+
+
+@pytest.mark.parametrize("kind", ["wide", "tall", "chunked", "duplicate", "zero", "collinear"])
+def test_stacked_oracle_matches_scalar_table(kind):
+    rng = np.random.default_rng(19)
+    a = oracle_matrix(kind, rng)
+    m, n = a.shape
+    oracle = ExhaustiveL1Oracle(a)
+    degenerate, table = scalar_oracle(a)
+    assert oracle.degenerate == degenerate
+    assert degenerate == (kind in ("duplicate", "zero", "collinear"))
+    # planted sparse signals, plain right-hand sides (infeasible when m > n),
+    # unit and random weights; unit weights tie on the repeated columns
+    rhs = []
+    for k in (1, 2):
+        x = np.zeros(n)
+        x[rng.choice(n, k, replace=False)] = rng.standard_normal(k)
+        rhs.append(a @ x)
+    rhs.append(rng.standard_normal(m))
+    for y in rhs:
+        for w in (np.ones(n), rng.uniform(0.1, 1.0, n)):
+            new, ref = oracle.solve(y, w), scalar_solve(a, degenerate, table, y, w)
+            assert new.degenerate == ref.degenerate
+            if ref.value is None:
+                assert new.value is None and new.minimizers == []
+                continue
+            assert float(new.value).hex() == float(ref.value).hex()
+            assert [z.tobytes() for z in new.minimizers] == [z.tobytes() for z in ref.minimizers]

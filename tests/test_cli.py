@@ -323,6 +323,17 @@ class TestOracleCommand:
         res = run_cli("oracle", "--identity", "2")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("args, name", [
+        (["--y", "nan,1,2"], "y"),
+        (["--y", "inf,1,2"], "y"),
+        (["--x", "nan,0,1", "--phaseless"], "b_abs"),
+    ])
+    def test_refuses_non_finite_input(self, capsys, args, name):
+        assert cli.main(["oracle", "--identity", "3", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} ")
+
 
 def test_eigensolver_failure_is_solver_exit(monkeypatch, capsys, tmp_path):
     def fail(_):
