@@ -17,9 +17,11 @@ at most ``min(m, N)`` columns), which contains every vertex of the optimal
 face.  Rank-deficient column subsets are skipped and flagged, so results on
 inputs far from general position should be read with care.  The support
 pseudo-inverses are computed per support size, in stacked LAPACK calls that
-round as one call per support does.  A right-hand side or weight vector of
-the wrong length or with a non-finite entry is refused with a ``ValueError``
-that names it.
+round as one call per support does, and each candidate's residual norm and
+weighted l1 cost are computed with the arithmetic of ``np.linalg.norm`` and
+``weighted_l1``, bit for bit.  A right-hand side or weight vector of the
+wrong length or with a non-finite entry is refused with a ``ValueError``
+that names it; so is a non-finite weight in the null space checks.
 
 The enumeration caps are fixed; beyond one, a check refuses with
 :class:`CapExceededError` and never falls back to sampling.  They are
@@ -56,7 +58,7 @@ class CapExceededError(RuntimeError):
         super().__init__(f"{cap} exceeded" + (f": {detail}" if detail else ""))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RipReport:
     """Isometry constants with the supports/row subsets attaining them."""
 
@@ -71,7 +73,7 @@ class RipReport:
     enumerated: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NspWitness:
     """Kernel vector and support violating the weighted null space inequality."""
 
@@ -79,7 +81,7 @@ class NspWitness:
     support: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaselessWitness:
     """Pair (u, v) and row split violating the phaseless null space inequality."""
 
@@ -88,7 +90,7 @@ class PhaselessWitness:
     rows: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NspVerdict:
     status: str  # "holds-exact" | "fails" | "indeterminate"
     margin: float
@@ -134,12 +136,14 @@ def phaseless_slack(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
 
 
 def _check_order(k: int, n: int, w=None) -> np.ndarray | None:
-    """Refuse a weight vector of the wrong length, then an order outside
-    ``1 <= k <= n``; returns ``w`` as floats (None when not given)."""
+    """Refuse a weight vector of the wrong length or with a non-finite entry,
+    then an order outside ``1 <= k <= n``; returns ``w`` as floats (None when
+    not given)."""
     if w is not None:
         w = np.asarray(w, dtype=float)
         if w.shape != (n,):
             raise ValueError("weight vector length must match the column count")
+        _finite(w, "w")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     return w
@@ -612,6 +616,10 @@ class ExhaustiveL1Oracle:
     support size, one stacked SVD and ``pinv`` call per chunk of supports,
     so repeated solves against the same matrix are cheap.  They, and so the
     candidates of ``solve``, are bitwise those of one call per support.
+    ``solve`` evaluates each candidate with the arithmetic of
+    ``np.linalg.norm`` (one ``dot`` and a correctly rounded square root) and
+    of ``weighted_l1`` (the same product and pairwise sum), bit for bit,
+    without their per-call argument handling.
     """
 
     def __init__(self, a):
@@ -649,9 +657,11 @@ class ExhaustiveL1Oracle:
             for t, pinv in zip(supports, pinvs):
                 z = np.zeros(self.n)
                 z[t] = pinv @ y
-                if np.linalg.norm(self.a @ z - y) > feas_tol:
+                # np.linalg.norm and weighted_l1, less their argument handling
+                r = self.a @ z - y
+                if math.sqrt(r @ r) > feas_tol:
                     continue
-                candidates.append((weighted_l1(z, w), z))
+                candidates.append((float((w * np.abs(z)).sum()), z))
         return _cheapest(candidates, self.degenerate)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from itertools import combinations
@@ -14,9 +15,14 @@ from phasecs.certify import (
     CapExceededError,
     ExhaustiveL1Oracle,
     L1MinResult,
+    NspVerdict,
+    NspWitness,
+    PhaselessWitness,
+    RipReport,
     _breakpoints,
     _circle_min,
     _dedupe,
+    _half_subsets,
     _phaseless_pair,
     brute_force_phaseless,
     brute_force_weighted_l1,
@@ -302,6 +308,31 @@ class TestPhaselessNsp:
                     worst = min(worst, slack)
             assert verdict.margin <= worst + 1e-9
             assert worst - verdict.margin <= 1e-3
+
+
+@pytest.mark.parametrize("mode", ["exact", "falsify"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("check, a", [
+    (weighted_nsp_check, A_2x3),
+    (phaseless_nsp_check, np.random.default_rng(0).standard_normal((4, 3))),
+])
+def test_nsp_checks_refuse_non_finite_weights(check, a, bad, mode):
+    # a NaN weight once certified: its NaN margin passed the band test
+    with pytest.raises(ValueError, match="^w has non-finite entries$"):
+        check(a, 1, [bad, 1.0, 1.0], mode=mode)
+    # the length message keeps its place ahead of the entries
+    with pytest.raises(ValueError, match="^weight vector length"):
+        check(a, 1, [bad, 1.0], mode=mode)
+
+
+def test_certificates_are_slotted():
+    # certify-batch keeps hundreds of these per pass
+    witness = NspWitness(np.ones(2), (0,))
+    objects = [RipReport(order=1), witness, PhaselessWitness(np.ones(2), np.ones(2), (0,)),
+               NspVerdict("fails", 0.0, witness)]
+    for obj in objects:
+        assert not hasattr(obj, "__dict__")
+    assert dataclasses.asdict(objects[-1])["witness"]["support"] == (0,)
 
 
 class TestL1Oracle:
@@ -863,5 +894,41 @@ def test_stacked_oracle_matches_scalar_table(kind):
             if ref.value is None:
                 assert new.value is None and new.minimizers == []
                 continue
+            assert float(new.value).hex() == float(ref.value).hex()
+            assert [z.tobytes() for z in new.minimizers] == [z.tobytes() for z in ref.minimizers]
+
+
+def scalar_phaseless(a, b_abs, w):
+    """Reference: ``brute_force_phaseless`` as one ``scalar_solve`` per sign
+    pattern, then canonical signs and ``scalar_dedupe`` on the tie set."""
+    m, n = a.shape
+    degenerate, table = scalar_oracle(a)
+    collected = []
+    for rows in _half_subsets(m):
+        sigma = np.ones(m)
+        sigma[list(rows)] = -1
+        res = scalar_solve(a, degenerate, table, sigma * b_abs, w)
+        if res.value is not None:
+            collected.extend((res.value, z) for z in res.minimizers)
+    if not collected:
+        return L1MinResult([], None, degenerate)
+    vmin = min(c for c, _ in collected)
+    tie = vmin + TOL.oracle_value_tie * (1.0 + abs(vmin))
+    kept = [canonical_sign(z) for c, z in collected if c <= tie]
+    return L1MinResult(scalar_dedupe(kept), vmin, degenerate)
+
+
+@pytest.mark.parametrize("kind", ["wide", "tall", "chunked", "duplicate", "zero", "collinear"])
+def test_phaseless_oracle_matches_scalar_reference(kind):
+    rng = np.random.default_rng(23)
+    a = oracle_matrix(kind, rng)
+    n = a.shape[1]
+    for k in (1, 2):
+        x = np.zeros(n)
+        x[rng.choice(n, k, replace=False)] = rng.standard_normal(k)
+        b_abs = np.abs(a @ x)
+        for w in (np.ones(n), rng.uniform(0.1, 1.0, n)):
+            new, ref = brute_force_phaseless(a, b_abs, w), scalar_phaseless(a, b_abs, w)
+            assert new.degenerate == ref.degenerate
             assert float(new.value).hex() == float(ref.value).hex()
             assert [z.tobytes() for z in new.minimizers] == [z.tobytes() for z in ref.minimizers]

@@ -280,6 +280,16 @@ class TestCertifyCommand:
         assert res.returncode == 0
         assert json.loads(res.stdout)["status"] == "fails"
 
+    @pytest.mark.parametrize("omega", ["nan", "inf"])
+    @pytest.mark.parametrize("check, shape", [("nsp", ["2", "3"]), ("pnsp", ["4", "3"])])
+    def test_refuses_non_finite_weight(self, capsys, check, shape, omega):
+        code = cli.main(["certify", "--gaussian", *shape, "--check", check, "--k", "1",
+                         "--omega", omega, "--estimate", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: w has non-finite entries\n"
+
     def test_cap_refusal_exit_code(self):
         res = run_cli("certify", "--gaussian", "16", "4", "--check", "srip", "--k", "1")
         assert res.returncode == 3
