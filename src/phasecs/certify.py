@@ -1,16 +1,19 @@
 """Exact certification of sparse recovery conditions on small instances.
 
 Provides exhaustive computation of restricted isometry constants (plain and
-row-subset variants), exact and falsification checks of the weighted null
-space property and its phaseless counterpart, and brute-force weighted-l1
-minimization oracles that ground-truth uniqueness of recovery.
+row-subset variants), exact checks of the weighted null space property,
+exact and falsification checks of its phaseless counterpart, and
+brute-force weighted-l1 minimization oracles that ground-truth uniqueness of
+recovery.
 
 Exactness notes.  The null space property is an open (strict) condition, so
 verdicts are margin based: a computed worst-case slack of at most 0 is a
 failure, a slack inside ``(0, TOL.nsp_margin_band]`` is reported
 indeterminate (the strict inequality cannot be certified in floating point),
-and anything above the band certifiably holds.  Margins are reported for
-unit-l2-normalized kernel vectors.
+and anything above the band certifiably holds.  The weighted check reports
+the slack of kernel vectors normalised to unit ``||.||_{1,w}``, which is
+``1 - 2 theta`` for the null space constant ``theta``; the phaseless check
+reports it for unit-l2-normalized kernel vectors.
 
 The brute-force oracles enumerate basic solutions (candidates supported on
 at most ``min(m, N)`` columns), which contains every vertex of the optimal
@@ -21,17 +24,18 @@ round as one call per support does, and each candidate's residual norm and
 weighted l1 cost are computed with the arithmetic of ``np.linalg.norm`` and
 ``weighted_l1``, bit for bit.  A right-hand side or weight vector of the
 wrong length or with a non-finite entry is refused with a ``ValueError``
-that names it; so is a non-finite weight in the null space checks.
+that names it; so is a non-finite weight in the null space checks, and a
+negative weight everywhere.
 
 The enumeration caps are fixed; beyond one, a check refuses with
 :class:`CapExceededError` and never falls back to sampling.  They are
-2,000,000 supports (``rip_constant``, ``srip_bounds``), 14 rows
-(``srip_bounds``, ``brute_force_phaseless``), 12 rows
-(``phaseless_nsp_check``), 12 columns (the l1 oracles) and, in exact mode,
-kernel dimension 2 (``weighted_nsp_check``) and one-dimensional kernels on
-both blocks of a row split (``phaseless_nsp_check``).  Falsify mode draws
-from a generator seeded with 0: 200 kernel samples for the weighted check, 5
-draws per row split and support for the phaseless one.
+2,000,000 supports (``rip_constant``, ``srip_bounds``), 2,000,000
+(d-1)-subsets of the positive-weight coordinates at kernel dimension d
+(``weighted_nsp_check``), 14 rows (``srip_bounds``,
+``brute_force_phaseless``), 12 rows (``phaseless_nsp_check``), 12 columns
+(the l1 oracles) and, in exact mode, one-dimensional kernels on both blocks
+of a row split (``phaseless_nsp_check``).  Its falsify mode draws from a
+generator seeded with 0, 5 draws per row split and support.
 """
 
 from __future__ import annotations
@@ -136,14 +140,14 @@ def phaseless_slack(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
 
 
 def _check_order(k: int, n: int, w=None) -> np.ndarray | None:
-    """Refuse a weight vector of the wrong length or with a non-finite entry,
-    then an order outside ``1 <= k <= n``; returns ``w`` as floats (None when
-    not given)."""
+    """Refuse a weight vector of the wrong length or with a non-finite or
+    negative entry, then an order outside ``1 <= k <= n``; returns ``w`` as
+    floats (None when not given)."""
     if w is not None:
         w = np.asarray(w, dtype=float)
         if w.shape != (n,):
             raise ValueError("weight vector length must match the column count")
-        _finite(w, "w")
+        _nonnegative(_finite(w, "w"))
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     return w
@@ -210,7 +214,7 @@ def _gram_spectra(a: np.ndarray, supports: np.ndarray) -> np.ndarray:
 # Restricted isometry constants
 # ---------------------------------------------------------------------------
 
-_SUPPORT_CAP = 2_000_000  # supports enumerated by rip_constant and srip_bounds
+_SUPPORT_CAP = 2_000_000  # supports (rip_constant, srip_bounds), subsets (weighted_nsp_check)
 _SRIP_ROW_CAP = 14
 
 
@@ -277,7 +281,8 @@ def srip_bounds(a, k: int) -> RipReport:
 # Piecewise-trigonometric minimization over the unit circle
 # ---------------------------------------------------------------------------
 #
-# Both exact null-space checks reduce to minimizing
+# The exact phaseless check reduces, on each row split with one-dimensional
+# kernels on both blocks, to minimizing
 #     g(phi) = sum_j coef_j |xs_j cos(phi) + ys_j sin(phi)|
 # over the circle.  Between consecutive zeros of the terms the sign pattern
 # is constant and g is a single sinusoid a cos(phi) + b sin(phi), so the
@@ -386,97 +391,80 @@ def _worst_support(h: np.ndarray, w: np.ndarray, k: int) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in order[:k]))
 
 
-def _nsp_exact_dim1(h0: np.ndarray, k: int, w: np.ndarray) -> NspVerdict:
-    h = h0 / np.linalg.norm(h0)
-    support = _worst_support(h, w, k)
-    margin = nsp_slack(h, support, w)
-    return _classify(margin, NspWitness(h, support), 1)
+def _kernel_vertices(kernel: np.ndarray, rows: np.ndarray):
+    """Vertex directions of ``{h in ker A : ||h||_{1,w} <= 1}``, one stack
+    of unit kernel vectors per chunk of subsets.
 
-
-def _nsp_exact_dim2(kernel: np.ndarray, k: int, w: np.ndarray) -> NspVerdict:
-    n = kernel.shape[0]
-    h1, h2 = kernel[:, 0], kernel[:, 1]
-    angles = _breakpoints(h1, h2)
-    best = math.inf
-    best_phi = 0.0
-    best_t: tuple[int, ...] = ()
-    total = 0
-    for t in combinations(range(n), k):
-        coef = w.copy()
-        coef[list(t)] = -coef[list(t)]
-        val, phi, n_cand = _circle_min(coef, h1, h2, angles)
-        total += n_cand
-        if val is not None and val < best:
-            best, best_phi, best_t = val, phi, t
-    h = math.cos(best_phi) * h1 + math.sin(best_phi) * h2
-    return _classify(best, NspWitness(h, best_t), total)
-
-
-def _nsp_falsify(kernel: np.ndarray, k: int, w: np.ndarray) -> NspVerdict:
+    ``kernel`` is an orthonormal basis ``Q`` of dimension ``d`` and ``rows``
+    the positive-weight coordinates.  Every vertex vanishes on some
+    (d-1)-subset ``Z`` of ``rows`` where ``Q[Z]`` has rank d - 1, so for each
+    such ``Z`` the null vector ``c`` of ``Q[Z]`` gives the candidate ``Q c``,
+    with its entries on ``Z`` set to exact zeros; d = 1 gives the kernel
+    line itself.  Each chunk is one stacked SVD.
+    """
     dim = kernel.shape[1]
-    rng = np.random.default_rng(0)
-    best = math.inf
-    best_h = None
-    best_t: tuple[int, ...] = ()
-    evals = 0
-    for _ in range(200):
-        c = rng.standard_normal(dim)
-        c /= np.linalg.norm(c)
-        h = kernel @ c
-        for _ in range(50):
-            t = _worst_support(h, w, k)
-            slack = nsp_slack(h, t, w)
-            evals += 1
-            if slack < best:
-                best, best_h, best_t = slack, h.copy(), t
-            # frozen-sign linear model of the slack, minimized on the sphere
-            coef = w.copy()
-            coef[list(t)] = -coef[list(t)]
-            grad = kernel.T @ (coef * np.sign(h))
-            gn = np.linalg.norm(grad)
-            if gn <= 1e-14:
-                break
-            h_new = kernel @ (-grad / gn)
-            t_new = _worst_support(h_new, w, k)
-            if nsp_slack(h_new, t_new, w) >= slack - 1e-15:
-                break
-            h = h_new
-    witness = NspWitness(best_h, best_t) if best_h is not None else None
-    if best <= 0.0:
-        return NspVerdict("fails", best, witness, evals)
-    return NspVerdict("indeterminate", best, None, evals)
+    if dim == 1:
+        yield kernel.T
+        return
+    # subsets index into rows, so the table has one copy
+    for chunk, cols in _column_stacks(kernel[rows].T, _supports(rows.size, dim - 1)):
+        # cols[i] is Q[Z]^T, (d, d-1): its left null vector is the last column
+        # of u; Q has orthonormal columns, so the singular values are at most 1
+        u, sing, _ = np.linalg.svd(cols)
+        full = sing[:, -1] > TOL.struct_zero
+        if full.any():
+            h = u[full, :, -1] @ kernel.T
+            np.put_along_axis(h, rows[chunk[full]], 0.0, axis=1)
+            yield h
 
 
-def weighted_nsp_check(a, k: int, w, mode: str = "exact") -> NspVerdict:
+def weighted_nsp_check(a, k: int, w) -> NspVerdict:
     """Check the weighted null space property of order ``k`` for ``a``.
 
-    Exact mode handles kernel dimensions up to 2 (dimension 0 holds
-    vacuously; dimensions 1 and 2 are minimized in closed form over the
-    kernel sphere and all supports) and refuses beyond that.  Falsify mode
-    searches for violations from 200 random kernel samples (seed 0) with
-    sign-pattern descent; it can return "fails" or "indeterminate" but never
-    certifies.
+    With ``theta`` the largest ``||h_T||_{1,w} / ||h||_{1,w}`` over nonzero
+    ``h`` in ``ker A`` and ``|T| = k``, the property holds if and only if
+    ``theta < 1/2``; the margin is ``1 - 2 theta``, the slack
+    ``||h_{T^c}||_{1,w} - ||h_T||_{1,w}`` of the worst pair normalised by
+    ``||h||_{1,w}``.  For each ``T`` the ratio is convex on the polytope
+    ``{h in ker A : ||h||_{1,w} <= 1}``, so ``theta`` is attained at one of
+    its vertices, which are enumerated exactly at every kernel dimension
+    ``d`` (one per (d-1)-subset of the positive-weight coordinates).  A
+    trivial kernel holds vacuously (margin inf); a nonzero kernel vector on
+    zero-weight coordinates only fails at margin 0.  The witness is the
+    worst vertex, unit in l2, on its ``k`` largest weighted entries.
+    Refuses negative weights, and more than 2,000,000 subsets.
     """
     a = as_matrix(a)
-    w = _check_order(k, a.shape[1], w)
+    n = a.shape[1]
+    w = _check_order(k, n, w)
     kernel = kernel_basis(a)
     dim = kernel.shape[1]
-    if mode == "exact":
-        if dim == 0:
-            return NspVerdict("holds-exact", math.inf, None, 0)
-        if dim == 1:
-            return _nsp_exact_dim1(kernel[:, 0], k, w)
-        if dim == 2:
-            return _nsp_exact_dim2(kernel, k, w)
-        raise CapExceededError(
-            "exact kernel dimension cap",
-            f"kernel dimension {dim} > 2; use mode='falsify'",
-        )
-    if mode == "falsify":
-        if dim == 0:
-            return NspVerdict("indeterminate", math.inf, None, 0)
-        return _nsp_falsify(kernel, k, w)
-    raise ValueError(f"unknown mode {mode!r}")
+    if dim == 0:
+        return NspVerdict("holds-exact", math.inf, None, 0)
+    positive = np.flatnonzero(w > 0.0)
+    _, sing, vt = np.linalg.svd(kernel[positive])
+    theta, worst = -math.inf, None
+    if sing.size == dim and sing[-1] > TOL.struct_zero:
+        count = math.comb(positive.size, dim - 1)
+        if count > _SUPPORT_CAP:
+            raise CapExceededError("vertex enumeration cap",
+                                   f"C({positive.size},{dim - 1})={count} > {_SUPPORT_CAP}")
+        for h in _kernel_vertices(kernel, positive):
+            mass = w * np.abs(h)
+            top = np.partition(mass, n - k, axis=1)[:, n - k:].sum(axis=1)
+            ratios = top / mass.sum(axis=1)
+            # argmax and the strict test keep the first maximum in subset order
+            j = int(np.argmax(ratios))
+            if ratios[j] > theta:
+                theta, worst = float(ratios[j]), h[j]
+    if worst is None:
+        # a unit kernel vector without weighted mass (no positive-weight
+        # coordinates pin down a vertex): ||.||_{1,w} is no norm on the
+        # kernel; the vector's largest entries make the witness
+        h = kernel @ vt[-1]
+        return NspVerdict("fails", 0.0, NspWitness(h, _worst_support(h, np.ones(n), k)), 0)
+    h = worst / np.linalg.norm(worst)
+    return _classify(1.0 - 2.0 * theta, NspWitness(h, _worst_support(h, w, k)), count)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +635,7 @@ class ExhaustiveL1Oracle:
 
     def solve(self, y, w) -> L1MinResult:
         y = _check_vector(y, self.m, "y")
-        w = _check_vector(w, self.n, "w")
+        w = _nonnegative(_check_vector(w, self.n, "w"))
         yn = float(np.linalg.norm(y))
         if yn <= 1e-12:
             return L1MinResult([np.zeros(self.n)], 0.0, self.degenerate)
@@ -672,6 +660,14 @@ def _check_vector(v, size: int, name: str) -> np.ndarray:
     if v.shape != (size,):
         raise ValueError(f"{name} must have shape ({size},), got {v.shape}")
     return _finite(v, name)
+
+
+def _nonnegative(w: np.ndarray) -> np.ndarray:
+    """Refuse a negative weight: it makes ``||.||_{1,w}`` no norm, and a
+    weighted-l1 program with one can be unbounded below."""
+    if (w < 0.0).any():
+        raise ValueError("w has negative entries")
+    return w
 
 
 def _cheapest(candidates, degenerate: bool, transform=None) -> L1MinResult:
@@ -733,7 +729,7 @@ def brute_force_phaseless(a, b_abs, w) -> L1MinResult:
     if m > _SIGN_ROW_CAP:
         raise CapExceededError("sign pattern cap", f"m={m} > {_SIGN_ROW_CAP}")
     b_abs = _check_vector(b_abs, m, "b_abs")
-    w = _check_vector(w, n, "w")
+    w = _nonnegative(_check_vector(w, n, "w"))
     oracle = ExhaustiveL1Oracle(a)
     if float(np.linalg.norm(b_abs)) <= 1e-12:
         return L1MinResult([np.zeros(n)], 0.0, oracle.degenerate)

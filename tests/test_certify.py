@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from itertools import combinations
@@ -129,9 +130,10 @@ class TestSrip:
 
 class TestWeightedNsp:
     def test_holds_unweighted(self):
+        # the kernel is the line through (1, 1, -1): theta = 1/3
         v = weighted_nsp_check(A_2x3, 1, np.ones(3))
         assert v.status == "holds-exact"
-        assert abs(v.margin - 1.0 / math.sqrt(3)) <= 1e-12
+        assert abs(v.margin - 1.0 / 3.0) <= 1e-12
 
     def test_zero_weight_tie_fails(self):
         v = weighted_nsp_check(A_2x3, 1, np.array([0.0, 1.0, 1.0]))
@@ -156,6 +158,8 @@ class TestWeightedNsp:
         assert abs(v.margin) <= 1e-10
 
     def test_dim2_matches_dense_angle_grid(self):
+        # the margin is 1 - 2 theta, theta the largest share of weighted
+        # mass on k coordinates; sweep the kernel circle for it
         rng = np.random.default_rng(71)
         for _ in range(5):
             a = model.gen_gaussian_matrix(rng, 4, 6)
@@ -164,17 +168,66 @@ class TestWeightedNsp:
             verdict = weighted_nsp_check(a, 2, w)
             kernel = np.linalg.svd(a)[2][-2:].T  # independent kernel basis
             grid = np.linspace(0, 2 * np.pi, 20001)
-            worst = math.inf
-            for phi in grid:
-                h = math.cos(phi) * kernel[:, 0] + math.sin(phi) * kernel[:, 1]
-                top = np.argsort(-(w * np.abs(h)), kind="stable")[:2]
-                worst = min(worst, nsp_slack(h, tuple(top), w))
+            mass = w * np.abs(np.outer(np.cos(grid), kernel[:, 0])
+                              + np.outer(np.sin(grid), kernel[:, 1]))
+            theta = np.sort(mass, axis=1)[:, -2:].sum(axis=1) / mass.sum(axis=1)
+            worst = float((1.0 - 2.0 * theta).min())
             assert verdict.margin <= worst + 1e-9
             assert worst - verdict.margin <= 1e-3
+            wt = verdict.witness
+            if wt is not None:  # the witness attains the margin
+                share = nsp_slack(wt.kernel_vector, wt.support, w) / (w @ np.abs(wt.kernel_vector))
+                assert abs(share - verdict.margin) <= 1e-12
+
+    def test_margin_matches_highs_lp(self):
+        # differential check: theta is the largest optimum over supports T
+        # and signs s of the LP  max s . (w h)_T  over h = Q c in the kernel
+        # with ||h||_{1,w} <= 1 (t >= |w h|, sum t <= 1), solved by HiGHS.
+        # Two zero weights leave at least d positive ones, so that
+        # ||.||_{1,w} stays a norm on the kernel
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(79)
+        for trial in range(8):
+            m, n = [(5, 8), (3, 7), (4, 6), (2, 5)][trial % 4]
+            a = model.gen_gaussian_matrix(rng, m, n)
+            k = 1 + trial % 3
+            w = rng.uniform(0.1, 1.0, n) if trial % 2 else np.ones(n)
+            if trial % 3 == 0:
+                w[rng.choice(n, 2, replace=False)] = 0.0
+            verdict = weighted_nsp_check(a, k, w)
+            q = np.linalg.svd(a)[2][m:].T  # independent kernel basis
+            d = q.shape[1]
+            wq = w[:, None] * q
+            a_ub = np.vstack([np.hstack([wq, -np.eye(n)]), np.hstack([-wq, -np.eye(n)]),
+                              np.append(np.zeros(d), np.ones(n))])
+            b_ub = np.append(np.zeros(2 * n), 1.0)
+            theta = 0.0
+            for t in combinations(range(n), k):
+                for s in itertools.product([-1.0, 1.0], repeat=k):
+                    cost = np.append(-(np.array(s) @ wq[list(t)]), np.zeros(n))
+                    lp = linprog(cost, A_ub=a_ub, b_ub=b_ub,
+                                 bounds=[(None, None)] * d + [(0, None)] * n, method="highs")
+                    assert lp.status == 0
+                    theta = max(theta, -lp.fun)
+            assert abs(verdict.margin - (1.0 - 2.0 * theta)) <= 1e-9
 
     def test_exact_mode_dim_cap(self):
-        with pytest.raises(CapExceededError):
-            weighted_nsp_check(np.ones((1, 4)), 1, np.ones(4))
+        # kernel dimension 13 in 26 columns: C(26, 12) = 9657700 vertex
+        # subsets, beyond the cap of 2,000,000; refused before enumerating
+        a = model.gen_gaussian_matrix(np.random.default_rng(72), 13, 26)
+        with pytest.raises(CapExceededError, match="vertex enumeration cap"):
+            weighted_nsp_check(a, 1, np.ones(26))
+        # one zero weight leaves C(25, 12) = 5200300 subsets
+        with pytest.raises(CapExceededError, match="C\\(25,12\\)"):
+            weighted_nsp_check(a, 1, np.append(0.0, np.ones(25)))
+
+    def test_kernel_dimension_3_answers(self):
+        # one row of four ones: each vertex is e_i - e_j, theta = 1/2
+        v = weighted_nsp_check(np.ones((1, 4)), 1, np.ones(4))
+        assert v.status == "fails"
+        assert abs(v.margin) <= 1e-12
+        assert v.enumerated == math.comb(4, 2)
+        assert np.abs(v.witness.kernel_vector).max() == pytest.approx(1 / math.sqrt(2))
 
     def test_near_tie_is_indeterminate(self):
         # kernel direction (0.6, 0.4 + 1e-10, -1): the off-support mass beats
@@ -184,23 +237,15 @@ class TestWeightedNsp:
         assert v.status == "indeterminate"
         assert 0 < v.margin <= 1e-9
 
-    def test_falsify_finds_tie(self):
-        v = weighted_nsp_check(np.array([[1.0, 1.0]]), 1, np.ones(2), mode="falsify")
-        assert v.status == "fails"
-        assert nsp_slack(v.witness.kernel_vector, v.witness.support, np.ones(2)) <= 1e-12
-
-    def test_falsify_on_good_matrix_indeterminate(self):
-        v = weighted_nsp_check(A_2x3, 1, np.ones(3), mode="falsify")
-        assert v.status == "indeterminate"
-        assert v.margin > 0
-
-    def test_falsify_high_dim_kernel(self):
-        rng = np.random.default_rng(73)
-        a = model.gen_gaussian_matrix(rng, 2, 6)  # kernel dimension 4
-        v = weighted_nsp_check(a, 2, np.ones(6), mode="falsify")
-        assert v.status in ("fails", "indeterminate")
-        if v.status == "fails":
-            assert nsp_slack(v.witness.kernel_vector, v.witness.support, np.ones(6)) <= 1e-9
+    def test_kernel_vector_without_weighted_mass_fails(self):
+        # column 2 is zero and weighs nothing, so e_2 is a kernel vector
+        # without weighted mass: the property fails at margin 0.  The
+        # witness support is its largest entry, so that h_T is not zero
+        a = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
+        v = weighted_nsp_check(a, 1, np.array([1.0, 1.0, 0.0, 1.0]))
+        assert (v.status, v.margin, v.enumerated) == ("fails", 0.0, 0)
+        assert v.witness.support == (2,)
+        assert np.abs(np.abs(v.witness.kernel_vector) - [0.0, 0.0, 1.0, 0.0]).max() <= 1e-12
 
 
 class TestPhaselessNsp:
@@ -310,19 +355,43 @@ class TestPhaselessNsp:
             assert worst - verdict.margin <= 1e-3
 
 
-@pytest.mark.parametrize("mode", ["exact", "falsify"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("check, a", [
-    (weighted_nsp_check, A_2x3),
-    (phaseless_nsp_check, np.random.default_rng(0).standard_normal((4, 3))),
+A_4x3 = np.random.default_rng(0).standard_normal((4, 3))
+
+
+# the weighted check is exact only; the phaseless one has both modes
+@pytest.mark.parametrize("check, a, bad, mode", [
+    pytest.param(check, a, bad, mode, id=f"{check.__name__}-{a_id}-{bad}-{mode}")
+    for check, a, a_id, modes in ((weighted_nsp_check, A_2x3, "a0", ["exact"]),
+                                  (phaseless_nsp_check, A_4x3, "a1", ["exact", "falsify"]))
+    for bad in (math.nan, math.inf, -math.inf) for mode in modes
 ])
 def test_nsp_checks_refuse_non_finite_weights(check, a, bad, mode):
     # a NaN weight once certified: its NaN margin passed the band test
+    kwargs = {} if check is weighted_nsp_check else {"mode": mode}
     with pytest.raises(ValueError, match="^w has non-finite entries$"):
-        check(a, 1, [bad, 1.0, 1.0], mode=mode)
+        check(a, 1, [bad, 1.0, 1.0], **kwargs)
     # the length message keeps its place ahead of the entries
     with pytest.raises(ValueError, match="^weight vector length"):
-        check(a, 1, [bad, 1.0], mode=mode)
+        check(a, 1, [bad, 1.0], **kwargs)
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda w: weighted_nsp_check(A_2x3, 1, w), id="weighted_nsp_check"),
+    pytest.param(lambda w: phaseless_nsp_check(A_4x3, 1, w), id="phaseless_nsp_check"),
+    pytest.param(lambda w: ExhaustiveL1Oracle(A_2x3).solve([1.0, 1.0], w),
+                 id="ExhaustiveL1Oracle.solve"),
+    pytest.param(lambda w: brute_force_weighted_l1(A_2x3, [1.0, 1.0], w),
+                 id="brute_force_weighted_l1"),
+    pytest.param(lambda w: brute_force_phaseless(A_2x3, [1.0, 1.0], w),
+                 id="brute_force_phaseless"),
+])
+def test_refuses_negative_weights(entry):
+    # with a negative weight ||.||_{1,w} is no norm: the null space checks
+    # once scored negative mass, and the oracles' basic solutions need not
+    # contain a minimiser (the program can be unbounded below)
+    with pytest.raises(ValueError, match="^w has negative entries$"):
+        entry([-1.0, 1.0, 1.0])
+    entry([-0.0, 1.0, 1.0])  # a signed zero is no negative weight
 
 
 def test_certificates_are_slotted():
@@ -465,6 +534,20 @@ class TestEquivalences:
             )
             yield x
 
+    def check_weighted(self, rng, oracle, k, w, verdict, count=3):
+        """Planted signals on every support are recovered uniquely where the
+        property holds; where it fails, the witness's ``h_T`` is not."""
+        a, n = oracle.a, oracle.n
+        if verdict.status == "holds-exact":
+            for t in combinations(range(n), k):
+                for x in self.draws(rng, t, n, count):
+                    assert recovers_uniquely(oracle.solve(a @ x, w), x)
+        else:
+            h, t = verdict.witness.kernel_vector, verdict.witness.support
+            xw = np.zeros(n)
+            xw[list(t)] = h[list(t)]
+            assert not recovers_uniquely(oracle.solve(a @ xw, w), xw)
+
     def test_weighted_equivalence_small(self):
         rng = np.random.default_rng(101)
         seen = set()
@@ -476,17 +559,43 @@ class TestEquivalences:
             verdict = weighted_nsp_check(a, k, w)
             assert verdict.status in ("holds-exact", "fails")
             seen.add(verdict.status)
-            oracle = ExhaustiveL1Oracle(a)
-            if verdict.status == "holds-exact":
-                for t in combinations(range(6), k):
-                    for x in self.draws(rng, t, 6):
-                        assert recovers_uniquely(oracle.solve(a @ x, w), x)
-            else:
-                h, t = verdict.witness.kernel_vector, verdict.witness.support
-                xw = np.zeros(6)
-                xw[list(t)] = h[list(t)]
-                assert not recovers_uniquely(oracle.solve(a @ xw, w), xw)
+            self.check_weighted(rng, ExhaustiveL1Oracle(a), k, w, verdict)
         assert seen == {"holds-exact", "fails"}  # the sample covers both kinds
+
+    def test_weighted_equivalence_kernel_dimensions_3_to_5(self):
+        # 5x8, 6x10 and 7x12 have kernel dimensions 3, 4 and 5; each weight
+        # vector puts omega on k random coordinates
+        rng = np.random.default_rng(107)
+        seen = set()
+        for m, n in 2 * [(5, 8), (6, 10), (7, 12)]:
+            a = model.gen_gaussian_matrix(rng, m, n)
+            oracle = ExhaustiveL1Oracle(a)
+            for k in (1, 2, 3):
+                for omega in (0.0, 0.5, 1.0):
+                    w = np.ones(n)
+                    w[rng.choice(n, k, replace=False)] = omega
+                    verdict = weighted_nsp_check(a, k, w)
+                    assert verdict.status in ("holds-exact", "fails")
+                    seen.add((n - m, verdict.status, omega))
+                    self.check_weighted(rng, oracle, k, w, verdict, count=1)
+        # both kinds at every kernel dimension, and holding with omega = 0
+        assert {(d, s) for d, s, _ in seen} == {
+            (d, s) for d in (3, 4, 5) for s in ("holds-exact", "fails")}
+        assert any(s == "holds-exact" and omega == 0.0 for _, s, omega in seen)
+
+    def test_weighted_equivalence_zero_weights(self):
+        # six zero-weight columns in five rows are dependent: a kernel vector
+        # lives on them alone, and the property fails at margin 0
+        rng = np.random.default_rng(109)
+        a = model.gen_gaussian_matrix(rng, 5, 8)
+        w = np.ones(8)
+        w[:6] = 0.0
+        for k in (1, 2, 3):
+            verdict = weighted_nsp_check(a, k, w)
+            assert (verdict.status, verdict.margin) == ("fails", 0.0)
+            h = verdict.witness.kernel_vector
+            assert np.abs(a @ h).max() <= 1e-10 and np.abs(h[6:]).max() <= 1e-10
+            self.check_weighted(rng, ExhaustiveL1Oracle(a), k, w, verdict)
 
     def test_phaseless_equivalence_curated(self):
         rng = np.random.default_rng(103)
@@ -544,11 +653,14 @@ def test_isometry_constants_ignore_column_signs(m, n, k, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(3, 7), st.sampled_from([1, 2]), st.sampled_from([1, 2]), SEEDS)
+@given(st.integers(3, 8), st.integers(1, 4), st.sampled_from([1, 2]), SEEDS)
 def test_weighted_nsp_depends_only_on_the_kernel(n, dim, k, seed):
     # the verdict is a function of ker A and w: G A (G invertible) has the same
     # kernel, and a column permutation or sign flip maps the kernel onto one
-    # with the same weighted magnitudes once w is permuted along
+    # with the same weighted magnitudes once w is permuted along; the margin
+    # comes from the vertices of the kernel's weighted-l1 ball, so it does
+    # not depend on the kernel basis either
+    dim = min(dim, n - 1)
     rng = np.random.default_rng(seed)
     a = model.gen_gaussian_matrix(rng, n - dim, n)
     w = rng.uniform(0.1, 1.0, n)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -296,15 +297,28 @@ class TestCertifyCommand:
         assert "row subset cap" in res.stderr
         assert json.loads(res.stdout)["caps_hit"] == ["row subset cap"]
 
-    def test_falsify_mode_skips_exact_cap(self):
-        # kernel dimension 4 refuses in exact mode but falsify still reports
+    def test_nsp_exact_at_kernel_dimension_4(self, capsys):
+        # the weighted check answers exactly at every kernel dimension, so
+        # it has no falsify mode; --mode falsify is for pnsp only
         exact = run_cli("certify", "--gaussian", "2", "6", "--seed", "4",
                         "--check", "nsp", "--k", "2")
-        assert exact.returncode == 3
-        falsify = run_cli("certify", "--gaussian", "2", "6", "--seed", "4",
-                          "--check", "nsp", "--k", "2", "--mode", "falsify")
-        assert falsify.returncode == 0
-        assert json.loads(falsify.stdout)["status"] in ("fails", "indeterminate")
+        assert exact.returncode == 0
+        report = json.loads(exact.stdout)
+        assert report["status"] == "fails"
+        assert report["enumerated_count"] == math.comb(6, 3)
+        code = cli.main(["certify", "--gaussian", "2", "6", "--seed", "4",
+                         "--check", "nsp", "--k", "2", "--mode", "falsify"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --mode falsify applies to --check pnsp only\n"
+
+    @pytest.mark.parametrize("check, shape", [("nsp", ["2", "3"]), ("pnsp", ["4", "3"])])
+    def test_refuses_negative_weight(self, capsys, check, shape):
+        code = cli.main(["certify", "--gaussian", *shape, "--seed", "1", "--check", check,
+                         "--k", "1", "--omega", "-1", "--estimate", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: w has negative entries\n"
 
     def test_srip_two_rows(self, tmp_path):
         path = tmp_path / "ones.txt"
@@ -343,6 +357,15 @@ class TestOracleCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {name} ")
+
+    @pytest.mark.parametrize("args", [["--y", "1,0,2"], ["--x", "1,0,2", "--phaseless"]])
+    def test_refuses_negative_weight(self, capsys, args):
+        code = cli.main(["oracle", "--identity", "3", "--omega", "-0.5", "--estimate", "1",
+                         *args])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: w has negative entries\n"
 
 
 def test_eigensolver_failure_is_solver_exit(monkeypatch, capsys, tmp_path):

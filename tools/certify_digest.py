@@ -8,7 +8,8 @@ and BLAS is pinned to one thread.  To compare two checkouts, run the script
 in each (copy it into a checkout that lacks it) and compare the printed
 lines: equal digests mean that every verdict, margin, witness, count,
 minimiser set and refusal is bitwise equal.  The script only calls the
-certifiers with their required arguments and ``mode``.
+certifiers with their required arguments, and ``phaseless_nsp_check`` also
+with ``mode``.
 
 Inputs, all drawn from fixed seeds:
 
@@ -17,9 +18,12 @@ Inputs, all drawn from fixed seeds:
   oracle on planted signals and on the witness; ``rip_constant`` on 12x12 at
   k=6; ``srip_bounds`` on 10x8 at k=2; exact ``phaseless_nsp_check`` on 12x7
   at k=7; ``brute_force_phaseless`` on 6x12 with a planted 2-sparse signal;
-- random small cases of every certifier, in exact and falsify mode;
+- random small cases of every certifier, the phaseless check in exact and
+  falsify mode;
+- weighted NSP checks at kernel dimensions 3 to 5 (5x8, 6x10 and 7x12 at k
+  up to 3, omega in {0, 0.5, 1}), from a generator of their own;
 - inputs that each certifier refuses (caps, bad orders, weight lengths and
-  modes), recorded as the exception type and message.
+  entries, modes), recorded as the exception type and message.
 
 Serialisation: floats via ``float.hex``, arrays via dtype, shape and
 ``tobytes``, dataclasses field by field, sequences element by element, an
@@ -152,8 +156,7 @@ def random_small(d: Digest, rng):
         a = gaussian(rng, m, n)
         k = int(rng.integers(1, n + 1))
         w = rng.uniform(0.0, 1.0, n) if rng.random() < 0.5 else np.ones(n)
-        for mode in ("exact", "falsify"):
-            d.call("weighted_nsp_check", certify.weighted_nsp_check, a, k, w, mode=mode)
+        d.call("weighted_nsp_check", certify.weighted_nsp_check, a, k, w)
         oracle_cases(d, a, w, [planted(rng, n, sorted(rng.choice(n, k, replace=False)))])
     for _ in range(30):
         n = int(rng.integers(2, 5))
@@ -167,6 +170,16 @@ def random_small(d: Digest, rng):
         res = d.call("brute_force_phaseless", certify.brute_force_phaseless,
                      a, np.abs(a @ x), w)
         d.call("brute_force_phaseless", certify.recovers_uniquely, res, x, up_to_sign=True)
+
+
+def weighted_kernels(d: Digest, rng):
+    for m, n in 3 * [(5, 8), (6, 10), (7, 12)]:
+        a = gaussian(rng, m, n)
+        for k in (1, 2, 3):
+            for omega in (0.0, 0.5, 1.0):
+                w = np.ones(n)
+                w[rng.choice(n, size=k, replace=False)] = omega
+                d.call("weighted_nsp_check", certify.weighted_nsp_check, a, k, w)
 
 
 def edge_cases(d: Digest):
@@ -184,9 +197,10 @@ def edge_cases(d: Digest):
                     (np.array([[1.0, 1.0]]), 1, np.ones(2)),
                     (np.array([[1.0, 1.0, 1.0]]), 1, np.ones(3)),
                     (np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.4 + 1e-10]]), 1, np.ones(3)),
-                    (np.eye(3), 1, np.ones(2)), (np.eye(3), 0, np.ones(3))):
-        for mode in ("exact", "falsify", "other"):
-            d.call("weighted_nsp_check", certify.weighted_nsp_check, a, k, w, mode=mode)
+                    (np.eye(3), 1, np.ones(2)), (np.eye(3), 0, np.ones(3)),
+                    (np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), 1, [-1.0, 1.0, 1.0]),
+                    (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 1, [0.0, 1.0, 1.0])):
+        d.call("weighted_nsp_check", certify.weighted_nsp_check, a, k, w)
     for a, k, w in ((spark, 1, np.ones(2)), (fail, 2, np.ones(2)), (np.eye(2), 1, np.ones(2)),
                     (np.eye(2), 2, np.ones(2)), (np.ones((13, 2)), 1, np.ones(2)),
                     (np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]]), 1, np.ones(4)),
@@ -212,6 +226,7 @@ def main() -> None:
     for seed in (1, 2, 3):
         batch_shapes(d, np.random.default_rng(seed))
     random_small(d, np.random.default_rng(11))
+    weighted_kernels(d, np.random.default_rng(12))
     edge_cases(d)
     print(d.report())
 
