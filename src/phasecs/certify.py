@@ -1,19 +1,20 @@
 """Exact certification of sparse recovery conditions on small instances.
 
 Provides exhaustive computation of restricted isometry constants (plain and
-row-subset variants), exact checks of the weighted null space property,
-exact and falsification checks of its phaseless counterpart, and
-brute-force weighted-l1 minimization oracles that ground-truth uniqueness of
-recovery.
+row-subset variants), exact checks of the weighted null space property and
+of its phaseless counterpart, and brute-force weighted-l1 minimization
+oracles that ground-truth uniqueness of recovery.
 
 Exactness notes.  The null space property is an open (strict) condition, so
 verdicts are margin based: a computed worst-case slack of at most 0 is a
 failure, a slack inside ``(0, TOL.nsp_margin_band]`` is reported
 indeterminate (the strict inequality cannot be certified in floating point),
-and anything above the band certifiably holds.  The weighted check reports
-the slack of kernel vectors normalised to unit ``||.||_{1,w}``, which is
-``1 - 2 theta`` for the null space constant ``theta``; the phaseless check
-reports it for unit-l2-normalized kernel vectors.
+and anything above the band certifiably holds.  Both checks maximise a
+convex ratio over the vertices of a weighted-l1 unit ball on a subspace,
+from one vertex enumerator.  The weighted check reports the slack of kernel
+vectors normalised to unit ``||.||_{1,w}``, which is ``1 - 2 theta`` for the
+null space constant ``theta``; the phaseless check reports the slack of
+pairs ``(u, v)`` normalised to unit ``||u - v||_{1,w}``.
 
 The brute-force oracles enumerate basic solutions (candidates supported on
 at most ``min(m, N)`` columns), which contains every vertex of the optimal
@@ -31,27 +32,23 @@ The enumeration caps are fixed; beyond one, a check refuses with
 :class:`CapExceededError` and never falls back to sampling.  They are
 2,000,000 supports (``rip_constant``, ``srip_bounds``), 2,000,000
 (d-1)-subsets of the positive-weight coordinates at kernel dimension d
-(``weighted_nsp_check``), 14 rows (``srip_bounds``,
-``brute_force_phaseless``), 12 rows (``phaseless_nsp_check``), 12 columns
-(the l1 oracles) and, in exact mode, one-dimensional kernels on both blocks
-of a row split (``phaseless_nsp_check``).  Its falsify mode draws from a
-generator seeded with 0, 5 draws per row split and support.
+(``weighted_nsp_check``) and at pair-space dimension d, summed over row
+splits and supports (``phaseless_nsp_check``), 14 rows (``srip_bounds``,
+``brute_force_phaseless``), 12 rows (``phaseless_nsp_check``) and 12
+columns (the l1 oracles).  Supports and subsets are drawn in chunks of at
+most 8192 stacked entries, so no table of them is ever built whole.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .linalg import TOL, _finite, as_matrix, eig_sym, kernel_basis
 from .model import canonical_sign, weighted_l1
-
-_TWO_PI = 2.0 * math.pi
-_QUARTERS = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
-_QUARTERS_AND_TWO_PI = np.append(_QUARTERS, _TWO_PI)
 
 
 class CapExceededError(RuntimeError):
@@ -164,7 +161,8 @@ def _half_subsets(m: int):
 
 
 def _split_kernels(a: np.ndarray):
-    """``(rows, ker_S, ker_complement)`` for each half subset ``S`` of the rows.
+    """``(rows, ker_S, ker_complement)`` for each half subset ``S`` of the
+    rows where both kernels are nontrivial.
 
     The kernel of an empty row block is the whole space, ``np.eye(N)``.
     """
@@ -174,47 +172,52 @@ def _split_kernels(a: np.ndarray):
         mask[list(rows)] = True
         a_s, a_c = a[mask, :], a[~mask, :]
         ker_s = kernel_basis(a_s) if a_s.shape[0] else np.eye(n)
+        if ker_s.shape[1] == 0:
+            continue
         ker_c = kernel_basis(a_c) if a_c.shape[0] else np.eye(n)
-        yield rows, ker_s, ker_c
-
-
-def _supports(n: int, k: int) -> np.ndarray:
-    """The k-subsets of ``range(n)`` in lexicographic order, one per row."""
-    count = math.comb(n, k)
-    flat = chain.from_iterable(combinations(range(n), k))
-    return np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+        if ker_c.shape[1]:
+            yield rows, ker_s, ker_c
 
 
 _STACK_CHUNK_ENTRIES = 8192  # entries of the stacked A_T per LAPACK call (64 KB)
 
 
-def _column_stacks(a: np.ndarray, supports: np.ndarray):
-    """``(chunk, cols)`` for consecutive chunks of the rows of ``supports``:
-    ``cols[i]`` is ``a[:, chunk[i]]``, stacked.
+def _column_stacks(a: np.ndarray, k: int):
+    """``(chunk, cols)`` for consecutive chunks of the k-subsets of the
+    columns of ``a``, in lexicographic order: ``chunk`` holds one subset
+    ``T`` per row and ``cols[i]`` is ``a[:, chunk[i]]``, stacked.
 
-    Each ``A_T`` is laid out C-contiguous, as ``a[:, T]`` is, so a stacked
-    LAPACK call or product on ``cols`` rounds exactly as one call per
-    support does.  Chunks keep every temporary of a call small, so a large
-    enumeration does not leave a large, mostly free heap behind.
+    The subsets are drawn chunk by chunk, so neither they nor the stacks
+    take more than a chunk's memory, however many there are.  Each ``A_T``
+    is laid out C-contiguous, as ``a[:, T]`` is, so a stacked LAPACK call or
+    product on ``cols`` rounds exactly as one call per support does.
     """
-    step = max(1, _STACK_CHUNK_ENTRIES // max(a.shape[0] * supports.shape[1], 1))
-    for start in range(0, len(supports), step):
-        chunk = supports[start:start + step]
+    step = max(1, _STACK_CHUNK_ENTRIES // max(a.shape[0] * k, 1))
+    subsets = chain.from_iterable(combinations(range(a.shape[1]), k))
+    while (chunk := np.fromiter(islice(subsets, step * k), dtype=np.intp).reshape(-1, k)).size:
         yield chunk, np.ascontiguousarray(a[:, chunk].transpose(1, 0, 2))
 
 
-def _gram_spectra(a: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Eigenvalues of ``A_T^T A_T``, descending, one row per row ``T`` of
-    ``supports``, from one stacked ``eig_sym`` call per chunk of supports."""
-    return np.concatenate([eig_sym(cols.transpose(0, 2, 1) @ cols).eigenvalues
-                           for _, cols in _column_stacks(a, supports)])
+def _first_max(a: np.ndarray, k: int, score) -> tuple[float, tuple[int, ...]]:
+    """The largest ``score`` of the spectra of ``A_T^T A_T`` (eigenvalues
+    descending, one row per support) over the k-subsets ``T`` of the
+    columns, and the first ``T`` in lexicographic order attaining it.  One
+    stacked ``eig_sym`` call per chunk of supports."""
+    best, where = -math.inf, None
+    for chunk, cols in _column_stacks(a, k):
+        scores = score(eig_sym(cols.transpose(0, 2, 1) @ cols).eigenvalues)
+        # argmax and the strict test keep the first maximum
+        j = int(np.argmax(scores))
+        if scores[j] > best:
+            best, where = float(scores[j]), tuple(chunk[j].tolist())
+    return best, where
 
 
 # ---------------------------------------------------------------------------
 # Restricted isometry constants
 # ---------------------------------------------------------------------------
 
-_SUPPORT_CAP = 2_000_000  # supports (rip_constant, srip_bounds), subsets (weighted_nsp_check)
+_SUPPORT_CAP = 2_000_000  # supports (rip_constant, srip_bounds), subsets (the NSP checks)
 _SRIP_ROW_CAP = 14
 
 
@@ -230,12 +233,8 @@ def rip_constant(a, k: int) -> RipReport:
     count = math.comb(n, k)
     if count > _SUPPORT_CAP:
         raise CapExceededError("support enumeration cap", f"C({n},{k})={count} > {_SUPPORT_CAP}")
-    supports = _supports(n, k)
-    deltas = np.abs(_gram_spectra(a, supports) - 1.0).max(axis=1)
-    # argmax returns the first maximum: ties keep the earliest support
-    best = int(np.argmax(deltas))
-    return RipReport(order=k, delta=float(deltas[best]),
-                     delta_support=tuple(supports[best].tolist()), enumerated=count)
+    delta, support = _first_max(a, k, lambda lam: np.abs(lam - 1.0).max(axis=1))
+    return RipReport(order=k, delta=delta, delta_support=support, enumerated=count)
 
 
 def srip_bounds(a, k: int) -> RipReport:
@@ -254,123 +253,22 @@ def srip_bounds(a, k: int) -> RipReport:
     n_supports = math.comb(n, k)
     if n_supports > _SUPPORT_CAP:
         raise CapExceededError("support enumeration cap", f"C({n},{k})={n_supports}")
-    supports = _supports(n, k)
-    # argmax, argmin and the strict test keep the first extremum: ties keep
-    # the earliest candidate, row subsets before supports
-    upper = _gram_spectra(a, supports)[:, 0]
-    upper_j = int(np.argmax(upper))
+    # the first extremum wins: ties keep the earliest candidate, row subsets
+    # before supports; negation is exact, so the least eigenvalue is the
+    # negated first maximum of its negation
+    theta_plus, upper_support = _first_max(a, k, lambda lam: lam[:, 0])
     subsets = list(combinations(range(m), (m + 1) // 2))
-    theta_minus = math.inf
-    for rows in subsets:
-        lower = _gram_spectra(a[list(rows), :], supports)[:, -1]
-        j = int(np.argmin(lower))
-        if lower[j] < theta_minus:
-            theta_minus, lower_j, lower_rows = float(lower[j]), j, rows
+    lower = max((_first_max(a[list(rows), :], k, lambda lam: -lam[:, -1]) + (rows,)
+                 for rows in subsets), key=lambda found: found[0])
     return RipReport(
         order=k,
-        theta_minus=theta_minus,
-        theta_plus=float(upper[upper_j]),
-        lower_support=tuple(supports[lower_j].tolist()),
-        lower_rows=lower_rows,
-        upper_support=tuple(supports[upper_j].tolist()),
+        theta_minus=-lower[0],
+        theta_plus=theta_plus,
+        lower_support=lower[1],
+        lower_rows=lower[2],
+        upper_support=upper_support,
         enumerated=n_supports * (len(subsets) + 1),
     )
-
-
-# ---------------------------------------------------------------------------
-# Piecewise-trigonometric minimization over the unit circle
-# ---------------------------------------------------------------------------
-#
-# The exact phaseless check reduces, on each row split with one-dimensional
-# kernels on both blocks, to minimizing
-#     g(phi) = sum_j coef_j |xs_j cos(phi) + ys_j sin(phi)|
-# over the circle.  Between consecutive zeros of the terms the sign pattern
-# is constant and g is a single sinusoid a cos(phi) + b sin(phi), so the
-# minimum over each closed arc is attained at an endpoint or at the interior
-# stationary angle.  Evaluating those candidates is exact up to roundoff.
-#
-# The evaluation is vectorised: one call builds every candidate of every arc
-# and evaluates g on all of them with array operations, one row per angle.
-# It keeps the operations and their order of a loop over the candidates
-# (cos/sin and atan2 from ``math``, the same elementwise products, a
-# row-wise pairwise sum, the first minimum in candidate order), so value,
-# angle and candidate count are bitwise those of that loop; the scalar loop
-# is kept in the tests as the reference.
-
-
-def _breakpoints(xs: np.ndarray, ys: np.ndarray, extra=()) -> np.ndarray:
-    """Sorted angles in [0, 2pi) where some term ``xs_j cos + ys_j sin`` vanishes."""
-    angles = list(extra)
-    for xj, yj in zip(xs, ys):
-        if math.hypot(xj, yj) <= TOL.struct_zero:
-            continue
-        base = math.atan2(yj, xj) + 0.5 * math.pi
-        angles.append(base % _TWO_PI)
-        angles.append((base + math.pi) % _TWO_PI)
-    if not angles:
-        return np.empty(0)
-    angles = np.sort(np.asarray(angles, dtype=float))
-    keep = [angles[0]]
-    for phi in angles[1:]:
-        if phi - keep[-1] > 1e-12:
-            keep.append(phi)
-    if keep[0] + _TWO_PI - keep[-1] <= 1e-12 and len(keep) > 1:
-        keep.pop()
-    return np.asarray(keep)
-
-
-def _cos_sin(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns ``cos(phi)`` and ``sin(phi)``, shape (len, 1), from ``math``:
-    numpy's vectorised cos/sin may round differently on another CPU."""
-    phis = phis.tolist()
-    return (np.array([math.cos(p) for p in phis])[:, None],
-            np.array([math.sin(p) for p in phis])[:, None])
-
-
-def _circle_min(coef, xs, ys, angles, keep=None, arc_ok: bool = True):
-    """Minimize ``sum coef |xs cos + ys sin|`` over candidate angles and arcs.
-
-    ``keep`` (a boolean mask over ``angles``) filters breakpoint candidates;
-    ``arc_ok`` gates interior candidates.  Returns ``(min_value, argmin_phi,
-    n_candidates)``; the value is None when every candidate was filtered out.
-    """
-    # candidates in loop order: the kept breakpoints, then for each arc its
-    # midpoint if g is constant there, else its stationary angle and that
-    # angle plus 2pi where they fall inside the arc; `wrap` marks the
-    # stationary ones, which are reported reduced to [0, 2pi)
-    cands = [angles if keep is None else angles[keep]]
-    wrap = [np.zeros(len(cands[0]), dtype=bool)]
-    if arc_ok:
-        if len(angles) == 0:
-            lo, hi = np.array([0.0]), np.array([_TWO_PI])
-        else:
-            lo, hi = angles, np.append(angles[1:], angles[0] + _TWO_PI)
-        wide = hi - lo > 1e-12
-        lo, hi = lo[wide], hi[wide]
-        mid = 0.5 * (lo + hi)
-        c, s = _cos_sin(mid)
-        weighted = coef * np.sign(xs * c + ys * s)
-        aa = (weighted * xs).sum(axis=-1)
-        bb = (weighted * ys).sum(axis=-1)
-        flat = (aa == 0.0) & (bb == 0.0)
-        star = np.array([math.atan2(-b, -a) % _TWO_PI
-                         for a, b in zip(aa.tolist(), bb.tolist())])
-        per_arc = np.column_stack([np.where(flat, mid, star), star + _TWO_PI])
-        inside = (lo[:, None] + 1e-12 < per_arc) & (per_arc < hi[:, None] - 1e-12)
-        inside[:, 0] |= flat
-        inside[:, 1] &= ~flat
-        cands.append(per_arc[inside])
-        wrap.append(np.column_stack([~flat, np.ones_like(flat)])[inside])
-    cands = np.concatenate(cands)
-    if cands.size == 0:
-        return None, None, 0
-    c, s = _cos_sin(cands)
-    vals = (coef * np.abs(xs * c + ys * s)).sum(axis=-1)
-    best = int(np.argmin(vals))  # the first minimum, as the strict loop keeps
-    phi = float(cands[best])
-    if np.concatenate(wrap)[best]:
-        phi %= _TWO_PI
-    return float(vals[best]), phi, int(cands.size)
 
 
 # ---------------------------------------------------------------------------
@@ -391,31 +289,31 @@ def _worst_support(h: np.ndarray, w: np.ndarray, k: int) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in order[:k]))
 
 
-def _kernel_vertices(kernel: np.ndarray, rows: np.ndarray):
-    """Vertex directions of ``{h in ker A : ||h||_{1,w} <= 1}``, one stack
-    of unit kernel vectors per chunk of subsets.
+def _kernel_vertices(coords: np.ndarray, rows: np.ndarray, basis: np.ndarray):
+    """Vertex directions of ``{basis c : ||coords c||_{1,w} <= 1}``, one
+    stack per chunk of subsets, with the subsets that define them.
 
-    ``kernel`` is an orthonormal basis ``Q`` of dimension ``d`` and ``rows``
-    the positive-weight coordinates.  Every vertex vanishes on some
-    (d-1)-subset ``Z`` of ``rows`` where ``Q[Z]`` has rank d - 1, so for each
-    such ``Z`` the null vector ``c`` of ``Q[Z]`` gives the candidate ``Q c``,
-    with its entries on ``Z`` set to exact zeros; d = 1 gives the kernel
-    line itself.  Each chunk is one stacked SVD.
+    ``coords`` has orthonormal columns (dimension d), ``rows`` are its
+    positive-weight rows and ``basis`` maps the same coefficients ``c`` to
+    the vectors wanted.  Every vertex has ``coords c`` vanishing on some
+    (d-1)-subset ``Z`` of ``rows`` where ``coords[Z]`` has rank d - 1, so for
+    each such ``Z`` the unit null vector ``c`` of ``coords[Z]`` gives the
+    candidate ``basis c``; d = 1 gives the line itself.  Yields ``(stack,
+    zeros)``: one candidate per row of ``stack``, and its ``Z``, as rows of
+    ``coords``, per row of ``zeros``.  Each chunk is one stacked SVD.
     """
-    dim = kernel.shape[1]
+    dim = coords.shape[1]
     if dim == 1:
-        yield kernel.T
+        yield basis.T, np.empty((1, 0), dtype=np.intp)
         return
-    # subsets index into rows, so the table has one copy
-    for chunk, cols in _column_stacks(kernel[rows].T, _supports(rows.size, dim - 1)):
-        # cols[i] is Q[Z]^T, (d, d-1): its left null vector is the last column
-        # of u; Q has orthonormal columns, so the singular values are at most 1
+    for chunk, cols in _column_stacks(coords[rows].T, dim - 1):
+        # cols[i] is coords[Z]^T, (d, d-1): its left null vector is the last
+        # column of u; coords has orthonormal columns, so the singular values
+        # are at most 1
         u, sing, _ = np.linalg.svd(cols)
         full = sing[:, -1] > TOL.struct_zero
         if full.any():
-            h = u[full, :, -1] @ kernel.T
-            np.put_along_axis(h, rows[chunk[full]], 0.0, axis=1)
-            yield h
+            yield u[full, :, -1] @ basis.T, rows[chunk[full]]
 
 
 def weighted_nsp_check(a, k: int, w) -> NspVerdict:
@@ -449,7 +347,8 @@ def weighted_nsp_check(a, k: int, w) -> NspVerdict:
         if count > _SUPPORT_CAP:
             raise CapExceededError("vertex enumeration cap",
                                    f"C({positive.size},{dim - 1})={count} > {_SUPPORT_CAP}")
-        for h in _kernel_vertices(kernel, positive):
+        for h, zeros in _kernel_vertices(kernel, positive, kernel):
+            np.put_along_axis(h, zeros, 0.0, axis=1)
             mass = w * np.abs(h)
             top = np.partition(mass, n - k, axis=1)[:, n - k:].sum(axis=1)
             ratios = top / mass.sum(axis=1)
@@ -471,122 +370,137 @@ def weighted_nsp_check(a, k: int, w) -> NspVerdict:
 # Phaseless weighted null space property
 # ---------------------------------------------------------------------------
 
-
-def _phaseless_pair(u0, v0, k, w):
-    """Exact minimum slack for one-dimensional kernels on either row block.
-
-    Pairs (u, v) = (cos phi u0, sin phi v0) cover all candidates up to joint
-    positive scaling.  Angles with cos phi = 0 or sin phi = 0 make u or v
-    zero and are excluded as constraints; the sparsity filter keeps only
-    angles where u + v has at most k nonzero coordinates.  Support can drop
-    below the generic count only at term breakpoints, so arcs are feasible
-    or not as a whole.  Returns (min_slack, argmin_phi, n_candidates).
-    """
-    n = u0.size
-    active = np.flatnonzero(np.maximum(np.abs(u0), np.abs(v0)) > TOL.struct_zero)
-    n_active = active.size
-    arc_feasible = n_active <= k
-
-    # slack terms: |q_i| with weight +w_i, |p_i| with weight -w_i,
-    # where p = u0 cos + v0 sin and q = u0 cos - v0 sin
-    xs = np.concatenate([u0, u0])
-    ys = np.concatenate([-v0, v0])
-    coef = np.concatenate([w, -w])
-
-    angles = _breakpoints(xs, ys, extra=_QUARTERS)
-
-    # a breakpoint is a candidate when it is no quarter angle and u + v has
-    # at most k coordinates above the structural zero there
-    excluded = (np.abs(angles[:, None] % _TWO_PI - _QUARTERS_AND_TWO_PI) <= 1e-9).any(axis=1)
-    c, s = _cos_sin(angles)
-    support = (np.abs(u0[active] * c + v0[active] * s) > TOL.struct_zero).sum(axis=1)
-    return _circle_min(coef, xs, ys, angles, keep=~excluded & (support <= k),
-                       arc_ok=arc_feasible)
-
-
 _PNSP_ROW_CAP = 12
 
 
-def phaseless_nsp_check(a, k: int, w, mode: str = "exact") -> NspVerdict:
+def _zero(x: np.ndarray) -> np.ndarray:
+    """Which rows of ``x`` have no entry above ``TOL.struct_zero``."""
+    return np.abs(x).max(axis=-1, initial=0.0) <= TOL.struct_zero
+
+
+def _disjoint_pair(us: list, vs: list, positive: np.ndarray):
+    """A ``u`` of ``us`` and a ``v`` of ``vs`` whose positive-weight
+    supports are disjoint, with their entries of at most ``TOL.struct_zero``
+    set to zero; None when there is no such pair."""
+    found = []
+    for x in (np.concatenate(us), np.concatenate(vs)):
+        # one row per distinct support
+        support, first = np.unique(np.abs(x[:, positive]) > TOL.struct_zero, axis=0,
+                                   return_index=True)
+        found.append((support.astype(float), np.where(np.abs(x) > TOL.struct_zero, x, 0.0)[first]))
+    (su, us), (sv, vs) = found
+    hits = np.argwhere(su @ sv.T == 0.0)
+    if not hits.size:
+        return None
+    i, j = hits[0]
+    return us[i], vs[j]
+
+
+def phaseless_nsp_check(a, k: int, w) -> NspVerdict:
     """Check the phaseless weighted null space property of order ``k``.
 
     For every split of the rows into (S, complement), every pair of nonzero
-    kernel vectors u of the S-block and v of the complement block with
-    ``u + v`` k-sparse must satisfy the strict weighted inequality
-    ``||u + v||_{1,w} < ||u - v||_{1,w}``.  Splits where either kernel is
-    trivial impose no constraint.  Exact mode requires both kernels to be
-    one-dimensional whenever both are nontrivial and refuses otherwise.
+    vectors u in the kernel of the S-block and v in that of the complement
+    block with ``u + v`` k-sparse must satisfy the strict inequality
+    ``||u + v||_{1,w} < ||u - v||_{1,w}``; splits where either kernel is
+    trivial impose nothing.  For each split and each support ``T`` with
+    ``|T| = k`` the pairs with ``u + v`` on ``T`` form a subspace ``L``.
+    With ``p = u + v`` and ``q = u - v``, ``||p||_{1,w}`` is convex on the
+    polytope ``P = {(u, v) in L : ||q||_{1,w} <= 1}``, so its largest ratio
+    to ``||q||_{1,w}`` is attained at a vertex of ``P``; the vertices come
+    from the enumerator of ``weighted_nsp_check``, one per (d-1)-subset of
+    the positive-weight coordinates of ``q`` at ``d = dim L``.  The margin
+    is ``1 - max ||p||_{1,w} / ||q||_{1,w}`` over the vertices with both
+    parts nonzero, the worst slack normalised by ``||u - v||_{1,w}``;
+    vertices with ``u = 0`` or ``v = 0`` (slack exactly 0) are dropped.
+
+    Faces of ``P`` all of whose vertices are dropped are enumerated through
+    their vertex pairs.  Such a face with both kinds of vertex holds pairs
+    with both parts nonzero, and since ``||p||_{1,w}`` is convex and at most
+    1 on it, one of them has slack 0 only if ``||p||_{1,w} = 1`` on the
+    whole face.  Along the segment from a vertex ``(u1, 0)`` to a vertex
+    ``(0, v2)`` of the face, ``||q||_{1,w} = 1`` says that ``u1`` and ``v2``
+    nowhere have opposite signs on the positive weights, and
+    ``||p||_{1,w} = 1`` that they nowhere have the same sign, so their
+    positive-weight supports are disjoint; conversely such a pair
+    ``(u1, v2)`` is itself a violation at slack 0.  So for each ``(S, T)``
+    every dropped vertex with ``v = 0`` is tested against every one with
+    ``u = 0`` for disjoint supports, and a hit fails at margin 0 with that
+    pair (entries at most ``TOL.struct_zero`` set to zero) as the witness.
+
+    ``||q||_{1,w}`` need not be a norm on ``L``.  If a pair in ``L`` with
+    both parts nonzero has ``q`` on zero-weight coordinates only, the check
+    fails at once at margin -inf (for positive weights, ``u = v`` is then a
+    k-sparse kernel vector of ``A``).  Otherwise those pairs all have
+    ``u = 0``, or all ``v = 0``, and move neither norm; ``P`` is taken on
+    their orthogonal complement in ``L``, and they join the dropped vertices
+    of their kind, so that a vertex of the other kind fails at margin 0.
+
+    A matrix without such splits holds vacuously (margin inf).  The witness
+    of a vertex is the pair as evaluated, ``||u - v||_2 = 1`` on the
+    positive weights.  Refuses more than 12 rows, negative weights, and
+    more than 2,000,000 subsets over all ``(S, T)``.
     """
     a = as_matrix(a)
     m, n = a.shape
     w = _check_order(k, n, w)
     if m > _PNSP_ROW_CAP:
         raise CapExceededError("row split cap", f"m={m} > {_PNSP_ROW_CAP}")
-    if mode == "falsify":
-        return _phaseless_falsify(a, k, w)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    best = math.inf
-    best_witness: PhaselessWitness | None = None
-    total = 0
-    for rows, ker_s, ker_c in _split_kernels(a):
-        dims = (ker_s.shape[1], ker_c.shape[1])
-        if dims[0] == 0 or dims[1] == 0:
-            continue
-        if dims != (1, 1):
-            raise CapExceededError(
-                "exact kernel pair cap",
-                f"row split {rows} has kernel dimensions {dims}; use mode='falsify'",
-            )
-        u0 = ker_s[:, 0] / np.linalg.norm(ker_s[:, 0])
-        v0 = ker_c[:, 0] / np.linalg.norm(ker_c[:, 0])
-        val, phi, n_cand = _phaseless_pair(u0, v0, k, w)
-        total += n_cand
-        if val is not None and val < best:
-            best = val
-            best_witness = PhaselessWitness(
-                math.cos(phi) * u0, math.sin(phi) * v0, rows
-            )
-    if best_witness is None:
-        return NspVerdict("holds-exact", math.inf, None, total)
-    return _classify(best, best_witness, total)
-
-
-def _phaseless_falsify(a: np.ndarray, k: int, w: np.ndarray) -> NspVerdict:
-    n = a.shape[1]
-    rng = np.random.default_rng(0)
-    best = math.inf
-    best_witness: PhaselessWitness | None = None
-    evals = 0
-    supports = list(combinations(range(n), k))
+    positive = np.flatnonzero(w > 0.0)
+    worst, witness, total = math.inf, None, 0
     for rows, ker_s, ker_c in _split_kernels(a):
         du, dv = ker_s.shape[1], ker_c.shape[1]
-        if du == 0 or dv == 0:
-            continue
-        stacked = np.hstack([ker_s, ker_c])
-        for t in supports:
-            off = np.setdiff1d(np.arange(n), t)
-            coeff_space = kernel_basis(stacked[off, :]) if off.size else np.eye(du + dv)
-            if coeff_space.shape[1] == 0:
+        # coefficients x = (alpha, beta) stand for (u, v) = (ker_s alpha, ker_c beta)
+        pair = np.zeros((2 * n, du + dv))
+        pair[:n, :du], pair[n:, du:] = ker_s, ker_c
+        sum_map, diff_map = pair[:n] + pair[n:], (pair[:n] - pair[n:])[positive]
+        for t in combinations(range(n), k):
+            off = np.ones(n, dtype=bool)
+            off[list(t)] = False
+            span = kernel_basis(sum_map[off]) if off.any() else np.eye(du + dv)
+            if span.shape[1] == 0:
                 continue
-            for _ in range(5):
-                c = coeff_space @ rng.standard_normal(coeff_space.shape[1])
-                u = ker_s @ c[:du]
-                v = ker_c @ c[du:]
-                nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-                if nu <= 1e-10 or nv <= 1e-10:
-                    continue
-                scale = math.hypot(nu, nv)
-                u, v = u / scale, v / scale
-                slack = phaseless_slack(u, v, w)
-                evals += 1
-                if slack < best:
-                    best = slack
-                    best_witness = PhaselessWitness(u, v, rows)
-    if evals and best <= 0.0:
-        return NspVerdict("fails", best, best_witness, evals)
-    return NspVerdict("indeterminate", best if evals else math.inf, None, evals)
+            left, sing, vt = np.linalg.svd(diff_map @ span)
+            rank = int(np.count_nonzero(sing > TOL.struct_zero))
+            # pairs of L whose q has no weighted mass, as columns (u; v)
+            flat = pair @ span @ vt[rank:].T
+            u_zero, v_zero = _zero(flat[:n].T), _zero(flat[n:].T)
+            if not u_zero.all() and not v_zero.all():
+                # a column with u != 0, one with v != 0, or else their sum
+                # has both parts nonzero
+                i, j = int(np.argmin(u_zero)), int(np.argmin(v_zero))
+                for x in (flat[:, i], flat[:, j], flat[:, i] + flat[:, j]):
+                    if not (_zero(x[:n]) or _zero(x[n:])):
+                        return NspVerdict("fails", -math.inf,
+                                          PhaselessWitness(x[:n], x[n:], rows), total)
+            only_u, only_v = [flat[:n, v_zero].T], [flat[n:, u_zero].T]
+            if rank:
+                total += math.comb(positive.size, rank - 1)
+                if total > _SUPPORT_CAP:
+                    raise CapExceededError("vertex enumeration cap",
+                                           f"over {_SUPPORT_CAP} subsets by row split {rows}")
+                basis = pair @ span @ (vt[:rank].T / sing[:rank])
+                for uv, _ in _kernel_vertices(left[:, :rank], np.arange(positive.size), basis):
+                    u, v = uv[:, :n], uv[:, n:]
+                    u_zero, v_zero = _zero(u), _zero(v)
+                    only_u.append(u[v_zero])
+                    only_v.append(v[u_zero])
+                    keep = ~(u_zero | v_zero)
+                    if not keep.any():
+                        continue
+                    u, v = u[keep], v[keep]
+                    qn = (w * np.abs(u - v)).sum(axis=1)
+                    slack = (qn - (w * np.abs(u + v)).sum(axis=1)) / qn
+                    # argmin and the strict test keep the first minimum
+                    j = int(np.argmin(slack))
+                    if slack[j] < worst:
+                        worst, witness = float(slack[j]), PhaselessWitness(u[j], v[j], rows)
+            found = _disjoint_pair(only_u, only_v, positive) if 0.0 < worst else None
+            if found is not None:
+                worst, witness = 0.0, PhaselessWitness(*found, rows)
+    if witness is None:
+        return NspVerdict("holds-exact", math.inf, None, total)
+    return _classify(worst, witness, total)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +537,7 @@ class ExhaustiveL1Oracle:
         self._table: list[tuple[np.ndarray, np.ndarray]] = []
         for size in range(1, min(self.m, self.n) + 1):
             kept, pinvs = [], []
-            for chunk, cols in _column_stacks(a, _supports(self.n, size)):
+            for chunk, cols in _column_stacks(a, size):
                 sing = np.linalg.svd(cols, compute_uv=False)
                 full = sing[:, -1] > 1e-10 * np.maximum(sing[:, 0], 1e-300)
                 if not full.all():

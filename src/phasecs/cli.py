@@ -546,12 +546,8 @@ def cmd_certify(args) -> int:
         }
     else:
         w = _weights_from_args(args, n)
-        if args.check == "nsp":
-            if args.mode != "exact":
-                raise UsageError("--mode falsify applies to --check pnsp only")
-            verdict = weighted_nsp_check(a, args.k, w)
-        else:
-            verdict = phaseless_nsp_check(a, args.k, w, mode=args.mode)
+        check = weighted_nsp_check if args.check == "nsp" else phaseless_nsp_check
+        verdict = check(a, args.k, w)
         report = {
             "check": args.check, "k": args.k,
             "status": verdict.status, "margin": _jsonable(verdict.margin),
@@ -572,6 +568,8 @@ def cmd_oracle(args) -> int:
         if x.size != n:
             raise UsageError(f"--x needs {n} entries")
     if args.phaseless:
+        if args.y is not None:
+            raise UsageError("--y applies to the linear program only")
         if x is None:
             raise UsageError("--phaseless needs --x to form the magnitudes")
         b_abs = np.abs(a @ x)
@@ -678,8 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", choices=["rip", "srip", "nsp", "pnsp"], required=True)
     p.add_argument("--k", type=int, required=True)
     _add_weights(p)
-    p.add_argument("--mode", choices=["exact", "falsify"], default="exact",
-                   help="falsify applies to pnsp only")
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
 

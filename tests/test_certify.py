@@ -6,13 +6,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasecs import model
 from phasecs.certify import (
-    _QUARTERS,
-    _TWO_PI,
     CapExceededError,
     ExhaustiveL1Oracle,
     L1MinResult,
@@ -20,11 +18,8 @@ from phasecs.certify import (
     NspWitness,
     PhaselessWitness,
     RipReport,
-    _breakpoints,
-    _circle_min,
     _dedupe,
     _half_subsets,
-    _phaseless_pair,
     brute_force_phaseless,
     brute_force_weighted_l1,
     canonical_sign,
@@ -87,6 +82,19 @@ class TestRip:
         with pytest.raises(CapExceededError) as err:
             rip_constant(np.ones((2, 40)), 20)
         assert "support enumeration cap" in str(err.value)
+
+    def test_support_table_is_drawn_in_chunks(self):
+        # the (C(700, 2), 2) table of supports alone would take 3.9 MB
+        a = model.gen_gaussian_matrix(np.random.default_rng(59), 2, 700)
+        tracemalloc.start()
+        try:
+            rep = rip_constant(a, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        cols = a[:, rep.delta_support]
+        assert abs(np.abs(np.linalg.eigvalsh(cols.T @ cols) - 1.0).max() - rep.delta) <= 1e-12
 
 
 class TestSrip:
@@ -275,20 +283,51 @@ class TestPhaselessNsp:
         with pytest.raises(CapExceededError):
             phaseless_nsp_check(np.ones((13, 2)), 1, np.ones(2))
 
-    def test_exact_dim_pair_cap(self):
-        # one row of a wide matrix: complement split has a 3-dimensional kernel
-        with pytest.raises(CapExceededError):
-            phaseless_nsp_check(np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]]),
-                                1, np.ones(4))
+    def test_vertex_enumeration_cap(self):
+        # the first split (S empty) leaves a 13-dimensional pair space on each
+        # support: C(24, 12) subsets of the positive weights
+        a = model.gen_gaussian_matrix(np.random.default_rng(71), 12, 24)
+        with pytest.raises(CapExceededError, match="vertex enumeration cap"):
+            phaseless_nsp_check(a, 1, np.ones(24))
 
-    def test_falsify_failure_example(self):
-        v = phaseless_nsp_check(A_FAIL, 2, np.ones(2), mode="falsify")
-        assert v.status == "fails"
-        assert phaseless_slack(v.witness.u, v.witness.v, np.ones(2)) <= 1e-9
+    def test_mixed_face_fails_at_zero(self):
+        # on the split S = {1} every vertex of P has u = 0 or v = 0; the face
+        # between (e_0, 0) and (0, e_1) has ||p||_1 = 1 throughout, so its
+        # disjoint pair (u, v) = (+-e_0, +-e_1) violates at slack exactly 0
+        v = phaseless_nsp_check(np.eye(2), 2, np.ones(2))
+        assert (v.status, v.margin, v.witness.rows) == ("fails", 0.0, (1,))
+        assert np.abs(v.witness.u).tolist() == [1.0, 0.0]
+        assert np.abs(v.witness.v).tolist() == [0.0, 1.0]
+        assert phaseless_slack(v.witness.u, v.witness.v, np.ones(2)) == 0.0
+
+    def test_zero_weight_pairs_fail_at_zero(self):
+        # on S = {1}, (u, v) = (e_1, 0) moves neither norm: u lives on the
+        # zero weight; with v = (1, -1) of the other block the pair has
+        # ||u - v||_{1,w} = ||u + v||_{1,w} = 1, and the oracle cannot tell
+        # u + v from the other signal of its magnitudes
+        a, w = np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0])
+        v = phaseless_nsp_check(a, 2, w)
+        assert (v.status, v.margin) == ("fails", 0.0)
+        assert v.witness.u[0] == 0.0 and v.witness.u[1] != 0.0
+        assert phaseless_slack(v.witness.u, v.witness.v, w) == 0.0
+        xw = v.witness.u + v.witness.v
+        assert not recovers_uniquely(brute_force_phaseless(a, np.abs(a @ xw), w), xw,
+                                     up_to_sign=True)
+
+    def test_sparse_kernel_vector_fails_at_once(self):
+        # e_0 - e_1 is a 2-sparse kernel vector: on T = {0, 1} the pair
+        # u = v = h has u - v = 0, which fails at margin -inf
+        a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.0, 0.0, 1.0]])
+        v = phaseless_nsp_check(a, 2, np.ones(3))
+        assert (v.status, v.margin) == ("fails", -math.inf)
+        u, h = v.witness.u, v.witness.v
+        assert np.abs(u - h).max() <= 1e-12 and np.abs(a @ u).max() <= 1e-12
+        assert abs(u[2]) <= 1e-12 and np.abs(u).max() > 0.1
 
     def test_exact_matches_breakpoint_enumeration(self):
         # with k < N only pair angles that zero a coordinate of u + v are
-        # feasible; enumerate those directly as an independent oracle
+        # feasible; enumerate those directly as an independent oracle of the
+        # least slack over ||u - v||_{1,w}
         from phasecs.linalg import kernel_basis
 
         rng = np.random.default_rng(99)
@@ -319,7 +358,8 @@ class TestPhaselessNsp:
                         p = c * u0 + s * v0
                         if np.sum(np.abs(p) > 1e-10) > k:
                             continue
-                        worst = min(worst, phaseless_slack(c * u0, s * v0, w))
+                        slack = phaseless_slack(c * u0, s * v0, w)
+                        worst = min(worst, slack / model.weighted_l1(c * u0 - s * v0, w))
             if math.isinf(worst):
                 assert verdict.status == "holds-exact" and verdict.margin == math.inf
                 outcomes.add("vacuous")
@@ -329,8 +369,9 @@ class TestPhaselessNsp:
         assert {"vacuous", "fails"} <= outcomes
 
     def test_exact_matches_dense_angle_grid(self):
-        # with k = N the sparsity filter is inactive, so the exact margin must
-        # match a dense sweep over pair angles for every row split
+        # with k = N the sparsity filter is inactive, so the margin, the
+        # least slack over ||u - v||_{1,w}, must match a dense sweep over pair
+        # angles for every row split
         for seed in (3, 4, 9):
             rng = np.random.default_rng(seed)
             a = rng.standard_normal((4, 3))
@@ -348,9 +389,8 @@ class TestPhaselessNsp:
                 for phi in np.linspace(0, 2 * np.pi, 40001):
                     if abs(math.cos(phi)) < 1e-3 or abs(math.sin(phi)) < 1e-3:
                         continue
-                    slack = phaseless_slack(math.cos(phi) * ker_u,
-                                            math.sin(phi) * ker_v, w)
-                    worst = min(worst, slack)
+                    u, v = math.cos(phi) * ker_u, math.sin(phi) * ker_v
+                    worst = min(worst, phaseless_slack(u, v, w) / model.weighted_l1(u - v, w))
             assert verdict.margin <= worst + 1e-9
             assert worst - verdict.margin <= 1e-3
 
@@ -358,21 +398,18 @@ class TestPhaselessNsp:
 A_4x3 = np.random.default_rng(0).standard_normal((4, 3))
 
 
-# the weighted check is exact only; the phaseless one has both modes
-@pytest.mark.parametrize("check, a, bad, mode", [
-    pytest.param(check, a, bad, mode, id=f"{check.__name__}-{a_id}-{bad}-{mode}")
-    for check, a, a_id, modes in ((weighted_nsp_check, A_2x3, "a0", ["exact"]),
-                                  (phaseless_nsp_check, A_4x3, "a1", ["exact", "falsify"]))
-    for bad in (math.nan, math.inf, -math.inf) for mode in modes
+@pytest.mark.parametrize("check, a, bad", [
+    pytest.param(check, a, bad, id=f"{check.__name__}-{a_id}-{bad}-exact")
+    for check, a, a_id in ((weighted_nsp_check, A_2x3, "a0"), (phaseless_nsp_check, A_4x3, "a1"))
+    for bad in (math.nan, math.inf, -math.inf)
 ])
-def test_nsp_checks_refuse_non_finite_weights(check, a, bad, mode):
+def test_nsp_checks_refuse_non_finite_weights(check, a, bad):
     # a NaN weight once certified: its NaN margin passed the band test
-    kwargs = {} if check is weighted_nsp_check else {"mode": mode}
     with pytest.raises(ValueError, match="^w has non-finite entries$"):
-        check(a, 1, [bad, 1.0, 1.0], **kwargs)
+        check(a, 1, [bad, 1.0, 1.0])
     # the length message keeps its place ahead of the entries
     with pytest.raises(ValueError, match="^weight vector length"):
-        check(a, 1, [bad, 1.0], **kwargs)
+        check(a, 1, [bad, 1.0])
 
 
 @pytest.mark.parametrize("entry", [
@@ -618,6 +655,33 @@ class TestEquivalences:
                 assert not recovers_uniquely(res, xw, up_to_sign=True)
 
 
+    def test_phaseless_equivalence_compressive(self):
+        # m < 2N - 2, where split kernels of dimension 2 and more meet; each
+        # weight vector puts omega on k random coordinates, and omega = 0
+        # leaves pairs whose u - v has no weighted mass
+        rng = np.random.default_rng(200)
+        seen = set()
+        for m, n in [(4, 4), (5, 6), (6, 8)]:
+            a = model.gen_gaussian_matrix(rng, m, n)
+            for k in (1, 2, 3):
+                for omega in (0.0, 0.5, 1.0):
+                    w = np.ones(n)
+                    w[rng.choice(n, k, replace=False)] = omega
+                    verdict = phaseless_nsp_check(a, k, w)
+                    assert verdict.status in ("holds-exact", "fails")
+                    seen.add((m, verdict.status))
+                    if verdict.status == "holds-exact":
+                        for t in combinations(range(n), k):
+                            for x in self.draws(rng, t, n, count=1):
+                                res = brute_force_phaseless(a, np.abs(a @ x), w)
+                                assert recovers_uniquely(res, x, up_to_sign=True)
+                    else:
+                        xw = verdict.witness.u + verdict.witness.v
+                        res = brute_force_phaseless(a, np.abs(a @ xw), w)
+                        assert not recovers_uniquely(res, xw, up_to_sign=True)
+        assert seen == {(m, s) for m in (4, 5, 6) for s in ("holds-exact", "fails")}
+
+
 # ---------------------------------------------------------------------------
 # Metamorphic checks: exact symmetries of the certified properties
 # ---------------------------------------------------------------------------
@@ -676,8 +740,7 @@ def test_weighted_nsp_depends_only_on_the_kernel(n, dim, k, seed):
 @given(st.integers(2, 5), st.integers(1, 5), SEEDS)
 def test_phaseless_checks_ignore_row_signs_and_order(n, k, seed):
     # |A x| only changes by the same signs and order, and the row splits of
-    # D P A are those of A relabelled, with the same kernels on each block;
-    # m = 2(N-1) makes every split with two nontrivial kernels a 1 + 1 split
+    # D P A are those of A relabelled, with the same kernels on each block
     k = min(k, n)
     rng = np.random.default_rng(seed)
     m = 2 * (n - 1)
@@ -704,134 +767,6 @@ def test_canonical_sign():
     assert np.array_equal(canonical_sign(np.array([-1.0, 2.0])), [1.0, -2.0])
     assert np.array_equal(canonical_sign(np.array([0.0, -3.0])), [0.0, 3.0])
     assert np.array_equal(canonical_sign(np.zeros(2)), np.zeros(2))
-
-
-# ---------------------------------------------------------------------------
-# The vectorised circle minimiser against the scalar loop it replaced
-# ---------------------------------------------------------------------------
-
-
-def scalar_circle_min(coef, xs, ys, angles, point_ok=None, arc_ok=True):
-    """Reference: one candidate angle at a time, in loop order."""
-
-    def g(phi):
-        return float(np.sum(coef * np.abs(xs * math.cos(phi) + ys * math.sin(phi))))
-
-    best = math.inf
-    best_phi = None
-    n_cand = 0
-    for phi in angles:
-        if point_ok is not None and not point_ok(phi):
-            continue
-        val = g(phi)
-        n_cand += 1
-        if val < best:
-            best, best_phi = val, phi
-    if arc_ok:
-        if len(angles) == 0:
-            arcs = [(0.0, _TWO_PI)]
-        else:
-            arcs = [(angles[i], angles[i + 1]) for i in range(len(angles) - 1)]
-            arcs.append((angles[-1], angles[0] + _TWO_PI))
-        for lo, hi in arcs:
-            if hi - lo <= 1e-12:
-                continue
-            mid = 0.5 * (lo + hi)
-            sgn = np.sign(xs * math.cos(mid) + ys * math.sin(mid))
-            aa = float(np.sum(coef * sgn * xs))
-            bb = float(np.sum(coef * sgn * ys))
-            if aa == 0.0 and bb == 0.0:
-                val = g(mid)
-                n_cand += 1
-                if val < best:
-                    best, best_phi = val, mid
-                continue
-            star = math.atan2(-bb, -aa) % _TWO_PI
-            for cand in (star, star + _TWO_PI):
-                if lo + 1e-12 < cand < hi - 1e-12:
-                    val = g(cand)
-                    n_cand += 1
-                    if val < best:
-                        best, best_phi = val, cand % _TWO_PI
-    if n_cand == 0:
-        return None, None, 0
-    return best, best_phi, n_cand
-
-
-def scalar_phaseless_pair(u0, v0, k, w):
-    """Reference: the phaseless candidate filter applied one angle at a time."""
-    active = np.flatnonzero(np.maximum(np.abs(u0), np.abs(v0)) > TOL.struct_zero)
-    xs = np.concatenate([u0, u0])
-    ys = np.concatenate([-v0, v0])
-    coef = np.concatenate([w, -w])
-    angles = _breakpoints(xs, ys, extra=_QUARTERS)
-
-    def point_ok(phi):
-        d = np.abs(phi % _TWO_PI - np.concatenate([_QUARTERS, [_TWO_PI]]))
-        if d.min() <= 1e-9:
-            return False
-        p = u0[active] * math.cos(phi) + v0[active] * math.sin(phi)
-        return int(np.sum(np.abs(p) > TOL.struct_zero)) <= k
-
-    return scalar_circle_min(coef, xs, ys, angles, point_ok=point_ok,
-                             arc_ok=active.size <= k)
-
-
-def assert_bitwise_same_min(new, ref):
-    # value and angle compared by float.hex, the candidate count exactly
-    hexed = [None if v is None else float(v).hex() for v in new[:2]]
-    assert hexed == [None if v is None else float(v).hex() for v in ref[:2]]
-    assert new[2] == ref[2]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 7), st.integers(0, 2),
-       st.sampled_from(["mixed", "negative", "sparse", "zero"]),
-       st.sampled_from(["breakpoints", "quarters", "random"]),
-       st.one_of(st.none(), st.floats(-1.0, 7.0)), st.booleans(), SEEDS)
-@example(1, 0, "zero", "random", -1.0, True, 2)  # one arc, its midpoint past 2pi is the minimum
-def test_circle_min_matches_scalar_loop(n, n_zero, coef_kind, angle_kind, cut, arc_ok, seed):
-    # zero terms have no breakpoint; n = 0 leaves an empty angle list (one
-    # arc, the whole circle); zero coefficients make every arc constant;
-    # negative ones put minima inside arcs, also past 2pi on the last arc;
-    # random angle lists give midpoints past 2pi; a negative cut rejects
-    # every breakpoint.  Each example checks several draws.
-    rng = np.random.default_rng(seed)
-    for _ in range(10):
-        xs = np.concatenate([rng.standard_normal(n), np.zeros(n_zero)])
-        ys = np.concatenate([rng.standard_normal(n), np.zeros(n_zero)])
-        coef = rng.standard_normal(n + n_zero)
-        if coef_kind == "negative":
-            coef = -np.abs(coef)
-        elif coef_kind == "zero":
-            coef[:] = 0.0
-        elif coef_kind == "sparse":
-            coef[rng.random(coef.size) < 0.5] = 0.0
-        if angle_kind == "random":
-            angles = np.sort(rng.uniform(0.0, _TWO_PI, int(rng.integers(0, 4))))
-        else:
-            angles = _breakpoints(xs, ys, extra=_QUARTERS if angle_kind == "quarters" else ())
-        keep = None if cut is None else angles < cut
-        point_ok = None if cut is None else (lambda phi: phi < cut)
-        assert_bitwise_same_min(_circle_min(coef, xs, ys, angles, keep=keep, arc_ok=arc_ok),
-                                scalar_circle_min(coef, xs, ys, angles, point_ok, arc_ok))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2), st.booleans(), SEEDS)
-def test_phaseless_pair_matches_scalar_loop(n, k, n_zero, one_sided, seed):
-    # coordinates zero in both kernel vectors are inactive; a coordinate zero
-    # in u0 alone puts a term's breakpoint on a quarter angle; k below the
-    # active count leaves only breakpoint candidates, often none
-    k = min(k, n)
-    rng = np.random.default_rng(seed)
-    u0, v0 = rng.standard_normal(n), rng.standard_normal(n)
-    u0[:n_zero] = v0[:n_zero] = 0.0
-    if one_sided:
-        u0[-1] = 0.0
-    u0, v0 = u0 / max(np.linalg.norm(u0), 1e-300), v0 / max(np.linalg.norm(v0), 1e-300)
-    w = rng.uniform(0.05, 1.0, n)
-    assert_bitwise_same_min(_phaseless_pair(u0, v0, k, w), scalar_phaseless_pair(u0, v0, k, w))
 
 
 # ---------------------------------------------------------------------------

@@ -297,19 +297,28 @@ class TestCertifyCommand:
         assert "row subset cap" in res.stderr
         assert json.loads(res.stdout)["caps_hit"] == ["row subset cap"]
 
-    def test_nsp_exact_at_kernel_dimension_4(self, capsys):
-        # the weighted check answers exactly at every kernel dimension, so
-        # it has no falsify mode; --mode falsify is for pnsp only
+    def test_nsp_exact_at_kernel_dimension_4(self):
         exact = run_cli("certify", "--gaussian", "2", "6", "--seed", "4",
                         "--check", "nsp", "--k", "2")
         assert exact.returncode == 0
         report = json.loads(exact.stdout)
         assert report["status"] == "fails"
         assert report["enumerated_count"] == math.comb(6, 3)
-        code = cli.main(["certify", "--gaussian", "2", "6", "--seed", "4",
-                         "--check", "nsp", "--k", "2", "--mode", "falsify"])
+
+    def test_pnsp_exact_in_the_compressive_regime(self):
+        # 4 x 4 has split kernels of dimension 2 and 3
+        res = run_cli("certify", "--gaussian", "4", "4", "--check", "pnsp", "--k", "2")
+        assert res.returncode == 0
+        report = json.loads(res.stdout)
+        assert report["status"] == "fails" and "caps_hit" not in report
+        assert report["enumerated_count"] > 0
+
+    def test_mode_is_no_option(self, capsys):
+        # both null space checks are exact; there is no mode to choose
+        code = cli.main(["certify", "--gaussian", "4", "3", "--check", "pnsp", "--k", "1",
+                         "--mode", "exact"])
         assert code == 1
-        assert capsys.readouterr().err == "error: --mode falsify applies to --check pnsp only\n"
+        assert "unrecognized arguments: --mode exact" in capsys.readouterr().err
 
     @pytest.mark.parametrize("check, shape", [("nsp", ["2", "3"]), ("pnsp", ["4", "3"])])
     def test_refuses_negative_weight(self, capsys, check, shape):
@@ -346,6 +355,14 @@ class TestOracleCommand:
     def test_requires_input(self):
         res = run_cli("oracle", "--identity", "2")
         assert res.returncode == 1
+
+    def test_phaseless_refuses_y(self, capsys):
+        code = cli.main(["oracle", "--identity", "3", "--x", "1,0,0", "--y", "5,5,5",
+                         "--phaseless"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --y applies to the linear program only\n"
 
     @pytest.mark.parametrize("args, name", [
         (["--y", "nan,1,2"], "y"),

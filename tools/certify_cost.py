@@ -130,9 +130,9 @@ class Side:
         return (after - before) / 1024, len(kept)
 
 
-def load_certify(checkout: Path):
-    """``certify`` of the package under ``checkout/src``, imported under a
-    name of its own so that it sits beside this checkout's package."""
+def load_module(checkout: Path, name: str):
+    """Module ``name`` of the package under ``checkout/src``, imported under
+    a package name of its own so that it sits beside this checkout's."""
     init = checkout / "src" / "phasecs" / "__init__.py"
     if not init.is_file():
         raise SystemExit(f"error: no package at {init}")
@@ -141,7 +141,7 @@ def load_certify(checkout: Path):
     package = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module(f"{spec.name}.certify")
+    return importlib.import_module(f"{spec.name}.{name}")
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     if args.parent is None:
         report_one(this)
     else:
-        report_pair(this, Side(load_certify(args.parent.resolve())))
+        report_pair(this, Side(load_module(args.parent.resolve(), "certify")))
     return 0
 
 

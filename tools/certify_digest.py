@@ -8,22 +8,22 @@ and BLAS is pinned to one thread.  To compare two checkouts, run the script
 in each (copy it into a checkout that lacks it) and compare the printed
 lines: equal digests mean that every verdict, margin, witness, count,
 minimiser set and refusal is bitwise equal.  The script only calls the
-certifiers with their required arguments, and ``phaseless_nsp_check`` also
-with ``mode``.
+certifiers with their required arguments.
 
 Inputs, all drawn from fixed seeds:
 
 - the certify-batch shapes of ``bench/workloads.py``: weighted NSP checks on
   4x6 matrices at k in {1, 2} and omega in {0, 0.5, 1}, each with the l1
   oracle on planted signals and on the witness; ``rip_constant`` on 12x12 at
-  k=6; ``srip_bounds`` on 10x8 at k=2; exact ``phaseless_nsp_check`` on 12x7
-  at k=7; ``brute_force_phaseless`` on 6x12 with a planted 2-sparse signal;
-- random small cases of every certifier, the phaseless check in exact and
-  falsify mode;
+  k=6; ``srip_bounds`` on 10x8 at k=2; ``phaseless_nsp_check`` on 12x7 at
+  k=7; ``brute_force_phaseless`` on 6x12 with a planted 2-sparse signal;
+- random small cases of every certifier;
 - weighted NSP checks at kernel dimensions 3 to 5 (5x8, 6x10 and 7x12 at k
   up to 3, omega in {0, 0.5, 1}), from a generator of their own;
+- phaseless NSP checks in the compressive regime m < 2N - 2 (4x4, 5x6 and
+  6x8 at k up to 3, omega in {0, 0.5, 1}), from a generator of their own;
 - inputs that each certifier refuses (caps, bad orders, weight lengths and
-  entries, modes), recorded as the exception type and message.
+  entries), recorded as the exception type and message.
 
 Serialisation: floats via ``float.hex``, arrays via dtype, shape and
 ``tobytes``, dataclasses field by field, sequences element by element, an
@@ -164,8 +164,7 @@ def random_small(d: Digest, rng):
         a = gaussian(rng, m, n)
         k = int(rng.integers(1, n + 1))
         w = rng.uniform(0.05, 1.0, n)
-        for mode in ("exact", "falsify"):
-            d.call("phaseless_nsp_check", certify.phaseless_nsp_check, a, k, w, mode=mode)
+        d.call("phaseless_nsp_check", certify.phaseless_nsp_check, a, k, w)
         x = planted(rng, n, sorted(rng.choice(n, k, replace=False)))
         res = d.call("brute_force_phaseless", certify.brute_force_phaseless,
                      a, np.abs(a @ x), w)
@@ -180,6 +179,16 @@ def weighted_kernels(d: Digest, rng):
                 w = np.ones(n)
                 w[rng.choice(n, size=k, replace=False)] = omega
                 d.call("weighted_nsp_check", certify.weighted_nsp_check, a, k, w)
+
+
+def phaseless_kernels(d: Digest, rng):
+    for m, n in 2 * [(4, 4), (5, 6), (6, 8)]:
+        a = gaussian(rng, m, n)
+        for k in (1, 2, 3):
+            for omega in (0.0, 0.5, 1.0):
+                w = np.ones(n)
+                w[rng.choice(n, size=k, replace=False)] = omega
+                d.call("phaseless_nsp_check", certify.phaseless_nsp_check, a, k, w)
 
 
 def edge_cases(d: Digest):
@@ -205,8 +214,7 @@ def edge_cases(d: Digest):
                     (np.eye(2), 2, np.ones(2)), (np.ones((13, 2)), 1, np.ones(2)),
                     (np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]]), 1, np.ones(4)),
                     (fail, 2, np.ones(3)), (fail, 3, np.ones(2))):
-        for mode in ("exact", "falsify", "other"):
-            d.call("phaseless_nsp_check", certify.phaseless_nsp_check, a, k, w, mode=mode)
+        d.call("phaseless_nsp_check", certify.phaseless_nsp_check, a, k, w)
     d.call("ExhaustiveL1Oracle", certify.ExhaustiveL1Oracle, np.ones((2, 13)))
     for a, y, w in ((np.eye(2), [3.0, -4.0], np.ones(2)), (np.ones((1, 2)), [1.0], np.ones(2)),
                     (np.ones((1, 2)), [1.0], np.array([0.5, 1.0])),
@@ -227,6 +235,7 @@ def main() -> None:
         batch_shapes(d, np.random.default_rng(seed))
     random_small(d, np.random.default_rng(11))
     weighted_kernels(d, np.random.default_rng(12))
+    phaseless_kernels(d, np.random.default_rng(13))
     edge_cases(d)
     print(d.report())
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Microseconds per ADMM sweep of ``solve_sdp`` on three fixed trial sets.
 
-    python3 tools/sweep_cost.py
+    python3 tools/sweep_cost.py [PARENT]
 
 Run from anywhere; the package is imported from ``src/`` of this checkout,
 and BLAS is pinned to one thread.  Each set is 16 trials drawn as
@@ -22,6 +22,14 @@ count.  The first repetition warms caches and is not counted.  One line
 per set gives the median of 7 figures, their quartiles and the sweeps of
 one repetition, which are the same in every repetition (a second number
 after a slash would mean they were not).
+
+Given the path of another checkout (``PARENT``), the script imports its
+package as well and times both in one process on the same trials (drawn
+by this checkout's ``model``), so that host load falls on both alike: each
+repetition solves the set once on each side, and the side that goes first
+swaps on every repetition.  Each line then gives the median and quartiles
+of each side, the median and quartiles of the per-repetition ratios
+parent/this (above 1: this checkout is faster) and each side's sweeps.
 """
 
 import os
@@ -38,8 +46,9 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from phasecs import model  # noqa: E402
-from phasecs.solver import LiftedOperator, SolverConfig, solve_sdp  # noqa: E402
+from phasecs import model, solver  # noqa: E402
+
+from certify_cost import load_module  # noqa: E402
 
 # name -> (n, k, m, max_iter)
 SETS = {
@@ -54,40 +63,79 @@ ALPHA = 0.75
 
 
 def draw(n, k, m, max_iter) -> list:
+    """``(A, b, w, epsilon, max_iter)`` per trial of a set."""
     trials = []
     for seed in SEEDS:
         for omega in OMEGAS:
             inst, est = model.draw_trial(np.random.default_rng(seed), "sparse", n, k, m, 1.0,
                                          ALPHA, omega, 0.0)
-            trials.append((LiftedOperator.from_matrix(inst.A), inst.b, est.weights(n),
-                           SolverConfig(epsilon=inst.epsilon, max_iter=max_iter)))
+            trials.append((inst.A, inst.b, est.weights(n), inst.epsilon, max_iter))
     return trials
+
+
+def prepare(side, drawn) -> list:
+    """The drawn trials as ``solve_sdp`` arguments of the ``solver`` module ``side``."""
+    return [(side.solve_sdp, side.LiftedOperator.from_matrix(a), b, w,
+             side.SolverConfig(epsilon=epsilon, max_iter=max_iter))
+            for a, b, w, epsilon, max_iter in drawn]
 
 
 def one_rep(trials) -> tuple[float, int]:
     """Seconds spent in ``solve_sdp`` and sweeps taken over one pass of the trials."""
     seconds, sweeps = 0.0, 0
-    for op, b, w, cfg in trials:
+    for solve, op, b, w, cfg in trials:
         start = time.perf_counter()
-        result = solve_sdp(op, b, w, cfg)
+        result = solve(op, b, w, cfg)
         seconds += time.perf_counter() - start
         sweeps += result.iterations
     return seconds, sweeps
 
 
-def main(argv=None) -> int:
-    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
-    for name, params in SETS.items():
-        trials = draw(*params)
+def timed(sides: dict) -> tuple[dict, dict]:
+    """Microseconds per sweep of each side per repetition, and the sweep
+    counts seen; the side that goes first swaps on every repetition."""
+    for trials in sides.values():
         one_rep(trials)
-        figures, counts = [], set()
-        for _ in range(REPS):
-            seconds, sweeps = one_rep(trials)
-            figures.append(1e6 * seconds / sweeps)
-            counts.add(sweeps)
-        q1, med, q3 = np.percentile(figures, [25, 50, 75])
-        print(f"{name}: {med:.1f} us/sweep (quartiles {q1:.1f}-{q3:.1f}, {REPS} reps)  "
-              f"sweeps {'/'.join(map(str, sorted(counts)))}", flush=True)
+    figures = {label: [] for label in sides}
+    counts = {label: set() for label in sides}
+    for rep in range(REPS):
+        order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
+        for label in order:
+            seconds, sweeps = one_rep(sides[label])
+            figures[label].append(1e6 * seconds / sweeps)
+            counts[label].add(sweeps)
+    return figures, counts
+
+
+def sweeps_text(counts) -> str:
+    return "/".join(map(str, sorted(counts)))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", nargs="?", type=Path,
+                        help="another checkout to time against this one, in the same process")
+    args = parser.parse_args(argv)
+    parent = None if args.parent is None else load_module(args.parent.resolve(), "solver")
+    if parent is not None:
+        print(f"{REPS} repetitions, one pass per side each; medians (quartiles) in us/sweep")
+    for name, params in SETS.items():
+        drawn = draw(*params)
+        if parent is None:
+            figures, counts = timed({"this": prepare(solver, drawn)})
+            q1, med, q3 = np.percentile(figures["this"], [25, 50, 75])
+            print(f"{name}: {med:.1f} us/sweep (quartiles {q1:.1f}-{q3:.1f}, {REPS} reps)  "
+                  f"sweeps {sweeps_text(counts['this'])}", flush=True)
+            continue
+        figures, counts = timed({"this": prepare(solver, drawn),
+                                 "parent": prepare(parent, drawn)})
+        old, new = np.array(figures["parent"]), np.array(figures["this"])
+        cells = []
+        for label, values in (("parent", old), ("this", new), ("parent/this", old / new)):
+            q1, med, q3 = np.percentile(values, [25, 50, 75])
+            cells.append(f"{label} {med:.2f} ({q1:.2f}-{q3:.2f})")
+        print(f"{name}: " + "  ".join(cells) + f"  sweeps parent {sweeps_text(counts['parent'])}"
+              f" this {sweeps_text(counts['this'])}", flush=True)
     return 0
 
 
