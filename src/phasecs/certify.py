@@ -584,16 +584,14 @@ def _nonnegative(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _cheapest(candidates, degenerate: bool, transform=None) -> L1MinResult:
+def _cheapest(candidates, degenerate: bool) -> L1MinResult:
     """Minimizer set of ``(cost, vector)`` candidates: the vectors within the
-    cost-tie width of the minimum, each passed through ``transform`` when one
-    is given, deduplicated."""
+    cost-tie width of the minimum, deduplicated."""
     if not candidates:
         return L1MinResult([], None, degenerate)
     vmin = min(c for c, _ in candidates)
     tie = vmin + TOL.oracle_value_tie * (1.0 + abs(vmin))
-    kept = [z if transform is None else transform(z) for c, z in candidates if c <= tie]
-    return L1MinResult(_dedupe(kept), vmin, degenerate)
+    return L1MinResult(_dedupe([z for c, z in candidates if c <= tie]), vmin, degenerate)
 
 
 def _dedupe(vectors: list[np.ndarray]) -> list[np.ndarray]:
@@ -636,7 +634,8 @@ def brute_force_phaseless(a, b_abs, w) -> L1MinResult:
     Enumerates sign patterns on the measurements (one per antipodal pair),
     solves each linear program via the exhaustive oracle, and returns the
     union of global minimizers with canonical sign (each returned vector
-    stands for the pair +-z).
+    stands for the pair +-z).  Zero magnitudes give the zero vector alone,
+    at value 0, as every sign pattern does.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -645,8 +644,6 @@ def brute_force_phaseless(a, b_abs, w) -> L1MinResult:
     b_abs = _check_vector(b_abs, m, "b_abs")
     w = _nonnegative(_check_vector(w, n, "w"))
     oracle = ExhaustiveL1Oracle(a)
-    if float(np.linalg.norm(b_abs)) <= 1e-12:
-        return L1MinResult([np.zeros(n)], 0.0, oracle.degenerate)
     collected: list[tuple[float, np.ndarray]] = []
     for rows in _half_subsets(m):
         sigma = np.ones(m)
@@ -654,8 +651,8 @@ def brute_force_phaseless(a, b_abs, w) -> L1MinResult:
         res = oracle.solve(sigma * b_abs, w)
         if res.value is None:
             continue
-        collected.extend((res.value, z) for z in res.minimizers)
-    return _cheapest(collected, oracle.degenerate, canonical_sign)
+        collected.extend((res.value, canonical_sign(z)) for z in res.minimizers)
+    return _cheapest(collected, oracle.degenerate)
 
 
 def recovers_uniquely(result: L1MinResult, x, up_to_sign: bool = False) -> bool:

@@ -56,6 +56,13 @@ class UsageError(Exception):
     pass
 
 
+def _check_nonnegative(name: str, values) -> None:
+    """Refuse a negative or non-finite prior weight or noise level ``name``."""
+    for value in values:
+        if not (math.isfinite(value) and value >= 0.0):
+            raise UsageError(f"{name} must be finite and nonnegative, got {value:g}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid of experiment settings; one trial runs per grid point and trial index."""
@@ -90,6 +97,8 @@ class SweepConfig:
             raise UsageError("grid lists must be nonempty")
         if not 1 <= self.k <= self.n or min(self.ms) < 1:
             raise UsageError("need 1 <= k <= N and every m >= 1")
+        _check_nonnegative("omegas", self.omegas)
+        _check_nonnegative("sigmas", self.sigmas)
         for alpha in self.alphas:
             try:
                 model.support_estimate_sizes(self.n, self.k, self.rho, alpha)
@@ -447,6 +456,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    _check_nonnegative("--omega", [args.omega])
+    _check_nonnegative("--sigma", [args.sigma])
     instance, estimate = model.draw_trial(
         np.random.default_rng(args.seed), "sparse", args.n, args.k, args.m, args.rho,
         args.alpha, args.omega, args.sigma,

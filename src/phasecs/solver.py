@@ -115,7 +115,6 @@ class SolverConfig:
     tol_rel: float = 1e-4
     max_iter: int = 5000
     epsilon: float = 0.0
-    adapt_penalty: bool = True
 
     def __post_init__(self):
         if self.penalty <= 0 or self.tol_abs <= 0 or self.tol_rel < 0:
@@ -382,7 +381,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
             # the full test almost never passes, so its parts are computed
             # only as far as the cheaper ones pass; the dual residual is also
             # needed on a rebalance sweep
-            rebalance_sweep = cfg.adapt_penalty and it % 10 == 0
+            rebalance_sweep = it % 10 == 0
             dua = dual_residual(f) if rebalance_sweep or feas <= feas_tol else None
             if feas <= feas_tol:
                 g_pri = g[:i_dl]

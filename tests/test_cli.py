@@ -102,6 +102,16 @@ class TestRecoverCommand:
         res = run_cli("recover", "--n", "8", "--k", "4", "--rho", "2", "--alpha", "0")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--omega", "-0.3"), ("--omega", "nan"), ("--omega", "inf"),
+        ("--sigma", "-0.1"), ("--sigma", "nan"), ("--sigma", "inf"),
+    ])
+    def test_refuses_bad_omega_or_sigma(self, capsys, flag, value):
+        assert cli.main(["recover", flag, value, "--seed", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be finite and nonnegative, got {value}\n"
+
     def test_unconverged_exit_code(self):
         res = run_cli("recover", "--n", "8", "--k", "1", "--m", "14",
                       "--seed", "7", "--max-iter", "5")
@@ -155,6 +165,22 @@ class TestSweepCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("signal = sparse\nbogus = 3\n")
         assert run_cli("sweep", "--config", str(cfg)).returncode == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("omegas", "-0.5"), ("omegas", "nan"), ("sigmas", "-0.1"), ("sigmas", "inf"),
+    ])
+    def test_refuses_bad_omega_or_sigma(self, monkeypatch, capsys, tmp_path, key, value):
+        def no_trial(*_):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trial", no_trial)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CONFIG + f"{key} = 0.5, {value}\n")
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {key} must be finite and nonnegative, got {value}\n")
 
 
 class TestSweepHarness:
@@ -213,6 +239,8 @@ class TestSweepHarness:
         ({"k": 4, "rho": 2.0, "alphas": (0.5, 0.0)}, "alpha=0.0: infeasible"),
         ({"ms": (12, 0)}, "every m"),
         ({"k": 9}, "k <= N"),
+        ({"omegas": (1.0, -0.5)}, "omegas must be finite and nonnegative"),
+        ({"sigmas": (math.nan,)}, "sigmas must be finite and nonnegative"),
     ])
     def test_bad_grid_refused_before_any_trial(self, monkeypatch, fields, message):
         def no_trial(*_):

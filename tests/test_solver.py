@@ -260,10 +260,15 @@ class TestSolveSdp:
         assert model.snr_db(x, res.xhat) >= 100.0
 
     def test_fixed_penalty_reports_no_updates(self):
-        x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7, adapt_penalty=False)
-        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
-        assert res.diagnostics["penalty_updates"] == 0
-        assert res.diagnostics["penalty"] == cfg.penalty
+        # the penalty is rebalanced on sweeps 10, 20, ... only, so a solve
+        # that stops before sweep 10 keeps the penalty it was given
+        x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7, penalty=2.5)
+        op = LiftedOperator.from_matrix(a)
+        for max_iter in (1, 9):
+            res = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, max_iter=max_iter))
+            assert res.status == "max-iter" and res.iterations == max_iter
+            assert res.diagnostics["penalty_updates"] == 0
+            assert res.diagnostics["penalty"] == cfg.penalty
 
     def test_spectrum_diagnostics_match_eigvalsh(self):
         x, a, inst, w, cfg = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3)
@@ -299,18 +304,21 @@ class TestSolveSdp:
 
     def test_residuals_fresh_at_max_iter(self):
         # sweep 10 is a rebalance sweep, which computes its dual residual in
-        # the loop; without rebalancing the same sweep's residual is computed
-        # after the loop.  The rebalance itself comes after the residuals
-        x, a, inst, w, cfg = make_problem(16, 2, 40, 0.3, 0.75, 0.0, 4, max_iter=10)
+        # the loop; sweeps 7 and 9 are not, and theirs is computed after the
+        # loop.  Each exit reports the residuals of its own last sweep, so
+        # no two exits report the same ones
+        x, a, inst, w, cfg = make_problem(16, 2, 40, 0.3, 0.75, 0.0, 4)
         op = LiftedOperator.from_matrix(a)
-        adaptive = solve_sdp(op, inst.b, w, cfg)
-        fixed = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, adapt_penalty=False))
-        assert adaptive.status == fixed.status == "max-iter"
-        assert fixed.diagnostics["ball_violation"] > 10 * cfg.tol_abs  # not tested in the loop
-        assert adaptive.primal_residual == fixed.primal_residual
-        assert adaptive.dual_residual == fixed.dual_residual
-        short = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, max_iter=7, adapt_penalty=False))
-        assert np.isfinite(short.dual_residual) and short.dual_residual > 0
+        residuals = set()
+        for max_iter in (7, 9, 10):
+            res = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, max_iter=max_iter))
+            assert res.status == "max-iter" and res.iterations == max_iter
+            # not tested in the loop, so the convergence test needs no dual residual
+            assert res.diagnostics["ball_violation"] > 10 * cfg.tol_abs
+            for value in (res.primal_residual, res.dual_residual):
+                assert np.isfinite(value) and value > 0
+            residuals.add((res.primal_residual, res.dual_residual))
+        assert len(residuals) == 3
 
     def test_reports_objective(self):
         x, a, inst, w, cfg = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3, lam=0.5)

@@ -1,0 +1,89 @@
+"""The timing loop and row printer that the scripts in ``tools/`` share,
+driven by stub passes; nothing is solved."""
+
+import importlib
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture
+def tools(monkeypatch):
+    """Imports from ``tools/``, undone after the test: the BLAS variables
+    the import pins, the import path and the modules imported."""
+    for var in BLAS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.syspath_prepend(str(TOOLS))
+    for name in ("common", "sweep_cost"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    return importlib.import_module
+
+
+def stub(label, log, values):
+    """A pass that logs its side and returns the next of ``values``."""
+    values = iter(values)
+
+    def one_pass():
+        log.append(label)
+        return {"row": next(values)}
+    return one_pass
+
+
+def test_import_pins_blas(tools):
+    tools("common")
+    assert all(os.environ[var] == "1" for var in BLAS)
+
+
+def test_first_side_swaps_every_repetition(tools):
+    common = tools("common")
+    log = []
+    common.alternate({"this": stub("this", log, range(5)),
+                      "parent": stub("parent", log, range(5))}, 4)
+    firsts = log[2::2]  # after one warm-up pass per side
+    assert firsts == ["this", "parent", "this", "parent"]
+    assert log[2:] == ["this", "parent", "parent", "this", "this", "parent", "parent", "this"]
+
+
+def test_warm_up_pass_is_not_counted(tools):
+    common = tools("common")
+    log = []
+    figures = common.alternate({"this": stub("this", log, [99.0, 1.0, 2.0, 3.0])}, 3)
+    assert log == ["this"] * 4
+    assert figures["this"]["row"] == [1.0, 2.0, 3.0]
+
+
+def test_one_side_run_goes_through_the_same_loop(tools, monkeypatch, capsys):
+    sweep_cost = tools("sweep_cost")
+    common = tools("common")
+    seen = {}
+
+    def alternate(passes, reps):
+        seen["sides"], seen["reps"] = list(passes), reps
+        return {"this": {"n16-m40 us/sweep": [1.0, 2.0, 3.0], "n16-m40 sweeps": [5, 5, 5]}}
+
+    monkeypatch.setattr(common, "alternate", alternate)
+    assert sweep_cost.main([]) == 0
+    assert seen == {"sides": ["this"], "reps": sweep_cost.REPS}
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "n16-m40 us/sweep  this 2 (1.5-2.5)",
+        "n16-m40 sweeps    this 5",
+    ]
+
+
+def test_ratios_are_taken_per_repetition(tools, capsys):
+    common = tools("common")
+    log = []
+    # per repetition parent/this is 5, 0.5 and 3, median 3; the ratio of
+    # the medians would be 5 / 2 = 2.5
+    figures = common.alternate({"this": stub("this", log, [0.0, 1.0, 2.0, 3.0]),
+                                "parent": stub("parent", log, [0.0, 5.0, 1.0, 9.0])}, 3)
+    common.report(figures, 3)
+    assert capsys.readouterr().out.splitlines() == [
+        "3 repetitions of one pass per side after a warm-up pass; median (quartiles)",
+        "row  parent 5 (3-7)  this 2 (1.5-2.5)  parent/this 3 (1.75-4)",
+    ]

@@ -34,23 +34,16 @@ Each output line is the certifier, the number of calls digested and the
 hex digest.
 """
 
-import os
+import common  # noqa: F401  first: it pins BLAS before numpy loads
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import dataclasses
+import hashlib
+import math
+from itertools import combinations
 
-import dataclasses  # noqa: E402
-import hashlib  # noqa: E402
-import math  # noqa: E402
-import sys  # noqa: E402
-from itertools import combinations  # noqa: E402
-from pathlib import Path  # noqa: E402
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from phasecs import certify  # noqa: E402
+from phasecs import certify
 
 
 def serialise(obj) -> bytes:
@@ -106,7 +99,7 @@ def planted(rng, n, support):
     return x
 
 
-def oracle_cases(d: Digest, a, w, signals):
+def oracle_cases(d: Digest, a, w, signals, certify=certify):
     oracle = d.call("ExhaustiveL1Oracle", certify.ExhaustiveL1Oracle, a)
     if oracle is None:
         return
@@ -115,7 +108,8 @@ def oracle_cases(d: Digest, a, w, signals):
         d.call("ExhaustiveL1Oracle", certify.recovers_uniquely, res, x)
 
 
-def batch_shapes(d: Digest, rng):
+def batch_shapes(d: Digest, rng, certify=certify):
+    """The certify-batch calls, made on the module ``certify``."""
     for _ in range(12):
         a = gaussian(rng, 4, 6)
         for k in (1, 2):
@@ -129,7 +123,7 @@ def batch_shapes(d: Digest, rng):
                     xw = np.zeros(6)
                     xw[t] = v.witness.kernel_vector[t]
                     signals.append(xw)
-                oracle_cases(d, a, w, signals)
+                oracle_cases(d, a, w, signals, certify)
     d.call("rip_constant", certify.rip_constant, gaussian(rng, 12, 12), 6)
     d.call("srip_bounds", certify.srip_bounds, gaussian(rng, 10, 8), 2)
     a = gaussian(rng, 12, 7)

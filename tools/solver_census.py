@@ -25,22 +25,16 @@ SNR.  A cell's mean SNR moves with rounding through these trials, so they
 are listed one by one.
 """
 
-import os
+import common  # noqa: F401  first: it pins BLAS before numpy loads
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import argparse
+import itertools
+import sys
 
-import argparse  # noqa: E402
-import itertools  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from phasecs import cli, model  # noqa: E402
-from phasecs.solver import SolverConfig  # noqa: E402
+from phasecs import cli, model
+from phasecs.solver import SolverConfig
 
 # name -> (n, k, ms, omegas, sigmas, seeds)
 CELLS = {
