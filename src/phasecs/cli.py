@@ -32,7 +32,6 @@ from .certify import (
     srip_bounds,
     weighted_nsp_check,
 )
-from .linalg import EigNonConvergenceError, NotPositiveDefiniteError
 from .plots import line_chart
 from .solver import LiftedOperator, SolverConfig, SolverResult, solve_sdp
 
@@ -80,10 +79,6 @@ class SweepConfig:
     sigmas: tuple[float, ...] = (0.0, 0.1)
     trials: int = 10
     master_seed: int = 1
-    lam: float = SolverConfig.lam
-    penalty: float = SolverConfig.penalty
-    tol_abs: float = SolverConfig.tol_abs
-    tol_rel: float = SolverConfig.tol_rel
     max_iter: int = SolverConfig.max_iter
 
     def validate(self) -> None:
@@ -99,6 +94,7 @@ class SweepConfig:
             raise UsageError("need 1 <= k <= N and every m >= 1")
         _check_nonnegative("omegas", self.omegas)
         _check_nonnegative("sigmas", self.sigmas)
+        _check_nonnegative("rho", [self.rho])
         for alpha in self.alphas:
             try:
                 model.support_estimate_sizes(self.n, self.k, self.rho, alpha)
@@ -140,7 +136,7 @@ def preset_sweep(name: str) -> SweepConfig:
 
 
 _INT_KEYS = {"n", "k", "trials", "seed", "max_iter"}
-_FLOAT_KEYS = {"theta", "rho", "lam", "penalty", "tol_abs", "tol_rel"}
+_FLOAT_KEYS = {"theta", "rho"}
 _LIST_KEYS = {"alphas", "omegas", "ms", "sigmas"}
 
 
@@ -148,8 +144,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     """Parse the flat ``key = value`` sweep config format.
 
     Lists are comma separated; ``#`` starts a comment.  Keys: signal, n, k,
-    theta, rho, alphas, omegas, ms, sigmas, trials, seed, lam, penalty,
-    tol_abs, tol_rel, max_iter.
+    theta, rho, alphas, omegas, ms, sigmas, trials, seed, max_iter.
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -181,12 +176,6 @@ def parse_sweep_config(text: str) -> SweepConfig:
         raise UsageError(str(exc)) from exc
     cfg.validate()
     return cfg
-
-
-def solver_config(settings) -> SolverConfig:
-    """Solver settings of a sweep config or of the ``recover`` flags."""
-    return SolverConfig(lam=settings.lam, penalty=settings.penalty, tol_abs=settings.tol_abs,
-                        tol_rel=settings.tol_rel, max_iter=settings.max_iter)
 
 
 def solve_trial(instance: model.PhaselessInstance, estimate: model.SupportEstimate,
@@ -222,7 +211,7 @@ def run_trial(cfg: SweepConfig, alpha: float, omega: float, m: int, sigma: float
         np.random.default_rng(seed), cfg.signal, cfg.n, cfg.k, m, cfg.rho, alpha, omega,
         sigma, cfg.theta,
     )
-    result, snr = solve_trial(instance, estimate, solver_config(cfg))
+    result, snr = solve_trial(instance, estimate, SolverConfig(max_iter=cfg.max_iter))
     wall_ms = int(round((time.perf_counter() - start) * 1000))
     return SweepRecord(
         signal_kind=cfg.signal, n=cfg.n, k=cfg.k, theta=cfg.theta, rho=cfg.rho,
@@ -421,8 +410,6 @@ def _weights_from_args(args, n: int) -> np.ndarray:
 
 
 def cmd_constants(args) -> int:
-    if args.preset not in (None, "fig1"):
-        raise UsageError("constants only supports the fig1 preset")
     alphas = _parse_float_list(args.alphas, "--alphas")
     omegas = _parse_float_list(args.omegas, "--omegas")
     rows = theory.constants_table(
@@ -462,7 +449,7 @@ def cmd_recover(args) -> int:
         np.random.default_rng(args.seed), "sparse", args.n, args.k, args.m, args.rho,
         args.alpha, args.omega, args.sigma,
     )
-    result, snr = solve_trial(instance, estimate, solver_config(args))
+    result, snr = solve_trial(instance, estimate, SolverConfig(max_iter=args.max_iter))
     stop_reason = result.diagnostics["stop_reason"]
     report = [
         f"n: {args.n}", f"k: {args.k}", f"m: {args.m}",
@@ -644,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("constants", help="recovery-constant grids as CSV/SVG")
-    p.add_argument("--preset", choices=["fig1"], help="bundled default grid")
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--theta-minus", type=float, default=0.5)
     p.add_argument("--theta-plus", type=float, default=1.5)
@@ -665,10 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lam", type=float, default=SolverConfig.lam)
-    p.add_argument("--penalty", type=float, default=SolverConfig.penalty)
-    p.add_argument("--tol-abs", type=float, default=SolverConfig.tol_abs)
-    p.add_argument("--tol-rel", type=float, default=SolverConfig.tol_rel)
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p.add_argument("--out")
     p.set_defaults(func=cmd_recover)
@@ -717,8 +699,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EigNonConvergenceError, NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
-        # numerical failure, not a usage error (NotPositiveDefiniteError is a ValueError)
+    except np.linalg.LinAlgError as exc:
+        # numerical failure, not a usage error (LinAlgError is a ValueError)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ValueError, OSError) as exc:

@@ -5,10 +5,11 @@ small matrices this project deals with (dimensions up to a few dozen).
 There is one numerical core: LAPACK through ``numpy.linalg``.  Eigenpairs
 come from ``eigh``, null spaces from the SVD and SPD solves from a
 Cholesky factor.  Failures of ``eigh`` and of the Cholesky factorization
-surface as the named errors below; an SVD that does not converge raises
-``numpy.linalg.LinAlgError``.  ``eig_sym`` also takes a stack ``(..., n, n)``
-and decomposes it in one LAPACK call, with eigenpairs bitwise equal to those
-of one call per matrix.
+surface as the named errors below; both are kinds of
+``numpy.linalg.LinAlgError``, which an SVD that does not converge raises
+itself, so one ``except`` catches every numerical failure.  ``eig_sym`` also
+takes a stack ``(..., n, n)`` and decomposes it in one LAPACK call, with
+eigenpairs bitwise equal to those of one call per matrix.
 
 ``svec`` and ``smat`` convert between a symmetric n x n matrix and its
 packed form, the vector of n(n+1)/2 upper-triangle entries in row-major
@@ -26,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class EigNonConvergenceError(RuntimeError):
+class EigNonConvergenceError(np.linalg.LinAlgError):
     """The symmetric eigensolver failed to converge."""
 
 
-class NotPositiveDefiniteError(ValueError):
+class NotPositiveDefiniteError(np.linalg.LinAlgError):
     """Cholesky factorization met a non-positive pivot."""
 
 

@@ -106,8 +106,13 @@ def support_estimate_sizes(n: int, k: int, rho: float, alpha: float) -> tuple[in
     """Index counts in and outside a size-k ``T0`` of a support estimate.
 
     The estimate has ``round(rho*k)`` indices, ``round(alpha*rho*k)`` of them in
-    ``T0``, rounded half up; ``ValueError`` if ``T0`` or its complement is too small.
+    ``T0``, rounded half up; ``ValueError`` if ``rho`` is negative or not finite,
+    if ``alpha`` is outside [0, 1], or if ``T0`` or its complement is too small.
     """
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise ValueError(f"rho must be finite and nonnegative, got {rho:g}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha:g}")
     size = math.floor(rho * k + 0.5)
     size_in = math.floor(alpha * rho * k + 0.5)
     size_out = size - size_in
@@ -202,13 +207,11 @@ def snr_db(x: np.ndarray, xhat: np.ndarray) -> float:
 def canonical_sign(z: np.ndarray) -> np.ndarray:
     """Flip sign so the first significantly nonzero coordinate is positive."""
     z = np.asarray(z, dtype=float)
-    scale = np.abs(z).max() if z.size else 0.0
-    if scale == 0.0:
+    if not z.size:
         return z
-    for zi in z:
-        if abs(zi) > 1e-12 * scale:
-            return -z if zi < 0 else z
-    return z
+    mag = np.abs(z)
+    significant = np.flatnonzero(mag > 1e-12 * mag.max())
+    return -z if significant.size and z[significant[0]] < 0 else z
 
 
 def weighted_l1(x: np.ndarray, w: np.ndarray) -> float:

@@ -49,7 +49,7 @@ so the iteration count, does not depend on the units of b.
 
 The convergence test is made on T(s) with the plain-ADMM thresholds (Boyd et
 al. 2011, section 3.3) plus a bound on the measurement block; run on the
-normalised data, ``tol_abs`` acts relative to ||b||.  The test is lazy:
+normalised data, ``TOL_ABS`` acts relative to ||b||.  The test is lazy:
 every sweep computes the measurement and primal residuals; the dual
 residual, which costs one B*, only once the measurement block is within
 its bound or on a rebalance sweep; each threshold only once the tests
@@ -71,6 +71,13 @@ from .model import canonical_sign
 
 # how many past differences the Anderson accelerator keeps
 ANDERSON_MEMORY = 20
+# weight of the entrywise l1 term of the objective
+LAM = 1.0
+# penalty of the first sweep, in the units of the normalised iteration
+INITIAL_PENALTY = 1.0
+# absolute and relative thresholds of the stopping test
+TOL_ABS = 1e-6
+TOL_REL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -109,20 +116,14 @@ class LiftedOperator:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    lam: float = 1.0
-    penalty: float = 1.0
-    tol_abs: float = 1e-6
-    tol_rel: float = 1e-4
     max_iter: int = 5000
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.penalty <= 0 or self.tol_abs <= 0 or self.tol_rel < 0:
-            raise ValueError("penalty and tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.lam < 0 or self.epsilon < 0:
-            raise ValueError("lam and epsilon must be nonnegative")
+        if self.epsilon < 0:
+            raise ValueError("epsilon must be nonnegative")
 
 
 @dataclass(slots=True)
@@ -298,8 +299,8 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     left as it is), so every threshold acts relative to ``||b||``.
     Convergence requires the stacked primal and dual residuals to fall below
     the usual absolute-plus-relative thresholds and additionally the
-    measurement block to be within ``10 * tol_abs`` of its projection, which
-    guarantees ``||B(Z) - b|| <= epsilon + 10 * tol_abs * ||b||`` at exit.
+    measurement block to be within ``10 * TOL_ABS`` of its projection, which
+    guarantees ``||B(Z) - b|| <= epsilon + 10 * TOL_ABS * ||b||`` at exit.
 
     ``Z``, ``xhat``, the primal residual and the diagnostics ``feasibility``,
     ``ball_violation``, ``split_*``, ``min_eigenvalue`` and ``objective`` are
@@ -318,7 +319,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
 
     try:
         normal = _NormalSolver(op, w)
-    except (linalg.NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         zero = np.zeros((n, n))
         return SolverResult(zero, np.zeros(n), 0, math.inf, math.inf, "failed",
                             {"stop_reason": "factorization-failure", "error": str(exc)})
@@ -331,7 +332,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
 
     # W Z W acts entrywise, so on packed Z it is ww times the packed Z
     ww = np.outer(w, w).take(linalg.svec_layout(n).upper)
-    rho = cfg.penalty
+    rho = INITIAL_PENALTY
     penalty_updates = 0
     # flat state x = (L, P, r, dual_L, dual_P, dual_r), the matrices packed
     d = n * (n + 1) // 2
@@ -340,7 +341,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     accel = _Anderson(x.size, ANDERSON_MEMORY)
     dim_pri = math.sqrt(2 * n * n + m)
     dim_dual = float(n)
-    feas_tol = 10.0 * cfg.tol_abs
+    feas_tol = 10.0 * TOL_ABS
 
     def dual_residual(f):
         # rho ||W dL W + dP + B*(dr)|| over the primal blocks dL, dP, dr of f
@@ -363,7 +364,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
             wzw = ww * z
             bz_b = bz - b
 
-            l_aux = weighted_shrink(wzw + dual_l, cfg.lam, rho)
+            l_aux = weighted_shrink(wzw + dual_l, LAM, rho)
             p_aux = _psd_project(z + dual_p)
             r_aux = ball_project(bz_b + dual_r, epsilon)
             dual_r = dual_r + (bz_b - r_aux)
@@ -389,10 +390,10 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
                     float(wzw @ wzw) + float(z @ z) + float(bz_b @ bz_b),
                     float(g_pri @ g_pri),
                 ))
-                if pri <= dim_pri * cfg.tol_abs + cfg.tol_rel * scale_pri:
+                if pri <= dim_pri * TOL_ABS + TOL_REL * scale_pri:
                     dual_vec = ww * g[i_dl:i_dp] + g[i_dp:i_dr] + op.adjoint(dual_r)
                     scale_dual = rho * math.sqrt(float(dual_vec @ dual_vec))
-                    if dua <= dim_dual * cfg.tol_abs + cfg.tol_rel * scale_dual:
+                    if dua <= dim_dual * TOL_ABS + TOL_REL * scale_dual:
                         status = "converged"
                         iterations = it
                         break
@@ -416,7 +417,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
                 accel.reset()
             else:
                 x = accel.step(g, f)
-    except (linalg.EigNonConvergenceError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         iterations, error = it, str(exc)
     # the residuals reported are those of the last completed sweep; a rebalance
     # sweep always computes its dual residual, so rho is still that sweep's
@@ -426,7 +427,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     if error is None:
         try:
             xhat, eigvals = rank1_extract(z_mat, return_eigenvalues=True)
-        except (linalg.EigNonConvergenceError, np.linalg.LinAlgError) as exc:
+        except np.linalg.LinAlgError as exc:
             error = str(exc)
     # back to the caller's units: Z, its residuals and the objective scale with
     # unit, xhat with sqrt(unit); the dual residual does not scale
@@ -443,7 +444,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
         "split_r": unit * feas,
         "min_eigenvalue": unit * float(eigvals[-1]),
         "top_eigenvalue_ratio": float(eigvals[1] / eigvals[0]) if n > 1 and eigvals[0] > 0 else 0.0,
-        "objective": unit * float(np.trace(wzw_mat) + cfg.lam * np.abs(wzw_mat).sum()),
+        "objective": unit * float(np.trace(wzw_mat) + LAM * np.abs(wzw_mat).sum()),
         "penalty": rho,
         "penalty_updates": penalty_updates,
         "anderson_accepted": accel.accepted,

@@ -17,7 +17,7 @@ from phasecs.cli import (
     run_sweep,
     sweep_csv_lines,
 )
-from phasecs.linalg import NotPositiveDefiniteError
+from phasecs.linalg import EigNonConvergenceError, NotPositiveDefiniteError
 
 TINY_CONFIG = """
 # tiny smoke sweep
@@ -111,6 +111,19 @@ class TestRecoverCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {flag} must be finite and nonnegative, got {value}\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rho", "nan", "rho must be finite and nonnegative, got nan"),
+        ("--rho", "-1", "rho must be finite and nonnegative, got -1"),
+        ("--alpha", "nan", "alpha must be in [0, 1], got nan"),
+        ("--alpha", "-0.5", "alpha must be in [0, 1], got -0.5"),
+        ("--alpha", "1.1", "alpha must be in [0, 1], got 1.1"),
+    ])
+    def test_refuses_bad_rho_or_alpha(self, capsys, flag, value, message):
+        assert cli.main(["recover", flag, value, "--seed", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_unconverged_exit_code(self):
         res = run_cli("recover", "--n", "8", "--k", "1", "--m", "14",
@@ -241,6 +254,8 @@ class TestSweepHarness:
         ({"k": 9}, "k <= N"),
         ({"omegas": (1.0, -0.5)}, "omegas must be finite and nonnegative"),
         ({"sigmas": (math.nan,)}, "sigmas must be finite and nonnegative"),
+        ({"rho": math.nan}, r"^rho must be finite and nonnegative, got nan$"),
+        ({"alphas": (1.0, math.nan)}, r"alpha must be in \[0, 1\], got nan$"),
     ])
     def test_bad_grid_refused_before_any_trial(self, monkeypatch, fields, message):
         def no_trial(*_):
@@ -255,19 +270,18 @@ class TestSweepHarness:
 
     def test_row_seed_reproduces_with_recover(self, tmp_path):
         # a sparse row's grid point and seed, given to `phasecs recover` with
-        # the sweep's solver settings, reproduce the row; each of these
-        # settings at its default would change at least one row
+        # the sweep's max_iter, reproduce the row; at the default max_iter
+        # the capped rows would run on and change
         cfg = SweepConfig(signal="sparse", n=8, k=2, alphas=(0.5,), omegas=(0.3, 1.0),
-                          ms=(16,), sigmas=(0.0, 0.1), trials=2, master_seed=4,
-                          lam=0.5, penalty=2.0, tol_abs=1e-7, tol_rel=0.1, max_iter=250)
+                          ms=(16,), sigmas=(0.0, 0.1), trials=2, master_seed=4, max_iter=250)
         rows = read_sweep_csv("\n".join(sweep_csv_lines(run_sweep(cfg))))
         assert len(rows) == 8
+        assert any(row["status"] == "max-iter" for row in rows)
         out = tmp_path / "recover.txt"
         for row in rows:
             flags = {"n": row["N"], "k": row["k"], "m": row["m"], "omega": row["omega"],
                      "alpha": row["alpha"], "rho": row["rho"], "sigma": row["sigma"],
-                     "seed": row["seed"], "lam": cfg.lam, "penalty": cfg.penalty,
-                     "tol-abs": cfg.tol_abs, "tol-rel": cfg.tol_rel, "max-iter": cfg.max_iter}
+                     "seed": row["seed"], "max-iter": cfg.max_iter}
             argv = [arg for key, value in flags.items() for arg in (f"--{key}", str(value))]
             cli.main(["recover", *argv, "--out", str(out)])
             report = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
@@ -432,13 +446,41 @@ def test_eigensolver_failure_is_solver_exit(monkeypatch, capsys, tmp_path):
     assert "stop_reason=eig-failure" in err and "Eigenvalues did not converge" in err
 
 
-@pytest.mark.parametrize("error", [NotPositiveDefiniteError, np.linalg.LinAlgError])
+@pytest.mark.parametrize("error", [
+    NotPositiveDefiniteError, EigNonConvergenceError, np.linalg.LinAlgError,
+])
 def test_factorization_failure_is_solver_exit(monkeypatch, error):
     def fail(*_, **__):
         raise error("not positive definite")
 
     monkeypatch.setattr(cli, "rip_constant", fail)
     assert cli.main(["certify", "--identity", "4", "--check", "rip", "--k", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["recover", "--lam", "1"], None),
+    (["recover", "--penalty", "1"], None),
+    (["recover", "--tol-abs", "1e-6"], None),
+    (["recover", "--tol-rel", "1e-4"], None),
+    (["sweep", "--config"], "lam = 1"),
+    (["sweep", "--config"], "penalty = 1"),
+    (["sweep", "--config"], "tol_abs = 1e-6"),
+    (["sweep", "--config"], "tol_rel = 1e-4"),
+    (["constants", "--preset", "fig1"], None),
+])
+def test_removed_settings_are_unknown(monkeypatch, tmp_path, argv, config):
+    # the solver's lam, penalty and tolerances are constants, and the
+    # constants grid has no preset: each fails as an unknown flag or key
+    def no_trial(*_):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_trial", no_trial)
+    if config is not None:
+        path = tmp_path / "removed.cfg"
+        path.write_text(TINY_CONFIG + config + "\n")
+        argv = [*argv, str(path)]
+    assert cli.main([*argv, "--out", str(tmp_path / "out.txt")]) == 1
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_matrix_file_errors(tmp_path):

@@ -110,6 +110,14 @@ class TestSupportEstimate:
         with pytest.raises(ValueError, match="infeasible"):
             model.support_estimate_sizes(n, k, rho, alpha)
 
+    @pytest.mark.parametrize("rho, alpha, name", [
+        (math.nan, 0.5, "rho"), (-1.0, 0.5, "rho"), (math.inf, 0.5, "rho"),
+        (1.0, math.nan, "alpha"), (1.0, -0.5, "alpha"), (1.0, 1.1, "alpha"),
+    ])
+    def test_bad_rho_or_alpha_raise(self, rho, alpha, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            model.support_estimate_sizes(16, 2, rho, alpha)
+
     def test_weights_pattern(self):
         est = model.SupportEstimate(indices=(1, 3), omega=0.4, rho=1.0, alpha=1.0)
         assert np.allclose(est.weights(5), [1.0, 0.4, 1.0, 0.4, 1.0])
@@ -237,6 +245,23 @@ class TestNorms:
         expected = float(mags[4:].sum())
         tails = model.tail_norms(mags, range(4), range(4))
         assert np.allclose(tails, (expected, expected))
+
+
+def _canonical_sign_loop(z):
+    # the first significant entry found by a scan, as a reference
+    scale = np.abs(z).max() if z.size else 0.0
+    for zi in z:
+        if abs(zi) > 1e-12 * scale:
+            return -z if zi < 0 else z
+    return z
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 1e-13, -1e-13, 1.0, -1.0, 2.5, -3e-7, math.nan, math.inf]),
+                max_size=6))
+def test_canonical_sign_matches_a_scan(values):
+    z = np.array(values, dtype=float)
+    assert model.canonical_sign(z).tobytes() == _canonical_sign_loop(z).tobytes()
 
 
 def test_substream_independence():

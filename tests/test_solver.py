@@ -189,8 +189,8 @@ class TestSolveSdp:
         res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
         assert res.status == "converged"
         d = res.diagnostics
-        assert d["feasibility"] <= cfg.epsilon + 10 * cfg.tol_abs
-        assert d["min_eigenvalue"] >= -10 * cfg.tol_abs
+        assert d["feasibility"] <= cfg.epsilon + 10 * solver.TOL_ABS
+        assert d["min_eigenvalue"] >= -10 * solver.TOL_ABS
         for key in ("split_l", "split_p", "split_r"):
             assert d[key] <= res.primal_residual + 1e-12
 
@@ -198,7 +198,7 @@ class TestSolveSdp:
         x, a, inst, w, cfg = make_problem(8, 1, 20, 1.0, 1.0, 0.1, 5)
         res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
         assert res.status == "converged"
-        assert res.diagnostics["feasibility"] <= inst.epsilon + 10 * cfg.tol_abs
+        assert res.diagnostics["feasibility"] <= inst.epsilon + 10 * solver.TOL_ABS
 
     def test_deterministic(self):
         x, a, inst, w, cfg = make_problem(6, 1, 10, 0.5, 1.0, 0.0, 11)
@@ -261,14 +261,14 @@ class TestSolveSdp:
 
     def test_fixed_penalty_reports_no_updates(self):
         # the penalty is rebalanced on sweeps 10, 20, ... only, so a solve
-        # that stops before sweep 10 keeps the penalty it was given
-        x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7, penalty=2.5)
+        # that stops before sweep 10 keeps the penalty it started from
+        x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
         op = LiftedOperator.from_matrix(a)
         for max_iter in (1, 9):
             res = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, max_iter=max_iter))
             assert res.status == "max-iter" and res.iterations == max_iter
             assert res.diagnostics["penalty_updates"] == 0
-            assert res.diagnostics["penalty"] == cfg.penalty
+            assert res.diagnostics["penalty"] == solver.INITIAL_PENALTY
 
     def test_spectrum_diagnostics_match_eigvalsh(self):
         x, a, inst, w, cfg = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3)
@@ -281,8 +281,10 @@ class TestSolveSdp:
 
     @pytest.mark.parametrize("sigma, seed", [(0.0, 0), (0.0, 3), (0.05, 3), (0.05, 5)])
     def test_accelerated_minimiser_matches_plain(self, monkeypatch, sigma, seed):
+        monkeypatch.setattr(solver, "TOL_ABS", 1e-8)
+        monkeypatch.setattr(solver, "TOL_REL", 1e-6)
         x, a, inst, w, cfg = make_problem(8, 2, 24 if sigma else 16, 0.5, 0.5, sigma, seed,
-                                          tol_abs=1e-8, tol_rel=1e-6, max_iter=20000)
+                                          max_iter=20000)
         op = LiftedOperator.from_matrix(a)
         fast = solve_sdp(op, inst.b, w, cfg)
         monkeypatch.setattr(solver, "ANDERSON_MEMORY", 0)
@@ -314,17 +316,17 @@ class TestSolveSdp:
             res = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, max_iter=max_iter))
             assert res.status == "max-iter" and res.iterations == max_iter
             # not tested in the loop, so the convergence test needs no dual residual
-            assert res.diagnostics["ball_violation"] > 10 * cfg.tol_abs
+            assert res.diagnostics["ball_violation"] > 10 * solver.TOL_ABS
             for value in (res.primal_residual, res.dual_residual):
                 assert np.isfinite(value) and value > 0
             residuals.add((res.primal_residual, res.dual_residual))
         assert len(residuals) == 3
 
     def test_reports_objective(self):
-        x, a, inst, w, cfg = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3, lam=0.5)
+        x, a, inst, w, cfg = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3)
         res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
         wzw = np.outer(w, w) * res.Z
-        expected = np.trace(wzw) + cfg.lam * np.abs(wzw).sum()
+        expected = np.trace(wzw) + solver.LAM * np.abs(wzw).sum()
         assert res.diagnostics["objective"] == pytest.approx(expected, rel=1e-12)
 
     def test_result_has_no_instance_dict(self):
@@ -474,8 +476,6 @@ def test_lifted_operator_forward_and_adjoint(n, m, data):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(penalty=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):

@@ -6,7 +6,10 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from phasecs import model
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -87,3 +90,15 @@ def test_ratios_are_taken_per_repetition(tools, capsys):
         "3 repetitions of one pass per side after a warm-up pass; median (quartiles)",
         "row  parent 5 (3-7)  this 2 (1.5-2.5)  parent/this 3 (1.75-4)",
     ]
+
+
+def test_trial_sets_are_drawn_as_recover_draws_them(tools):
+    common = tools("common")
+    drawn = list(common.draw_trials(8, 1, (12, 14), (0.3, 1.0), (0.0,), range(3, 5)))
+    assert [key for key, _, _ in drawn] == [
+        (seed, m, omega, 0.0) for seed in (3, 4) for m in (12, 14) for omega in (0.3, 1.0)]
+    (seed, m, omega, sigma), inst, est = drawn[-1]
+    ref, ref_est = model.draw_trial(np.random.default_rng(seed), "sparse", 8, 1, m, 1.0,
+                                    0.75, omega, sigma)
+    assert inst.A.tobytes() == ref.A.tobytes() and inst.b.tobytes() == ref.b.tobytes()
+    assert est == ref_est

@@ -2,9 +2,12 @@
 
 Importing this module pins BLAS to one thread, so it comes before numpy
 in every script, and puts ``src/`` of this checkout first on the import
-path.  It also holds the import of another checkout's package and the one
-loop that times the passes of one or two checkouts in one process:
+path.  It also holds the import of another checkout's package, the
+drawer of the trial sets that the solver scripts solve, and the one loop
+that times the passes of one or two checkouts in one process:
 
+- ``draw_trials(n, k, ms, omegas, sigmas, seeds)`` draws every trial of a
+  set, seed by seed, as ``phasecs recover`` draws it;
 - ``side_modules(doc, name, argv)`` parses the optional ``PARENT``
   argument of a cost script and returns module ``phasecs.<name>`` of this
   checkout (``"this"``) and, given ``PARENT``, that of the other checkout
@@ -27,6 +30,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
+import itertools  # noqa: E402
 import sys  # noqa: E402
 from collections import defaultdict  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -34,6 +38,17 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from phasecs import model  # noqa: E402
+
+
+def draw_trials(n, k, ms, omegas, sigmas, seeds):
+    """``((seed, m, omega, sigma), instance, estimate)`` per trial of a set, drawn
+    as ``phasecs recover`` draws it: sparse signal, rho 1, alpha 0.75."""
+    for seed, m, omega, sigma in itertools.product(seeds, ms, omegas, sigmas):
+        instance, estimate = model.draw_trial(np.random.default_rng(seed), "sparse", n, k, m,
+                                              1.0, 0.75, omega, sigma)
+        yield (seed, m, omega, sigma), instance, estimate
 
 
 def load_module(checkout: Path, name: str):

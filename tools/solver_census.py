@@ -6,9 +6,9 @@
 
 Run from anywhere; the package is imported from ``src/`` of this checkout,
 and BLAS is pinned to one thread so the trajectories are reproducible.  Each
-trial is drawn as ``phasecs recover`` draws it (``model.draw_trial`` on
-``numpy.random.default_rng(seed)``, sparse signal, rho 1) and solved with the
-default solver settings through ``cli.solve_trial``.  The cells:
+trial is drawn as ``phasecs recover`` draws it (``common.draw_trials``:
+sparse signal, rho 1, alpha 0.75) and solved with the default solver
+settings through ``cli.solve_trial``.  The cells:
 
 - ``n16``: N=16, k=2, alpha 0.75, sigma 0, m in {40, 80}, omega in {0.3, 1},
   seeds 5000-5024: 100 trials, the regime of the recover-small benchmark.
@@ -25,15 +25,14 @@ SNR.  A cell's mean SNR moves with rounding through these trials, so they
 are listed one by one.
 """
 
-import common  # noqa: F401  first: it pins BLAS before numpy loads
+import common  # first: it pins BLAS before numpy loads
 
 import argparse
-import itertools
 import sys
 
 import numpy as np
 
-from phasecs import cli, model
+from phasecs import cli
 from phasecs.solver import SolverConfig
 
 # name -> (n, k, ms, omegas, sigmas, seeds)
@@ -41,15 +40,13 @@ CELLS = {
     "n16": (16, 2, (40, 80), (0.3, 1.0), (0.0,), range(5000, 5025)),
     "n32": (32, 4, (24, 36), (0.3, 1.0), (0.0, 0.1), range(5000, 5003)),
 }
-ALPHA = 0.75
 
 
 def census(n, k, ms, omegas, sigmas, seeds) -> dict:
     iters, snrs, updates, norms, capped = [], [], [], [], []
     failed = 0
-    for seed, m, omega, sigma in itertools.product(seeds, ms, omegas, sigmas):
-        inst, est = model.draw_trial(np.random.default_rng(seed), "sparse", n, k, m, 1.0,
-                                     ALPHA, omega, sigma)
+    for (seed, m, omega, sigma), inst, est in common.draw_trials(n, k, ms, omegas, sigmas,
+                                                                 seeds):
         result, snr = cli.solve_trial(inst, est, SolverConfig())
         iters.append(result.iterations)
         norms.append(float(np.linalg.norm(inst.b)))

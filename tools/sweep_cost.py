@@ -5,10 +5,9 @@
 
 Run from anywhere; the package is imported from ``src/`` of this checkout,
 and BLAS is pinned to one thread.  Each set is 16 trials drawn as
-``phasecs recover`` draws them (``model.draw_trial`` on
-``numpy.random.default_rng(seed)``, sparse signal, alpha 0.75, rho 1,
-sigma 0) at seeds 7000-7007 and omega in {0.3, 1}, and solved with the
-default solver settings:
+``phasecs recover`` draws them (``common.draw_trials``: sparse signal,
+alpha 0.75, rho 1) at seeds 7000-7007, omega in {0.3, 1} and sigma 0, and
+solved with the default solver settings:
 
 - ``n16-m40``: N=16, k=2, m=40, the default ``recover`` size;
 - ``n16-m80``: N=16, k=2, m=80, the other half of the recover-small mix;
@@ -37,10 +36,6 @@ import common  # first: it pins BLAS before numpy loads
 import sys
 import time
 
-import numpy as np
-
-from phasecs import model
-
 # name -> (n, k, m, max_iter)
 SETS = {
     "n16-m40": (16, 2, 40, 5000),
@@ -50,18 +45,12 @@ SETS = {
 SEEDS = range(7000, 7008)
 REPS = 7
 OMEGAS = (0.3, 1.0)
-ALPHA = 0.75
 
 
 def draw(n, k, m, max_iter) -> list:
     """``(A, b, w, epsilon, max_iter)`` per trial of a set."""
-    trials = []
-    for seed in SEEDS:
-        for omega in OMEGAS:
-            inst, est = model.draw_trial(np.random.default_rng(seed), "sparse", n, k, m, 1.0,
-                                         ALPHA, omega, 0.0)
-            trials.append((inst.A, inst.b, est.weights(n), inst.epsilon, max_iter))
-    return trials
+    return [(inst.A, inst.b, est.weights(n), inst.epsilon, max_iter)
+            for _, inst, est in common.draw_trials(n, k, (m,), OMEGAS, (0.0,), SEEDS)]
 
 
 def solve_pass(solver, drawn: dict):
