@@ -48,7 +48,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .linalg import TOL, _finite, as_matrix, eig_sym, kernel_basis
-from .model import canonical_sign, weighted_l1
+from .model import best_k_support, canonical_sign, weighted_l1
 
 
 class CapExceededError(RuntimeError):
@@ -284,11 +284,6 @@ def _classify(margin: float, witness, enumerated: int) -> NspVerdict:
     return NspVerdict("holds-exact", margin, None, enumerated)
 
 
-def _worst_support(h: np.ndarray, w: np.ndarray, k: int) -> tuple[int, ...]:
-    order = np.argsort(-(w * np.abs(h)), kind="stable")
-    return tuple(sorted(int(i) for i in order[:k]))
-
-
 def _kernel_vertices(coords: np.ndarray, rows: np.ndarray, basis: np.ndarray):
     """Vertex directions of ``{basis c : ||coords c||_{1,w} <= 1}``, one
     stack per chunk of subsets, with the subsets that define them.
@@ -361,9 +356,11 @@ def weighted_nsp_check(a, k: int, w) -> NspVerdict:
         # coordinates pin down a vertex): ||.||_{1,w} is no norm on the
         # kernel; the vector's largest entries make the witness
         h = kernel @ vt[-1]
-        return NspVerdict("fails", 0.0, NspWitness(h, _worst_support(h, np.ones(n), k)), 0)
+        support = tuple(int(i) for i in best_k_support(h, k))
+        return NspVerdict("fails", 0.0, NspWitness(h, support), 0)
     h = worst / np.linalg.norm(worst)
-    return _classify(1.0 - 2.0 * theta, NspWitness(h, _worst_support(h, w, k)), count)
+    support = tuple(int(i) for i in best_k_support(w * h, k))
+    return _classify(1.0 - 2.0 * theta, NspWitness(h, support), count)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,15 @@ def _check_nonnegative(name: str, values) -> None:
             raise UsageError(f"{name} must be finite and nonnegative, got {value:g}")
 
 
+def _check_hashable(name: str, values) -> None:
+    """Refuse a grid value ``name`` that the per-trial seed hash cannot quantize."""
+    for value in values:
+        try:
+            _quantized(value)
+        except OverflowError:
+            raise UsageError(f"{name} is too large for the seed hash, got {value:g}") from None
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid of experiment settings; one trial runs per grid point and trial index."""
@@ -86,6 +95,12 @@ class SweepConfig:
             raise UsageError(f"unknown signal kind {self.signal!r}")
         if self.signal == "compressible" and self.theta is None:
             raise UsageError("compressible sweeps need a theta value")
+        if self.theta is not None:
+            if not math.isfinite(self.theta):
+                raise UsageError(f"theta must be finite, got {self.theta:g}")
+            if self.signal == "compressible" and self.theta <= 0.0:
+                raise UsageError(f"theta must be positive, got {self.theta:g}")
+            _check_hashable("theta", [self.theta])
         if self.trials < 1:
             raise UsageError("trials must be at least 1")
         if not (self.alphas and self.omegas and self.ms and self.sigmas):
@@ -93,6 +108,7 @@ class SweepConfig:
         if not 1 <= self.k <= self.n or min(self.ms) < 1:
             raise UsageError("need 1 <= k <= N and every m >= 1")
         _check_nonnegative("omegas", self.omegas)
+        _check_hashable("omegas", self.omegas)
         _check_nonnegative("sigmas", self.sigmas)
         _check_nonnegative("rho", [self.rho])
         for alpha in self.alphas:
@@ -565,6 +581,8 @@ def cmd_oracle(args) -> int:
         x = np.array([float(v) for v in args.x.split(",")])
         if x.size != n:
             raise UsageError(f"--x needs {n} entries")
+        if not np.isfinite(x).all():
+            raise UsageError("--x has non-finite entries")
     if args.phaseless:
         if args.y is not None:
             raise UsageError("--y applies to the linear program only")

@@ -79,11 +79,6 @@ def _finite(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def as_sym_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate near-symmetry and return the exactly symmetrized matrix."""
-    return _symmetrized(as_matrix(m, name), name)
-
-
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
     """Check each matrix of a finite stack ``(..., n, n)`` for near-symmetry
     against its own largest entry, and return the stack exactly symmetrized."""
@@ -184,7 +179,7 @@ def solve_spd(g, rhs) -> np.ndarray:
     Raises :class:`NotPositiveDefiniteError` on non-SPD input, including a
     pivot below ``TOL.spd_pivot_rel`` times the largest diagonal entry.
     """
-    g = as_sym_matrix(g, "g")
+    g = _symmetrized(as_matrix(g, "g"), "g")
     b = np.asarray(rhs, dtype=float)
     if b.shape[:1] != g.shape[:1] or b.ndim > 2:
         raise ValueError("right-hand side has incompatible shape")

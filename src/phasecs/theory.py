@@ -132,67 +132,6 @@ def error_bound(
 
 
 @dataclass(frozen=True)
-class TheoryParams:
-    """Inputs of the recovery bounds: prior quality, order factor, isometry data."""
-
-    omega: float
-    rho: float
-    alpha: float
-    t: float
-    delta_tk: float
-    theta_minus: float
-    theta_plus: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError("omega must lie in [0, 1]")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if not 0.0 <= self.delta_tk < 1.0:
-            raise ValueError("delta_tk must lie in [0, 1)")
-        for theta in (self.theta_minus, self.theta_plus):
-            if not 0.0 < theta < 2.0:
-                raise ValueError("theta bounds must lie in (0, 2)")
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Derived constants of the recovery bounds for one parameter point."""
-
-    gamma: float
-    a: float
-    d: float
-    t_omega: float
-    c1: float
-    c2: float
-    delta_threshold: float
-
-
-def bound_constants(params: TheoryParams) -> BoundConstants:
-    """Assemble every derived constant for one parameter point.
-
-    Requires ``t > d`` and ``delta_tk`` below the threshold, like
-    :func:`error_constants`.
-    """
-    gam = gamma(params.omega, params.rho, params.alpha)
-    d = d_const(params.omega, params.rho, params.alpha)
-    c1, c2 = error_constants(params.t, params.delta_tk, params.omega,
-                             params.rho, params.alpha)
-    return BoundConstants(
-        gamma=gam,
-        a=max(params.alpha, 1.0 - params.alpha) * params.rho,
-        d=d,
-        t_omega=t_omega(params.omega, params.rho, params.alpha,
-                        params.theta_minus, params.theta_plus),
-        c1=c1,
-        c2=c2,
-        delta_threshold=delta_threshold(params.t, d, gam),
-    )
-
-
-@dataclass(frozen=True)
 class ConstantsRow:
     """One grid point of the constants sweep."""
 

@@ -256,6 +256,11 @@ class TestSweepHarness:
         ({"sigmas": (math.nan,)}, "sigmas must be finite and nonnegative"),
         ({"rho": math.nan}, r"^rho must be finite and nonnegative, got nan$"),
         ({"alphas": (1.0, math.nan)}, r"alpha must be in \[0, 1\], got nan$"),
+        ({"theta": math.inf}, r"^theta must be finite, got inf$"),
+        ({"theta": math.nan}, r"^theta must be finite, got nan$"),
+        ({"signal": "compressible", "theta": -1.0}, r"^theta must be positive, got -1$"),
+        ({"theta": 1e300}, r"^theta is too large for the seed hash, got 1e\+300$"),
+        ({"omegas": (1e300,)}, r"^omegas is too large for the seed hash, got 1e\+300$"),
     ])
     def test_bad_grid_refused_before_any_trial(self, monkeypatch, fields, message):
         def no_trial(*_):
@@ -409,7 +414,8 @@ class TestOracleCommand:
     @pytest.mark.parametrize("args, name", [
         (["--y", "nan,1,2"], "y"),
         (["--y", "inf,1,2"], "y"),
-        (["--x", "nan,0,1", "--phaseless"], "b_abs"),
+        (["--x", "nan,0,1", "--phaseless"], "--x"),
+        (["--x", "inf,0,1"], "--x"),
     ])
     def test_refuses_non_finite_input(self, capsys, args, name):
         assert cli.main(["oracle", "--identity", "3", *args]) == 1

@@ -174,43 +174,21 @@ def test_unweighted_rejects_bad_input():
         theory.error_constants_unweighted(4.0, 0.99)
 
 
-class TestBoundConstants:
-    def params(self, **kw):
-        base = dict(omega=0.6, rho=1.0, alpha=0.9, t=4.0, delta_tk=0.3,
-                    theta_minus=0.5, theta_plus=1.5)
-        base.update(kw)
-        return theory.TheoryParams(**base)
-
-    def test_aggregates_match_pieces(self):
-        p = self.params()
-        bc = theory.bound_constants(p)
-        assert bc.gamma == theory.gamma(0.6, 1.0, 0.9)
-        assert bc.d == theory.d_const(0.6, 1.0, 0.9)
-        assert bc.a == 0.9
-        assert bc.t_omega == theory.t_omega(0.6, 1.0, 0.9, 0.5, 1.5)
-        assert (bc.c1, bc.c2) == theory.error_constants(4.0, 0.3, 0.6, 1.0, 0.9)
-        assert bc.delta_threshold == theory.delta_threshold(4.0, bc.d, bc.gamma)
-
-    def test_invariant_ranges(self):
-        for omega in (0.0, 0.4, 1.0):
-            for alpha in (0.0, 0.5, 1.0):
-                bc = theory.bound_constants(self.params(omega=omega, alpha=alpha))
-                # gamma hits 0 exactly at the fully-trusted perfect prior
-                # (omega=0, alpha=1); the threshold then degenerates to 1
-                if omega == 0.0 and alpha == 1.0:
-                    assert bc.gamma == 0.0
-                    assert bc.delta_threshold == 1.0
-                else:
-                    assert bc.gamma > 0
-                    assert 0 < bc.delta_threshold < 1
-                assert bc.d >= 1.0
-                assert bc.c1 > 0 and math.isfinite(bc.c1)
-                assert bc.c2 > 0 and math.isfinite(bc.c2)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            self.params(omega=1.5)
-        with pytest.raises(ValueError):
-            self.params(delta_tk=1.0)
-        with pytest.raises(ValueError):
-            self.params(theta_plus=2.0)
+def test_derived_constant_ranges():
+    for omega in (0.0, 0.4, 1.0):
+        for alpha in (0.0, 0.5, 1.0):
+            gam = theory.gamma(omega, 1.0, alpha)
+            d = theory.d_const(omega, 1.0, alpha)
+            threshold = theory.delta_threshold(4.0, d, gam)
+            c1, c2 = theory.error_constants(4.0, 0.3, omega, 1.0, alpha)
+            # gamma hits 0 exactly at the fully-trusted perfect prior
+            # (omega=0, alpha=1); the threshold then degenerates to 1
+            if omega == 0.0 and alpha == 1.0:
+                assert gam == 0.0
+                assert threshold == 1.0
+            else:
+                assert gam > 0
+                assert 0 < threshold < 1
+            assert d >= 1.0
+            assert c1 > 0 and math.isfinite(c1)
+            assert c2 > 0 and math.isfinite(c2)
