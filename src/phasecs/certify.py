@@ -620,11 +620,6 @@ def _dedupe(vectors: list[np.ndarray]) -> list[np.ndarray]:
         i += 1 + int(beyond[0])
 
 
-def brute_force_weighted_l1(a, y, w) -> L1MinResult:
-    """Exact minimizer set of ``min ||z||_{1,w} s.t. A z = y`` on small instances."""
-    return ExhaustiveL1Oracle(a).solve(y, w)
-
-
 def brute_force_phaseless(a, b_abs, w) -> L1MinResult:
     """Exact minimizer set of ``min ||z||_{1,w} s.t. |A z| = b_abs``, up to sign.
 

@@ -24,8 +24,8 @@ import numpy as np
 from . import model, theory
 from .certify import (
     CapExceededError,
+    ExhaustiveL1Oracle,
     brute_force_phaseless,
-    brute_force_weighted_l1,
     phaseless_nsp_check,
     recovers_uniquely,
     rip_constant,
@@ -33,7 +33,7 @@ from .certify import (
     weighted_nsp_check,
 )
 from .plots import line_chart
-from .solver import LiftedOperator, SolverConfig, SolverResult, solve_sdp
+from .solver import MAX_WEIGHT, LiftedOperator, SolverConfig, SolverResult, solve_sdp
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,10 +46,6 @@ SWEEP_COLUMNS = [
     "trial", "seed", "snr_db", "iterations", "status", "wall_ms",
 ]
 
-EXAMPLE_MATRICES = {
-    "failure-2x2": np.array([[1.0, 1.0], [1.0, -1.0]]),
-}
-
 
 class UsageError(Exception):
     pass
@@ -60,6 +56,13 @@ def _check_nonnegative(name: str, values) -> None:
     for value in values:
         if not (math.isfinite(value) and value >= 0.0):
             raise UsageError(f"{name} must be finite and nonnegative, got {value:g}")
+
+
+def _check_max_weight(name: str, values) -> None:
+    """Refuse a prior weight ``name`` above the solver's ``MAX_WEIGHT``."""
+    for value in values:
+        if value > MAX_WEIGHT:
+            raise UsageError(f"{name} must be at most {MAX_WEIGHT:g}, got {value:g}")
 
 
 def _check_hashable(name: str, values) -> None:
@@ -109,6 +112,7 @@ class SweepConfig:
             raise UsageError("need 1 <= k <= N and every m >= 1")
         _check_nonnegative("omegas", self.omegas)
         _check_hashable("omegas", self.omegas)
+        _check_max_weight("omegas", self.omegas)
         _check_nonnegative("sigmas", self.sigmas)
         _check_nonnegative("rho", [self.rho])
         for alpha in self.alphas:
@@ -195,11 +199,10 @@ def parse_sweep_config(text: str) -> SweepConfig:
 
 
 def solve_trial(instance: model.PhaselessInstance, estimate: model.SupportEstimate,
-                solver_cfg: SolverConfig) -> tuple[SolverResult, float]:
+                max_iter: int = SolverConfig.max_iter) -> tuple[SolverResult, float]:
     """Solve a drawn trial at its noise level ``epsilon``; the SNR is NaN if the solve failed."""
-    cfg = dataclasses.replace(solver_cfg, epsilon=instance.epsilon)
-    result = solve_sdp(LiftedOperator.from_matrix(instance.A), instance.b,
-                       estimate.weights(instance.x.size), cfg)
+    result = solve_sdp(LiftedOperator(instance.A), instance.b, estimate.weights(instance.x.size),
+                       SolverConfig(max_iter=max_iter, epsilon=instance.epsilon))
     snr = model.snr_db(instance.x, result.xhat) if result.status != "failed" else math.nan
     return result, snr
 
@@ -227,7 +230,7 @@ def run_trial(cfg: SweepConfig, alpha: float, omega: float, m: int, sigma: float
         np.random.default_rng(seed), cfg.signal, cfg.n, cfg.k, m, cfg.rho, alpha, omega,
         sigma, cfg.theta,
     )
-    result, snr = solve_trial(instance, estimate, SolverConfig(max_iter=cfg.max_iter))
+    result, snr = solve_trial(instance, estimate, cfg.max_iter)
     wall_ms = int(round((time.perf_counter() - start) * 1000))
     return SweepRecord(
         signal_kind=cfg.signal, n=cfg.n, k=cfg.k, theta=cfg.theta, rho=cfg.rho,
@@ -391,23 +394,16 @@ def read_matrix_file(path: str) -> np.ndarray:
 
 
 def _load_matrix(args) -> np.ndarray:
-    sources = [args.matrix is not None, args.gaussian is not None,
-               args.identity is not None, args.example is not None]
+    sources = [args.matrix is not None, args.gaussian is not None, args.identity is not None]
     if sum(sources) != 1:
-        raise UsageError("choose exactly one of --matrix/--gaussian/--identity/--example")
+        raise UsageError("choose exactly one of --matrix/--gaussian/--identity")
     if args.matrix is not None:
         return read_matrix_file(args.matrix)
     if args.gaussian is not None:
         m, n = args.gaussian
         rng = np.random.default_rng(args.seed)
         return model.gen_gaussian_matrix(rng, m, n)
-    if args.identity is not None:
-        return np.eye(args.identity)
-    try:
-        return EXAMPLE_MATRICES[args.example].copy()
-    except KeyError:
-        raise UsageError(f"unknown example {args.example!r}; "
-                         f"available: {', '.join(sorted(EXAMPLE_MATRICES))}") from None
+    return np.eye(args.identity)
 
 
 def _weights_from_args(args, n: int) -> np.ndarray:
@@ -460,12 +456,13 @@ def cmd_constants(args) -> int:
 
 def cmd_recover(args) -> int:
     _check_nonnegative("--omega", [args.omega])
+    _check_max_weight("--omega", [args.omega])
     _check_nonnegative("--sigma", [args.sigma])
     instance, estimate = model.draw_trial(
         np.random.default_rng(args.seed), "sparse", args.n, args.k, args.m, args.rho,
         args.alpha, args.omega, args.sigma,
     )
-    result, snr = solve_trial(instance, estimate, SolverConfig(max_iter=args.max_iter))
+    result, snr = solve_trial(instance, estimate, args.max_iter)
     stop_reason = result.diagnostics["stop_reason"]
     report = [
         f"n: {args.n}", f"k: {args.k}", f"m: {args.m}",
@@ -608,7 +605,7 @@ def cmd_oracle(args) -> int:
             y = a @ x
         else:
             raise UsageError("provide --x or --y")
-        res = brute_force_weighted_l1(a, y, w)
+        res = ExhaustiveL1Oracle(a).solve(y, w)
         report = {
             "program": "linear", "value": res.value,
             "minimizers": [_jsonable(z) for z in res.minimizers],
@@ -630,7 +627,6 @@ def _add_matrix_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gaussian", nargs=2, type=int, metavar=("M", "N"),
                    help="seeded Gaussian matrix of the given size")
     p.add_argument("--identity", type=int, metavar="N", help="identity matrix")
-    p.add_argument("--example", help="built-in example matrix, e.g. failure-2x2")
     p.add_argument("--seed", type=int, default=0, help="seed for --gaussian")
 
 

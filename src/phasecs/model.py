@@ -102,6 +102,11 @@ def best_k_support(x: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order[:k])
 
 
+def _check_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value:g}")
+
+
 def support_estimate_sizes(n: int, k: int, rho: float, alpha: float) -> tuple[int, int]:
     """Index counts in and outside a size-k ``T0`` of a support estimate.
 
@@ -109,8 +114,7 @@ def support_estimate_sizes(n: int, k: int, rho: float, alpha: float) -> tuple[in
     ``T0``, rounded half up; ``ValueError`` if ``rho`` is negative or not finite,
     if ``alpha`` is outside [0, 1], or if ``T0`` or its complement is too small.
     """
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise ValueError(f"rho must be finite and nonnegative, got {rho:g}")
+    _check_nonnegative("rho", rho)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha:g}")
     size = math.floor(rho * k + 0.5)
@@ -128,8 +132,9 @@ def gen_support_estimate(rng: np.random.Generator, t0: np.ndarray, n: int, k: in
 
     The counts come from :func:`support_estimate_sizes`; the correct indices
     are sampled uniformly from ``t0`` and the rest uniformly from its
-    complement.
+    complement.  ``ValueError`` if ``omega`` is negative or not finite.
     """
+    _check_nonnegative("omega", omega)
     t0 = np.asarray(t0, dtype=int)
     size_in, size_out = support_estimate_sizes(n, k, rho, alpha)
     inside = rng.choice(t0, size=size_in, replace=False) if size_in else np.empty(0, int)
@@ -155,7 +160,11 @@ def make_instance(
     sigma: float,
     rng: np.random.Generator,
 ) -> PhaselessInstance:
-    """Measure ``x`` through ``A``: ``b = (A x)**2 + e`` with ``e ~ N(0, sigma^2)``."""
+    """Measure ``x`` through ``A``: ``b = (A x)**2 + e`` with ``e ~ N(0, sigma^2)``.
+
+    ``ValueError`` if ``sigma`` is negative or not finite.
+    """
+    _check_nonnegative("sigma", sigma)
     A = np.asarray(A, dtype=float)
     x = np.asarray(x, dtype=float)
     if A.shape[1] != x.size:

@@ -78,6 +78,10 @@ INITIAL_PENALTY = 1.0
 # absolute and relative thresholds of the stopping test
 TOL_ABS = 1e-6
 TOL_REL = 1e-4
+# largest weight magnitude solve_sdp accepts: w**4 enters the normal system,
+# and ||W Z W||^2 <= w**4 ||Z||^2 the stopping test; at 1e50 both stay far
+# inside the float range (about 1.8e308) for any ||Z|| below 1e54
+MAX_WEIGHT = 1e50
 
 
 @dataclass(frozen=True)
@@ -93,15 +97,12 @@ class LiftedOperator:
     sensors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "a", linalg.as_matrix(self.a))
         m, n = self.a.shape
         lay = linalg.svec_layout(n)
         # row i is svec(a_i a_i')
         lifts = (self.a[:, :, None] * self.a[:, None, :]).reshape(m, n * n)
         object.__setattr__(self, "sensors", lifts[:, lay.upper] * lay.scale)
-
-    @classmethod
-    def from_matrix(cls, a) -> "LiftedOperator":
-        return cls(a=linalg.as_matrix(a))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -168,18 +169,18 @@ def ball_project(v: np.ndarray, radius: float) -> np.ndarray:
     return v * (radius / nv)
 
 
-def rank1_extract(z, return_eigenvalues: bool = False):
+def rank1_extract(z) -> tuple[np.ndarray, np.ndarray]:
     """Best rank-1 signal estimate from a lifted matrix: sqrt of the top eigenpair.
 
     The sign is canonicalized so the first significantly nonzero coordinate is
-    positive; reconstruction metrics remove the global sign anyway.  With
-    ``return_eigenvalues`` the eigenvalues of the same decomposition, in
-    descending order, are returned as well.
+    positive; reconstruction metrics remove the global sign anyway.  Returns
+    the estimate and the eigenvalues of the same decomposition, in descending
+    order.
     """
     dec = linalg.eig_sym(z)
     lam1 = float(dec.eigenvalues[0])
     xhat = canonical_sign(math.sqrt(max(lam1, 0.0)) * dec.eigenvectors[:, 0])
-    return (xhat, dec.eigenvalues) if return_eigenvalues else xhat
+    return xhat, dec.eigenvalues
 
 
 def _psd_project(v: np.ndarray) -> np.ndarray:
@@ -303,12 +304,14 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     guarantees ``||B(Z) - b|| <= epsilon + 10 * TOL_ABS * ||b||`` at exit.
 
     ``Z``, ``xhat``, the primal residual and the diagnostics ``feasibility``,
-    ``ball_violation``, ``split_*``, ``min_eigenvalue`` and ``objective`` are
-    in the units of ``b``; the dual residual is free of them.  ``penalty`` is
-    the final penalty of the normalised iteration: the same run on the
-    caller's data would use ``penalty / ||b||``.  ``stop_reason`` is
-    ``converged``, ``max-iter``, ``eig-failure`` or
-    ``factorization-failure``; the last two have status ``failed``.
+    ``ball_violation``, ``split_l``, ``split_p``, ``min_eigenvalue`` and
+    ``objective`` are in the units of ``b``; the dual residual is free of
+    them.  ``penalty`` is the final penalty of the normalised iteration: the
+    same run on the caller's data would use ``penalty / ||b||``.
+    ``stop_reason`` is ``converged``, ``max-iter``, ``eig-failure`` or
+    ``factorization-failure``; the last two have status ``failed``.  A
+    weight of magnitude above ``MAX_WEIGHT``, or not finite, is refused with
+    a ``ValueError``.
     """
     cfg = cfg or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -316,6 +319,8 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     m, n = op.shape
     if b.shape != (m,) or w.shape != (n,):
         raise ValueError("operator, measurements and weights have inconsistent shapes")
+    if not (np.abs(w) <= MAX_WEIGHT).all():
+        raise ValueError(f"w must be finite with entries of magnitude at most {MAX_WEIGHT:g}")
 
     try:
         normal = _NormalSolver(op, w)
@@ -426,7 +431,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     z_mat = smat(z)
     if error is None:
         try:
-            xhat, eigvals = rank1_extract(z_mat, return_eigenvalues=True)
+            xhat, eigvals = rank1_extract(z_mat)
         except np.linalg.LinAlgError as exc:
             error = str(exc)
     # back to the caller's units: Z, its residuals and the objective scale with
@@ -441,7 +446,6 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
         "ball_violation": unit * feas,
         "split_l": unit * float(np.linalg.norm(f[i_dl:i_dp])),
         "split_p": unit * float(np.linalg.norm(f[i_dp:i_dr])),
-        "split_r": unit * feas,
         "min_eigenvalue": unit * float(eigvals[-1]),
         "top_eigenvalue_ratio": float(eigvals[1] / eigvals[0]) if n > 1 and eigvals[0] > 0 else 0.0,
         "objective": unit * float(np.trace(wzw_mat) + LAM * np.abs(wzw_mat).sum()),

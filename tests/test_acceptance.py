@@ -24,7 +24,6 @@ from phasecs.certify import (
     weighted_nsp_check,
 )
 from phasecs.cli import SweepConfig, run_sweep, solve_trial
-from phasecs.solver import SolverConfig
 
 GRID = [round(0.1 * i, 1) for i in range(11)]
 SNR_CAP = 300.0  # caps exact recoveries so means stay finite
@@ -53,7 +52,7 @@ def sparse_recovery_batch():
             inst, est = model.draw_trial(model.substream(616, int(omega * 10), trial),
                                          "sparse", 16, 2, 40, 1.0, 0.75, omega, 0.0)
             start = time.perf_counter()
-            res, snr = solve_trial(inst, est, SolverConfig())
+            res, snr = solve_trial(inst, est)
             wall = time.perf_counter() - start
             runs.append({"result": res, "wall_s": wall, "snr": snr})
     return runs
@@ -301,7 +300,7 @@ def test_criterion_9_error_bound_coherence(sparse_recovery_batch):
     for seed in (1, 2, 3, 4, 5):
         inst, est = model.draw_trial(model.substream(321, seed), "compressible", 16, 4, 48,
                                      1.0, 0.75, 0.5, 0.0, theta=4.5)
-        res, _ = solve_trial(inst, est, SolverConfig())
+        res, _ = solve_trial(inst, est)
         x = inst.x
         err = min(np.linalg.norm(res.xhat - x), np.linalg.norm(res.xhat + x))
         tail_t0, tail_joint = model.tail_norms(x, model.best_k_support(x, 4), est.indices)

@@ -21,7 +21,6 @@ from phasecs.certify import (
     _dedupe,
     _half_subsets,
     brute_force_phaseless,
-    brute_force_weighted_l1,
     canonical_sign,
     nsp_slack,
     phaseless_nsp_check,
@@ -417,8 +416,6 @@ def test_nsp_checks_refuse_non_finite_weights(check, a, bad):
     pytest.param(lambda w: phaseless_nsp_check(A_4x3, 1, w), id="phaseless_nsp_check"),
     pytest.param(lambda w: ExhaustiveL1Oracle(A_2x3).solve([1.0, 1.0], w),
                  id="ExhaustiveL1Oracle.solve"),
-    pytest.param(lambda w: brute_force_weighted_l1(A_2x3, [1.0, 1.0], w),
-                 id="brute_force_weighted_l1"),
     pytest.param(lambda w: brute_force_phaseless(A_2x3, [1.0, 1.0], w),
                  id="brute_force_phaseless"),
 ])
@@ -470,34 +467,34 @@ class TestL1Oracle:
                 assert np.abs(z - ref).max() <= 1e-6 * (1.0 + np.abs(ref).max())
 
     def test_identity_unique(self):
-        res = brute_force_weighted_l1(np.eye(2), np.array([3.0, -4.0]), np.ones(2))
+        res = ExhaustiveL1Oracle(np.eye(2)).solve(np.array([3.0, -4.0]), np.ones(2))
         assert recovers_uniquely(res, np.array([3.0, -4.0]))
 
     def test_tie_set(self):
-        res = brute_force_weighted_l1(np.array([[1.0, 1.0]]), np.array([1.0]), np.ones(2))
+        res = ExhaustiveL1Oracle(np.array([[1.0, 1.0]])).solve(np.array([1.0]), np.ones(2))
         assert res.value == pytest.approx(1.0)
         assert sorted(tuple(np.round(z, 9)) for z in res.minimizers) == [(0.0, 1.0), (1.0, 0.0)]
 
     def test_weights_break_tie(self):
-        res = brute_force_weighted_l1(np.array([[1.0, 1.0]]), np.array([1.0]),
-                                      np.array([0.5, 1.0]))
+        res = ExhaustiveL1Oracle(np.array([[1.0, 1.0]])).solve(np.array([1.0]),
+                                                        np.array([0.5, 1.0]))
         assert res.value == pytest.approx(0.5)
         assert recovers_uniquely(res, np.array([1.0, 0.0]))
 
     def test_zero_rhs(self):
-        res = brute_force_weighted_l1(np.array([[1.0, 1.0]]), np.array([0.0]), np.ones(2))
+        res = ExhaustiveL1Oracle(np.array([[1.0, 1.0]])).solve(np.array([0.0]), np.ones(2))
         assert res.value == 0.0
         assert np.array_equal(res.minimizers[0], np.zeros(2))
 
     def test_infeasible_empty(self):
         a = np.array([[1.0, 0.0], [1.0, 0.0]])  # rank 1, rhs outside the range
-        res = brute_force_weighted_l1(a, np.array([1.0, -1.0]), np.ones(2))
+        res = ExhaustiveL1Oracle(a).solve(np.array([1.0, -1.0]), np.ones(2))
         assert res.value is None
         assert res.minimizers == []
 
     def test_degenerate_flagged(self):
         a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0]])  # first two columns parallel
-        res = brute_force_weighted_l1(a, np.array([1.0, 2.0]), np.ones(3))
+        res = ExhaustiveL1Oracle(a).solve(np.array([1.0, 2.0]), np.ones(3))
         assert res.degenerate
 
     def test_dimension_cap(self):

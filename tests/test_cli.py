@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from phasecs.cli import (
     sweep_csv_lines,
 )
 from phasecs.linalg import EigNonConvergenceError, NotPositiveDefiniteError
+from phasecs.solver import MAX_WEIGHT
 
 TINY_CONFIG = """
 # tiny smoke sweep
@@ -35,11 +38,25 @@ max_iter = 3000
 """
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args, **kwargs):
+    # the child imports phasecs from this checkout's src, which pytest's own
+    # pythonpath setting puts on the path of this process only
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "phasecs", *args],
-        capture_output=True, text=True, timeout=600, **kwargs,
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": path}, **kwargs,
     )
+
+
+def refusal(name: str, value: str) -> str:
+    """The error line for a refused prior weight or noise level."""
+    too_large = math.isfinite(float(value)) and float(value) > MAX_WEIGHT
+    rule = f"at most {MAX_WEIGHT:g}" if too_large else "finite and nonnegative"
+    return f"error: {name} must be {rule}, got {value}\n"
 
 
 class TestConstantsCommand:
@@ -103,14 +120,14 @@ class TestRecoverCommand:
         assert res.returncode == 1
 
     @pytest.mark.parametrize("flag, value", [
-        ("--omega", "-0.3"), ("--omega", "nan"), ("--omega", "inf"),
+        ("--omega", "-0.3"), ("--omega", "nan"), ("--omega", "inf"), ("--omega", "1e+200"),
         ("--sigma", "-0.1"), ("--sigma", "nan"), ("--sigma", "inf"),
     ])
     def test_refuses_bad_omega_or_sigma(self, capsys, flag, value):
         assert cli.main(["recover", flag, value, "--seed", "7"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {flag} must be finite and nonnegative, got {value}\n"
+        assert captured.err == refusal(flag, value)
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--rho", "nan", "rho must be finite and nonnegative, got nan"),
@@ -180,7 +197,8 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", str(cfg)).returncode == 1
 
     @pytest.mark.parametrize("key, value", [
-        ("omegas", "-0.5"), ("omegas", "nan"), ("sigmas", "-0.1"), ("sigmas", "inf"),
+        ("omegas", "-0.5"), ("omegas", "nan"), ("omegas", "1e+290"),
+        ("sigmas", "-0.1"), ("sigmas", "inf"),
     ])
     def test_refuses_bad_omega_or_sigma(self, monkeypatch, capsys, tmp_path, key, value):
         def no_trial(*_):
@@ -192,8 +210,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
-        assert capsys.readouterr().err == (
-            f"error: {key} must be finite and nonnegative, got {value}\n")
+        assert capsys.readouterr().err == refusal(key, value)
 
 
 class TestSweepHarness:
@@ -313,8 +330,10 @@ class TestCertifyCommand:
         assert report["delta"] == 0.0
         assert "caps_hit" not in report  # only a refusal names the cap it hit
 
-    def test_builtin_failure_example(self):
-        res = run_cli("certify", "--example", "failure-2x2", "--check", "pnsp", "--k", "2")
+    def test_failure_example_from_file(self, tmp_path):
+        path = tmp_path / "failure-2x2.txt"
+        path.write_text("2 2\n1 1\n1 -1\n")
+        res = run_cli("certify", "--matrix", str(path), "--check", "pnsp", "--k", "2")
         assert res.returncode == 0
         report = json.loads(res.stdout)
         assert report["status"] == "fails"

@@ -118,6 +118,14 @@ class TestSupportEstimate:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             model.support_estimate_sizes(16, 2, rho, alpha)
 
+    @pytest.mark.parametrize("sigma, omega, name", [
+        (-0.3, 0.5, "sigma"), (math.nan, 0.5, "sigma"), (math.inf, 0.5, "sigma"),
+        (0.0, -0.5, "omega"), (0.0, math.nan, "omega"), (0.0, math.inf, "omega"),
+    ])
+    def test_bad_sigma_or_omega_raise(self, sigma, omega, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
+            model.draw_trial(rng_for(5), "sparse", 16, 2, 20, 1.0, 0.5, omega, sigma)
+
     def test_weights_pattern(self):
         est = model.SupportEstimate(indices=(1, 3), omega=0.4, rho=1.0, alpha=1.0)
         assert np.allclose(est.weights(5), [1.0, 0.4, 1.0, 0.4, 1.0])

@@ -29,7 +29,7 @@ def make_problem(n, k, m, omega, alpha, sigma, seed, **cfg_kw):
 def solve_recover_trial(seed, omega):
     """The solve of `phasecs recover --m 40 --omega <omega> --seed <seed>`."""
     x, a, inst, w, cfg = make_problem(16, 2, 40, omega, 0.75, 0.0, seed)
-    return x, solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+    return x, solve_sdp(LiftedOperator(a), inst.b, w, cfg)
 
 
 class TestWeightedShrink:
@@ -145,85 +145,85 @@ class TestBallProject:
 class TestRank1Extract:
     def test_rank1_input(self):
         x = np.array([1.0, -2.0, 0.5])
-        xhat = rank1_extract(np.outer(x, x))
+        xhat, _ = rank1_extract(np.outer(x, x))
         assert np.allclose(np.minimum(np.abs(xhat - x), np.abs(xhat + x)), 0, atol=1e-9)
 
     def test_zero(self):
-        assert np.array_equal(rank1_extract(np.zeros((3, 3))), np.zeros(3))
+        assert np.array_equal(rank1_extract(np.zeros((3, 3)))[0], np.zeros(3))
 
     def test_diagonal(self):
-        assert np.allclose(rank1_extract(np.diag([4.0, 1.0])), [2.0, 0.0])
+        assert np.allclose(rank1_extract(np.diag([4.0, 1.0]))[0], [2.0, 0.0])
 
     def test_returns_descending_eigenvalues(self):
-        xhat, lam = rank1_extract(np.diag([1.0, 4.0, -2.0]), return_eigenvalues=True)
+        xhat, lam = rank1_extract(np.diag([1.0, 4.0, -2.0]))
         assert np.allclose(xhat, [0.0, 2.0, 0.0])
         assert np.allclose(lam, [4.0, 1.0, -2.0])
 
     def test_sign_canonical(self):
         x = np.array([-1.0, 2.0])
-        xhat = rank1_extract(np.outer(x, x))
+        xhat, _ = rank1_extract(np.outer(x, x))
         assert xhat[0] > 0
 
 
 class TestSolveSdp:
     def test_zero_measurements(self):
-        op = LiftedOperator.from_matrix(np.eye(3))
+        op = LiftedOperator(np.eye(3))
         res = solve_sdp(op, np.zeros(3), np.ones(3), SolverConfig())
         assert res.status == "converged"
         assert np.abs(res.Z).max() <= 1e-9
 
     def test_ball_contains_origin(self):
-        op = LiftedOperator.from_matrix(np.eye(3))
+        op = LiftedOperator(np.eye(3))
         res = solve_sdp(op, np.ones(3), np.ones(3), SolverConfig(epsilon=5.0))
         assert res.status == "converged"
         assert np.abs(res.Z).max() <= 1e-4
 
     def test_small_recovery(self):
         x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
-        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
         assert res.status == "converged"
         assert model.snr_db(x, res.xhat) >= 40.0
 
     def test_feasibility_and_splitting_at_convergence(self):
         x, a, inst, w, cfg = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3)
-        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
         assert res.status == "converged"
         d = res.diagnostics
         assert d["feasibility"] <= cfg.epsilon + 10 * solver.TOL_ABS
         assert d["min_eigenvalue"] >= -10 * solver.TOL_ABS
-        for key in ("split_l", "split_p", "split_r"):
+        for key in ("split_l", "split_p", "ball_violation"):
             assert d[key] <= res.primal_residual + 1e-12
 
     def test_noisy_feasibility_within_ball(self):
         x, a, inst, w, cfg = make_problem(8, 1, 20, 1.0, 1.0, 0.1, 5)
-        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
         assert res.status == "converged"
         assert res.diagnostics["feasibility"] <= inst.epsilon + 10 * solver.TOL_ABS
 
     def test_deterministic(self):
         x, a, inst, w, cfg = make_problem(6, 1, 10, 0.5, 1.0, 0.0, 11)
-        r1 = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
-        r2 = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        r1 = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+        r2 = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
         assert r1.iterations == r2.iterations
         assert r1.Z.tobytes() == r2.Z.tobytes()
         assert r1.xhat.tobytes() == r2.xhat.tobytes()
 
     def test_rank1_self_consistency(self):
         x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
-        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
         if res.diagnostics["top_eigenvalue_ratio"] <= 1e-6:
             gap = np.linalg.norm(np.outer(res.xhat, res.xhat) - res.Z)
             assert gap <= 1e-5 * np.linalg.norm(res.Z)
 
     def test_many_rows_recovery(self):
         x, a, inst, w, cfg = make_problem(4, 1, 20, 1.0, 1.0, 0.0, 17)
-        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
         assert res.status == "converged"
         assert model.snr_db(x, res.xhat) >= 40.0
 
     def test_reports_accelerator_counts(self):
         x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
-        d = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg).diagnostics
+        d = solve_sdp(LiftedOperator(a), inst.b, w, cfg).diagnostics
         assert type(d["anderson_accepted"]) is int and d["anderson_accepted"] > 0
         assert type(d["anderson_rejected"]) is int and d["anderson_rejected"] >= 0
 
@@ -263,7 +263,7 @@ class TestSolveSdp:
         # the penalty is rebalanced on sweeps 10, 20, ... only, so a solve
         # that stops before sweep 10 keeps the penalty it started from
         x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
-        op = LiftedOperator.from_matrix(a)
+        op = LiftedOperator(a)
         for max_iter in (1, 9):
             res = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, max_iter=max_iter))
             assert res.status == "max-iter" and res.iterations == max_iter
@@ -272,12 +272,13 @@ class TestSolveSdp:
 
     def test_spectrum_diagnostics_match_eigvalsh(self):
         x, a, inst, w, cfg = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3)
-        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
         lam = np.linalg.eigvalsh(res.Z)
         scale = np.abs(lam).max()
         assert abs(res.diagnostics["min_eigenvalue"] - lam[0]) <= 1e-12 * scale
         assert abs(res.diagnostics["top_eigenvalue_ratio"] - lam[-2] / lam[-1]) <= 1e-9
-        assert np.allclose(res.xhat, rank1_extract(res.Z), rtol=0, atol=1e-12 * np.sqrt(scale))
+        assert np.allclose(res.xhat, rank1_extract(res.Z)[0], rtol=0,
+                           atol=1e-12 * np.sqrt(scale))
 
     @pytest.mark.parametrize("sigma, seed", [(0.0, 0), (0.0, 3), (0.05, 3), (0.05, 5)])
     def test_accelerated_minimiser_matches_plain(self, monkeypatch, sigma, seed):
@@ -285,7 +286,7 @@ class TestSolveSdp:
         monkeypatch.setattr(solver, "TOL_REL", 1e-6)
         x, a, inst, w, cfg = make_problem(8, 2, 24 if sigma else 16, 0.5, 0.5, sigma, seed,
                                           max_iter=20000)
-        op = LiftedOperator.from_matrix(a)
+        op = LiftedOperator(a)
         fast = solve_sdp(op, inst.b, w, cfg)
         monkeypatch.setattr(solver, "ANDERSON_MEMORY", 0)
         plain = solve_sdp(op, inst.b, w, cfg)
@@ -300,7 +301,7 @@ class TestSolveSdp:
     ])
     def test_returned_z_is_exactly_symmetric(self, n, m, sigma, seed, max_iter):
         x, a, inst, w, cfg = make_problem(n, 2, m, 0.5, 0.5, sigma, seed, max_iter=max_iter)
-        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
         assert res.status == ("converged" if max_iter == 5000 else "max-iter")
         assert res.Z.tobytes() == res.Z.T.copy().tobytes()
 
@@ -310,7 +311,7 @@ class TestSolveSdp:
         # loop.  Each exit reports the residuals of its own last sweep, so
         # no two exits report the same ones
         x, a, inst, w, cfg = make_problem(16, 2, 40, 0.3, 0.75, 0.0, 4)
-        op = LiftedOperator.from_matrix(a)
+        op = LiftedOperator(a)
         residuals = set()
         for max_iter in (7, 9, 10):
             res = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, max_iter=max_iter))
@@ -324,24 +325,35 @@ class TestSolveSdp:
 
     def test_reports_objective(self):
         x, a, inst, w, cfg = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3)
-        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
         wzw = np.outer(w, w) * res.Z
         expected = np.trace(wzw) + solver.LAM * np.abs(wzw).sum()
         assert res.diagnostics["objective"] == pytest.approx(expected, rel=1e-12)
 
     def test_result_has_no_instance_dict(self):
         x, a, inst, w, cfg = make_problem(6, 1, 10, 0.5, 1.0, 0.0, 11)
-        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
         assert not hasattr(res, "__dict__")
 
     def test_shape_validation(self):
-        op = LiftedOperator.from_matrix(np.eye(3))
+        op = LiftedOperator(np.eye(3))
         with pytest.raises(ValueError):
             solve_sdp(op, np.zeros(2), np.ones(3), SolverConfig())
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            LiftedOperator(np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize("bad", [10 * solver.MAX_WEIGHT, -np.inf, np.nan])
+    def test_refuses_weight_beyond_max(self, bad):
+        # above about 1e77, w**4 overflows in the normal system
+        op = LiftedOperator(np.eye(3))
+        with pytest.raises(ValueError, match="^w must be finite"):
+            solve_sdp(op, np.ones(3), np.array([1.0, bad, 1.0]))
+        res = solve_sdp(op, np.ones(3), np.array([1.0, solver.MAX_WEIGHT, 1.0]))
+        assert res.status != "failed"
 
     def test_stop_reason_names_the_exit(self):
         x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
-        op = LiftedOperator.from_matrix(a)
+        op = LiftedOperator(a)
         assert solve_sdp(op, inst.b, w, cfg).diagnostics["stop_reason"] == "converged"
         short = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, max_iter=3))
         assert short.diagnostics["stop_reason"] == "max-iter"
@@ -352,7 +364,7 @@ class TestSolveSdp:
     ])
     def test_eig_failure_is_named(self, monkeypatch, target, name, error, iterations):
         x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
-        op = LiftedOperator.from_matrix(a)
+        op = LiftedOperator(a)
         done = solve_sdp(op, inst.b, w, cfg)
 
         def broken(*args, **kwargs):
@@ -374,7 +386,7 @@ class TestSolveSdp:
             raise linalg.NotPositiveDefiniteError("matrix is not positive definite")
 
         monkeypatch.setattr(linalg, "solve_spd", broken)
-        res = solve_sdp(LiftedOperator.from_matrix(a), inst.b, w, cfg)
+        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
         assert (res.status, res.iterations) == ("failed", 0)
         assert res.diagnostics["stop_reason"] == "factorization-failure"
         assert "positive definite" in res.diagnostics["error"]
@@ -387,7 +399,7 @@ def test_solve_is_scale_equivariant(n, ratio, seed, j):
     # x -> 2^j x scales b = (Ax)^2 by 4^j exactly, so the loop, which runs on
     # b/||b||, takes bitwise the same steps, and Z and xhat scale exactly
     x, a, inst, w, cfg = make_problem(n, 1 + n // 4, ratio * n, 0.5, 0.75, 0.0, seed)
-    op = LiftedOperator.from_matrix(a)
+    op = LiftedOperator(a)
     b = (a @ x) ** 2
     b_scaled = (a @ (2.0**j * x)) ** 2
     assert np.array_equal(b_scaled, 4.0**j * b)
@@ -402,7 +414,7 @@ def test_solve_is_scale_equivariant(n, ratio, seed, j):
 def test_noisy_solve_is_scale_equivariant(j):
     # b and epsilon scaled together by 4^j
     x, a, inst, w, cfg = make_problem(8, 2, 24, 0.5, 0.75, 0.05, 3)
-    op = LiftedOperator.from_matrix(a)
+    op = LiftedOperator(a)
     base = solve_sdp(op, inst.b, w, cfg)
     scaled = solve_sdp(op, 4.0**j * inst.b, w,
                        dataclasses.replace(cfg, epsilon=4.0**j * inst.epsilon))
@@ -418,7 +430,7 @@ class TestLiftedOperator:
         a = rng.standard_normal((5, 4))
         z = rng.standard_normal((4, 4))
         z = z + z.T
-        op = LiftedOperator.from_matrix(a)
+        op = LiftedOperator(a)
         expected = np.array([row @ z @ row for row in a])
         assert np.allclose(op.forward(svec(z)), expected)
 
@@ -426,14 +438,14 @@ class TestLiftedOperator:
         rng = np.random.default_rng(23)
         a = rng.standard_normal((6, 3))
         x = rng.standard_normal(3)
-        op = LiftedOperator.from_matrix(a)
+        op = LiftedOperator(a)
         assert np.allclose(op.forward(svec(np.outer(x, x))), (a @ x) ** 2)
         assert np.all(op.forward(svec(np.outer(x, x))) >= 0)
 
     def test_adjoint_consistency(self):
         rng = np.random.default_rng(29)
         a = rng.standard_normal((5, 3))
-        op = LiftedOperator.from_matrix(a)
+        op = LiftedOperator(a)
         z = rng.standard_normal((3, 3))
         z = z + z.T
         c = rng.standard_normal(5)
@@ -444,7 +456,7 @@ class TestLiftedOperator:
 @pytest.mark.parametrize("n, m", [(4, 20), (6, 10), (5, 60)])
 def test_woodbury_normal_equation_residual(n, m):
     rng = np.random.default_rng(n * 100 + m)
-    op = LiftedOperator.from_matrix(rng.standard_normal((m, n)))
+    op = LiftedOperator(rng.standard_normal((m, n)))
     w = rng.choice([0.3, 1.0], size=n)
     normal = _NormalSolver(op, w)
     r = rng.standard_normal((n, n))
@@ -467,7 +479,7 @@ def test_lifted_operator_forward_and_adjoint(n, m, data):
     z = np.array(data.draw(st.lists(finite, min_size=n * n, max_size=n * n))).reshape(n, n)
     z = z + z.T
     c = np.array(data.draw(st.lists(finite, min_size=m, max_size=m)))
-    op = LiftedOperator.from_matrix(a)
+    op = LiftedOperator(a)
     bz = op.forward(svec(z))
     scale = 1.0 + np.abs(a).max() ** 2 * np.abs(z).sum()
     assert np.abs(bz - [row @ z @ row for row in a]).max() <= 1e-12 * scale

@@ -215,7 +215,7 @@ def edge_cases(d: Digest):
                     (np.ones((1, 2)), [0.0], np.ones(2)),
                     (np.array([[1.0, 0.0], [1.0, 0.0]]), [1.0, -1.0], np.ones(2)),
                     (np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0]]), [1.0, 2.0], np.ones(3))):
-        d.call("ExhaustiveL1Oracle", certify.brute_force_weighted_l1, a, np.array(y), w)
+        d.call("ExhaustiveL1Oracle", certify.ExhaustiveL1Oracle(a).solve, np.array(y), w)
     for a, b in ((np.eye(2), [1.0, 2.0]), (spark, np.zeros(4)),
                  (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), [1.0, 2.0, 1.0]),
                  (np.ones((15, 2)), np.ones(15)), (np.ones((2, 13)), np.ones(2))):

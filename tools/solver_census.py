@@ -33,7 +33,6 @@ import sys
 import numpy as np
 
 from phasecs import cli
-from phasecs.solver import SolverConfig
 
 # name -> (n, k, ms, omegas, sigmas, seeds)
 CELLS = {
@@ -47,7 +46,7 @@ def census(n, k, ms, omegas, sigmas, seeds) -> dict:
     failed = 0
     for (seed, m, omega, sigma), inst, est in common.draw_trials(n, k, ms, omegas, sigmas,
                                                                  seeds):
-        result, snr = cli.solve_trial(inst, est, SolverConfig())
+        result, snr = cli.solve_trial(inst, est)
         iters.append(result.iterations)
         norms.append(float(np.linalg.norm(inst.b)))
         if result.status == "failed":

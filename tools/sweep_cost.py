@@ -56,7 +56,7 @@ def draw(n, k, m, max_iter) -> list:
 def solve_pass(solver, drawn: dict):
     """A pass of the ``solver`` module over the drawn sets that returns
     microseconds per sweep and sweeps per set."""
-    sets = {name: [(solver.LiftedOperator.from_matrix(a), b, w,
+    sets = {name: [(solver.LiftedOperator(a), b, w,
                     solver.SolverConfig(epsilon=epsilon, max_iter=max_iter))
                    for a, b, w, epsilon, max_iter in trials]
             for name, trials in drawn.items()}
