@@ -52,7 +52,7 @@ class UsageError(Exception):
 
 
 def _check_nonnegative(name: str, values) -> None:
-    """Refuse a negative or non-finite prior weight or noise level ``name``."""
+    """Refuse a negative or non-finite value of ``name``."""
     for value in values:
         if not (math.isfinite(value) and value >= 0.0):
             raise UsageError(f"{name} must be finite and nonnegative, got {value:g}")
@@ -111,7 +111,6 @@ class SweepConfig:
         if not 1 <= self.k <= self.n or min(self.ms) < 1:
             raise UsageError("need 1 <= k <= N and every m >= 1")
         _check_nonnegative("omegas", self.omegas)
-        _check_hashable("omegas", self.omegas)
         _check_max_weight("omegas", self.omegas)
         _check_nonnegative("sigmas", self.sigmas)
         _check_nonnegative("rho", [self.rho])
@@ -333,11 +332,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
+def _parse_list(text: str, flag: str, kind=float) -> tuple:
+    """Comma-separated values of ``kind`` (float or int) given to ``flag``."""
     try:
-        items = tuple(float(v) for v in text.split(",") if v.strip())
+        items = tuple(kind(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
-        raise UsageError(f"{flag}: expected comma-separated numbers") from exc
+        noun = "integers" if kind is int else "numbers"
+        raise UsageError(f"{flag}: expected comma-separated {noun}") from exc
     if not items:
         raise UsageError(f"{flag}: empty list")
     return items
@@ -409,7 +410,7 @@ def _load_matrix(args) -> np.ndarray:
 def _weights_from_args(args, n: int) -> np.ndarray:
     w = np.ones(n)
     if args.estimate:
-        idx = [int(v) for v in args.estimate.split(",") if v.strip()]
+        idx = list(_parse_list(args.estimate, "--estimate", int))
         if any(i < 0 or i >= n for i in idx):
             raise UsageError("--estimate index out of range")
         w[idx] = args.omega
@@ -422,8 +423,18 @@ def _weights_from_args(args, n: int) -> np.ndarray:
 
 
 def cmd_constants(args) -> int:
-    alphas = _parse_float_list(args.alphas, "--alphas")
-    omegas = _parse_float_list(args.omegas, "--omegas")
+    alphas = _parse_list(args.alphas, "--alphas")
+    omegas = _parse_list(args.omegas, "--omegas")
+    # refused before any row: the formulas turn these into NaN or into rows
+    # that look applicable
+    _check_nonnegative("--rho", [args.rho])
+    _check_nonnegative("--omegas", omegas)
+    for alpha in alphas:
+        if not 0.0 <= alpha <= 1.0:
+            raise UsageError(f"--alphas must be in [0, 1], got {alpha:g}")
+    if not math.isfinite(args.t):
+        raise UsageError(f"--t must be finite, got {args.t:g}")
+    _check_nonnegative("--delta", [args.delta])
     rows = theory.constants_table(
         args.rho, args.theta_minus, args.theta_plus, args.t, args.delta,
         alphas, omegas,
@@ -575,7 +586,7 @@ def cmd_oracle(args) -> int:
     w = _weights_from_args(args, n)
     x = None
     if args.x is not None:
-        x = np.array([float(v) for v in args.x.split(",")])
+        x = np.array(_parse_list(args.x, "--x"))
         if x.size != n:
             raise UsageError(f"--x needs {n} entries")
         if not np.isfinite(x).all():
@@ -598,7 +609,7 @@ def cmd_oracle(args) -> int:
         }
     else:
         if args.y is not None:
-            y = np.array([float(v) for v in args.y.split(",")])
+            y = np.array(_parse_list(args.y, "--y"))
             if y.size != a.shape[0]:
                 raise UsageError(f"--y needs {a.shape[0]} entries")
         elif x is not None:

@@ -24,19 +24,23 @@ for its eigendecomposition.  The returned Z is ``smat`` of the packed
 iterate, exactly symmetric.
 
 One sweep is a fixed-point map T on the state s = (L, P, r) and their
-scaled duals, kept as one flat vector of 2N(N+1) + 2m entries (624 at
-N=16, m=40).  The loop runs a safeguarded type-II Anderson accelerator on T
-(Walker & Ni 2011) directly on that vector: after a sweep that has not
-converged, the next state is T(s) - dG gamma, where gamma fits the residual
-f = T(s) - s by the last ``ANDERSON_MEMORY`` differences of f and of T.  An
-extrapolated state whose residual is larger than that of the state it came
-from is dropped for the plain step from that state, and the memory is
-cleared.  Every 10 sweeps the penalty is rebalanced when one residual
-exceeds the other tenfold, by the factor sqrt(pri/dua) clipped to
-[1/10, 10] (residual balancing, Wohlberg 2017); the scaled duals are divided
-by the same factor.  A penalty change takes the plain step and clears the
-memory, because rescaling the duals changes T, and it is made only at a
-point the safeguard accepts.  ``ANDERSON_MEMORY`` is 20.
+scaled duals u, kept as one flat vector of 2N(N+1) + 2m entries (624 at
+N=16, m=40).  A sweep acts on all three (variable, dual) pairs at once: the
+Z update solves the normal system for s - u, the image (W Z W, Z, B(Z) - b)
+plus u is the argument of the three proxes, stacked into the new s, and the
+new duals are u + (image - new s).  The loop runs a safeguarded type-II
+Anderson accelerator on T (Walker & Ni 2011) directly on that vector: after
+a sweep that has not converged, the next state is T(s) - dG gamma, where
+gamma fits the residual f = T(s) - s by the last ``ANDERSON_MEMORY``
+differences of f and of T.  An extrapolated state whose residual is larger
+than that of the state it came from is dropped for the plain step from that
+state, and the memory is cleared.  Every 10 sweeps the penalty is
+rebalanced when one residual exceeds the other tenfold, by the factor
+sqrt(pri/dua) clipped to [1/10, 10] (residual balancing, Wohlberg 2017); the
+scaled duals are divided by the same factor.  A penalty change takes the
+plain step and clears the memory, because rescaling the duals changes T,
+and it is made only at a point the safeguard accepts.  ``ANDERSON_MEMORY``
+is 20.
 
 The program is positively homogeneous: scaling b and eps by c scales the
 minimiser by c.  The loop therefore runs on b/||b|| and eps/||b|| (as conic
@@ -348,9 +352,9 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     dim_dual = float(n)
     feas_tol = 10.0 * TOL_ABS
 
-    def dual_residual(f):
-        # rho ||W dL W + dP + B*(dr)|| over the primal blocks dL, dP, dr of f
-        dvec = ww * f[:i_p] + f[i_p:i_r] + op.adjoint(f[i_r:i_dl])
+    def dual_norm(u):
+        # rho ||W u_L W + u_P + B*(u_r)|| over the blocks (u_L, u_P, u_r) of u
+        dvec = ww * u[:i_p] + u[i_p:i_r] + op.adjoint(u[i_r:])
         return rho * math.sqrt(float(dvec @ dvec))
 
     status = "max-iter"
@@ -361,21 +365,17 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     z = np.zeros(d)
     try:
         for it in range(1, cfg.max_iter + 1):
-            dual_l = x[i_dl:i_dp]
-            dual_p = x[i_dp:i_dr]
-            dual_r = x[i_dr:]
-            r0 = ww * (x[:i_p] - dual_l) + (x[i_p:i_r] - dual_p)
-            z, bz = normal.solve(r0, b + (x[i_r:i_dl] - dual_r))
-            wzw = ww * z
-            bz_b = bz - b
-
-            l_aux = weighted_shrink(wzw + dual_l, LAM, rho)
-            p_aux = _psd_project(z + dual_p)
-            r_aux = ball_project(bz_b + dual_r, epsilon)
-            dual_r = dual_r + (bz_b - r_aux)
-            g = np.concatenate((
-                l_aux, p_aux, r_aux, dual_l + (wzw - l_aux), dual_p + (z - p_aux), dual_r,
+            # one sweep on the (variable, dual) pairs of all three blocks at once
+            duals = x[i_dl:]
+            diff = x[:i_dl] - duals
+            z, bz = normal.solve(ww * diff[:i_p] + diff[i_p:i_r], b + diff[i_r:])
+            image = np.concatenate((ww * z, z, bz - b))
+            v = image + duals
+            aux = np.concatenate((
+                weighted_shrink(v[:i_p], LAM, rho), _psd_project(v[i_p:i_r]),
+                ball_project(v[i_r:], epsilon),
             ))
+            g = np.concatenate((aux, duals + (image - aux)))
             # f = T(x) - x: its dual blocks are the primal residuals, and its
             # primal blocks give the dual residual
             f = g - x
@@ -388,20 +388,18 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
             # only as far as the cheaper ones pass; the dual residual is also
             # needed on a rebalance sweep
             rebalance_sweep = it % 10 == 0
-            dua = dual_residual(f) if rebalance_sweep or feas <= feas_tol else None
+            dua = dual_norm(f[:i_dl]) if rebalance_sweep or feas <= feas_tol else None
             if feas <= feas_tol:
                 g_pri = g[:i_dl]
                 scale_pri = math.sqrt(max(
-                    float(wzw @ wzw) + float(z @ z) + float(bz_b @ bz_b),
+                    sum(float(u @ u) for u in (image[:i_p], image[i_p:i_r], image[i_r:])),
                     float(g_pri @ g_pri),
                 ))
-                if pri <= dim_pri * TOL_ABS + TOL_REL * scale_pri:
-                    dual_vec = ww * g[i_dl:i_dp] + g[i_dp:i_dr] + op.adjoint(dual_r)
-                    scale_dual = rho * math.sqrt(float(dual_vec @ dual_vec))
-                    if dua <= dim_dual * TOL_ABS + TOL_REL * scale_dual:
-                        status = "converged"
-                        iterations = it
-                        break
+                if (pri <= dim_pri * TOL_ABS + TOL_REL * scale_pri
+                        and dua <= dim_dual * TOL_ABS + TOL_REL * dual_norm(g[i_dl:])):
+                    status = "converged"
+                    iterations = it
+                    break
 
             # rebalance on a cadence; adjusting every iteration makes the
             # scaled duals thrash and can stall convergence outright.  The
@@ -427,7 +425,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     # the residuals reported are those of the last completed sweep; a rebalance
     # sweep always computes its dual residual, so rho is still that sweep's
     if dua is None:
-        dua = dual_residual(f)
+        dua = dual_norm(f[:i_dl])
     z_mat = smat(z)
     if error is None:
         try:

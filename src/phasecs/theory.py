@@ -35,10 +35,10 @@ def delta_threshold(t: float, d: float, gam: float) -> float:
 
 
 def _branch(d: float, gam: float, theta: float) -> float:
-    denom = 2.0 * theta - theta * theta
-    if denom <= 0:
+    # tested on theta itself: 2 theta - theta^2 is NaN at theta = NaN or inf
+    if not 0.0 < theta < 2.0:
         raise ValueError(f"theta must lie in (0, 2), got {theta}")
-    return d + gam * gam * (1.0 - theta) ** 2 / denom
+    return d + gam * gam * (1.0 - theta) ** 2 / (2.0 * theta - theta * theta)
 
 
 def t_omega(

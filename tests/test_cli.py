@@ -87,6 +87,32 @@ class TestConstantsCommand:
         res = run_cli("constants", "--alphas", "")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rho", "-1", "--rho must be finite and nonnegative, got -1"),
+        ("--rho", "nan", "--rho must be finite and nonnegative, got nan"),
+        ("--omegas", "-1", "--omegas must be finite and nonnegative, got -1"),
+        ("--omegas", "0.5,nan", "--omegas must be finite and nonnegative, got nan"),
+        ("--alphas", "-0.5", "--alphas must be in [0, 1], got -0.5"),
+        ("--alphas", "0.5,1.5", "--alphas must be in [0, 1], got 1.5"),
+        ("--alphas", "nan", "--alphas must be in [0, 1], got nan"),
+        ("--t", "nan", "--t must be finite, got nan"),
+        ("--t", "inf", "--t must be finite, got inf"),
+        ("--delta", "nan", "--delta must be finite and nonnegative, got nan"),
+        ("--delta", "-1", "--delta must be finite and nonnegative, got -1"),
+    ])
+    def test_refuses_bad_numbers_before_any_row(self, capsys, flag, value, message):
+        assert cli.main(["constants", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args", [["--t", "0.5"], ["--delta", "0.99"]])
+    def test_inapplicable_bound_gives_nan_rows(self, capsys, args):
+        # t <= d or delta at or above the threshold: rows kept, marked 0
+        assert cli.main(["constants", "--alphas", "0.5", "--omegas", "1", *args]) == 0
+        row = capsys.readouterr().out.splitlines()[2].split(",")
+        assert row[3:] == ["nan", "nan", "0"]
+
     def test_plot_emission(self, tmp_path):
         out = tmp_path / "c.csv"
         res = run_cli("constants", "--alphas", "0.5,0.9", "--omegas", "0,0.5,1",
@@ -277,7 +303,7 @@ class TestSweepHarness:
         ({"theta": math.nan}, r"^theta must be finite, got nan$"),
         ({"signal": "compressible", "theta": -1.0}, r"^theta must be positive, got -1$"),
         ({"theta": 1e300}, r"^theta is too large for the seed hash, got 1e\+300$"),
-        ({"omegas": (1e300,)}, r"^omegas is too large for the seed hash, got 1e\+300$"),
+        ({"omegas": (1e300,)}, r"^omegas must be at most 1e\+50, got 1e\+300$"),
     ])
     def test_bad_grid_refused_before_any_trial(self, monkeypatch, fields, message):
         def no_trial(*_):
@@ -441,6 +467,18 @@ class TestOracleCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {name} ")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--x", "a,0,0"], "--x: expected comma-separated numbers"),
+        (["--y", "1,b,0"], "--y: expected comma-separated numbers"),
+        (["--x", "1,0,0", "--estimate", "a"], "--estimate: expected comma-separated integers"),
+        (["--x", "1,0,0", "--estimate", "1.5"], "--estimate: expected comma-separated integers"),
+    ])
+    def test_list_parse_error_names_the_flag(self, capsys, args, message):
+        assert cli.main(["oracle", "--identity", "3", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("args", [["--y", "1,0,2"], ["--x", "1,0,2", "--phaseless"]])
     def test_refuses_negative_weight(self, capsys, args):

@@ -259,6 +259,26 @@ class TestSolveSdp:
         assert res.status == "converged" and res.iterations <= 500
         assert model.snr_db(x, res.xhat) >= 100.0
 
+    @pytest.mark.parametrize("m, omega, sigma, counts", [
+        (40, 0.3, 0.0, (98, 1, 77, 5)),
+        (40, 1.0, 0.0, (56, 2, 47, 0)),
+        (80, 0.3, 0.0, (68, 0, 53, 4)),
+        (80, 1.0, 0.0, (61, 2, 52, 0)),
+        # eps > 0: the measurement prox scales onto the ball
+        (80, 1.0, 0.1, (196, 6, 168, 3)),
+    ])
+    def test_trajectory_pins(self, m, omega, sigma, counts):
+        # `phasecs recover --m <m> --omega <omega> --sigma <sigma> --seed 7`:
+        # sweeps, penalty updates and accepted and rejected extrapolations as
+        # recorded for sweep schema phasecs.sweep.v7.  A change that moves a
+        # trajectory updates these pins together with the schema
+        x, a, inst, w, cfg = make_problem(16, 2, m, omega, 0.75, sigma, 7)
+        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+        d = res.diagnostics
+        assert res.status == "converged"
+        assert (res.iterations, d["penalty_updates"], d["anderson_accepted"],
+                d["anderson_rejected"]) == counts
+
     def test_fixed_penalty_reports_no_updates(self):
         # the penalty is rebalanced on sweeps 10, 20, ... only, so a solve
         # that stops before sweep 10 keeps the penalty it started from

@@ -64,6 +64,15 @@ class TestTOmega:
         with pytest.raises(ValueError):
             theory.t_omega(0.5, 1.0, 0.5, 0.5, 2.0)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, -0.5, 3.0])
+    @pytest.mark.parametrize("side", ["theta_minus", "theta_plus"])
+    def test_rejects_theta_outside_the_open_interval(self, side, theta):
+        # at theta = inf, 2 theta - theta^2 is NaN: the theta_plus branch must
+        # not vanish from the max, nor a theta_minus one turn the result NaN
+        thetas = {"theta_minus": 0.5, "theta_plus": 1.5, side: theta}
+        with pytest.raises(ValueError, match=r"theta must lie in \(0, 2\)"):
+            theory.t_omega(0.5, 1.0, 0.5, **thetas)
+
     def test_decreasing_in_alpha(self):
         for omega in GRID[:-1]:  # omega < 1
             vals = [theory.t_omega(omega, 1.0, a, 0.5, 1.5) for a in GRID]

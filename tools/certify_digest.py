@@ -38,12 +38,11 @@ import common  # noqa: F401  first: it pins BLAS before numpy loads
 
 import dataclasses
 import hashlib
-import math
 from itertools import combinations
 
 import numpy as np
 
-from phasecs import certify
+from phasecs import certify, model
 
 
 def serialise(obj) -> bytes:
@@ -88,10 +87,6 @@ class Digest:
                          for name, h in self.hashes.items())
 
 
-def gaussian(rng, m, n):
-    return rng.standard_normal((m, n)) / math.sqrt(m)
-
-
 def planted(rng, n, support):
     x = np.zeros(n)
     k = len(support)
@@ -111,7 +106,7 @@ def oracle_cases(d: Digest, a, w, signals, certify=certify):
 def batch_shapes(d: Digest, rng, certify=certify):
     """The certify-batch calls, made on the module ``certify``."""
     for _ in range(12):
-        a = gaussian(rng, 4, 6)
+        a = model.gen_gaussian_matrix(rng, 4, 6)
         for k in (1, 2):
             for omega in (0.0, 0.5, 1.0):
                 w = np.ones(6)
@@ -124,11 +119,11 @@ def batch_shapes(d: Digest, rng, certify=certify):
                     xw[t] = v.witness.kernel_vector[t]
                     signals.append(xw)
                 oracle_cases(d, a, w, signals, certify)
-    d.call("rip_constant", certify.rip_constant, gaussian(rng, 12, 12), 6)
-    d.call("srip_bounds", certify.srip_bounds, gaussian(rng, 10, 8), 2)
-    a = gaussian(rng, 12, 7)
+    d.call("rip_constant", certify.rip_constant, model.gen_gaussian_matrix(rng, 12, 12), 6)
+    d.call("srip_bounds", certify.srip_bounds, model.gen_gaussian_matrix(rng, 10, 8), 2)
+    a = model.gen_gaussian_matrix(rng, 12, 7)
     d.call("phaseless_nsp_check", certify.phaseless_nsp_check, a, 7, np.ones(7))
-    a = gaussian(rng, 6, 12)
+    a = model.gen_gaussian_matrix(rng, 6, 12)
     x = planted(rng, 12, sorted(rng.choice(12, 2, replace=False)))
     w = np.ones(12)
     w[np.flatnonzero(x)[:1]] = 0.5
@@ -140,14 +135,14 @@ def batch_shapes(d: Digest, rng, certify=certify):
 def random_small(d: Digest, rng):
     for _ in range(20):
         m, n = int(rng.integers(1, 7)), int(rng.integers(1, 8))
-        a = gaussian(rng, m, n)
+        a = model.gen_gaussian_matrix(rng, m, n)
         k = int(rng.integers(1, n + 1))
         d.call("rip_constant", certify.rip_constant, a, k)
         d.call("srip_bounds", certify.srip_bounds, a, k)
     for _ in range(30):
         n = int(rng.integers(2, 8))
         m = max(1, n - int(rng.integers(0, 4)))
-        a = gaussian(rng, m, n)
+        a = model.gen_gaussian_matrix(rng, m, n)
         k = int(rng.integers(1, n + 1))
         w = rng.uniform(0.0, 1.0, n) if rng.random() < 0.5 else np.ones(n)
         d.call("weighted_nsp_check", certify.weighted_nsp_check, a, k, w)
@@ -155,7 +150,7 @@ def random_small(d: Digest, rng):
     for _ in range(30):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(n, 2 * n + 1))
-        a = gaussian(rng, m, n)
+        a = model.gen_gaussian_matrix(rng, m, n)
         k = int(rng.integers(1, n + 1))
         w = rng.uniform(0.05, 1.0, n)
         d.call("phaseless_nsp_check", certify.phaseless_nsp_check, a, k, w)
@@ -167,7 +162,7 @@ def random_small(d: Digest, rng):
 
 def weighted_kernels(d: Digest, rng):
     for m, n in 3 * [(5, 8), (6, 10), (7, 12)]:
-        a = gaussian(rng, m, n)
+        a = model.gen_gaussian_matrix(rng, m, n)
         for k in (1, 2, 3):
             for omega in (0.0, 0.5, 1.0):
                 w = np.ones(n)
@@ -177,7 +172,7 @@ def weighted_kernels(d: Digest, rng):
 
 def phaseless_kernels(d: Digest, rng):
     for m, n in 2 * [(4, 4), (5, 6), (6, 8)]:
-        a = gaussian(rng, m, n)
+        a = model.gen_gaussian_matrix(rng, m, n)
         for k in (1, 2, 3):
             for omega in (0.0, 0.5, 1.0):
                 w = np.ones(n)
