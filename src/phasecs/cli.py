@@ -58,6 +58,13 @@ def _check_nonnegative(name: str, values) -> None:
             raise UsageError(f"{name} must be finite and nonnegative, got {value:g}")
 
 
+def _check_at_least(name: str, values, low: int) -> None:
+    """Refuse an integer ``name`` below ``low``."""
+    for value in values:
+        if value < low:
+            raise UsageError(f"{name} must be at least {low}, got {value}")
+
+
 def _check_max_weight(name: str, values) -> None:
     """Refuse a prior weight ``name`` above the solver's ``MAX_WEIGHT``."""
     for value in values:
@@ -154,8 +161,10 @@ def preset_sweep(name: str) -> SweepConfig:
     raise UsageError(f"unknown sweep preset {name!r}")
 
 
-_INT_KEYS = {"n", "k", "trials", "seed", "max_iter"}
-_FLOAT_KEYS = {"theta", "rho"}
+# the type of each numeric key's values; the list keys take one or more
+_NUMBER_KEYS = {"n": int, "k": int, "trials": int, "seed": int, "max_iter": int,
+                "theta": float, "rho": float,
+                "alphas": float, "omegas": float, "ms": int, "sigmas": float}
 _LIST_KEYS = {"alphas", "omegas", "ms", "sigmas"}
 
 
@@ -163,7 +172,9 @@ def parse_sweep_config(text: str) -> SweepConfig:
     """Parse the flat ``key = value`` sweep config format.
 
     Lists are comma separated; ``#`` starts a comment.  Keys: signal, n, k,
-    theta, rho, alphas, omegas, ms, sigmas, trials, seed, max_iter.
+    theta, rho, alphas, omegas, ms, sigmas, trials, seed, max_iter.  A value
+    that does not parse, or a scalar key given a list, is refused with its
+    line number and key.
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -175,18 +186,17 @@ def parse_sweep_config(text: str) -> SweepConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
+        name = f"config line {lineno}: {key}"
         if key == "signal":
             values["signal"] = value
-        elif key in _INT_KEYS:
-            values["master_seed" if key == "seed" else key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
-        elif key in _LIST_KEYS:
-            items = [v.strip() for v in value.split(",") if v.strip()]
-            if key == "ms":
-                values[key] = tuple(int(v) for v in items)
+        elif key in _NUMBER_KEYS:
+            items = _parse_list(value, name, _NUMBER_KEYS[key])
+            if key in _LIST_KEYS:
+                values[key] = items
+            elif len(items) > 1:
+                raise UsageError(f"{name}: expected one value, got {len(items)}")
             else:
-                values[key] = tuple(float(v) for v in items)
+                values["master_seed" if key == "seed" else key] = items[0]
         else:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
     try:
@@ -340,7 +350,7 @@ def _parse_list(text: str, flag: str, kind=float) -> tuple:
         noun = "integers" if kind is int else "numbers"
         raise UsageError(f"{flag}: expected comma-separated {noun}") from exc
     if not items:
-        raise UsageError(f"{flag}: empty list")
+        raise UsageError(f"{flag}: no value given")
     return items
 
 
@@ -401,9 +411,12 @@ def _load_matrix(args) -> np.ndarray:
     if args.matrix is not None:
         return read_matrix_file(args.matrix)
     if args.gaussian is not None:
+        _check_at_least("--gaussian", args.gaussian, 1)
+        _check_at_least("--seed", [args.seed], 0)
         m, n = args.gaussian
         rng = np.random.default_rng(args.seed)
         return model.gen_gaussian_matrix(rng, m, n)
+    _check_at_least("--identity", [args.identity], 1)
     return np.eye(args.identity)
 
 
@@ -435,6 +448,9 @@ def cmd_constants(args) -> int:
     if not math.isfinite(args.t):
         raise UsageError(f"--t must be finite, got {args.t:g}")
     _check_nonnegative("--delta", [args.delta])
+    for flag, theta in (("--theta-minus", args.theta_minus), ("--theta-plus", args.theta_plus)):
+        if not 0.0 < theta < 2.0:
+            raise UsageError(f"{flag} must lie in (0, 2), got {theta:g}")
     rows = theory.constants_table(
         args.rho, args.theta_minus, args.theta_plus, args.t, args.delta,
         alphas, omegas,
@@ -466,6 +482,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    _check_at_least("--m", [args.m], 1)
+    _check_at_least("--seed", [args.seed], 0)
     _check_nonnegative("--omega", [args.omega])
     _check_max_weight("--omega", [args.omega])
     _check_nonnegative("--sigma", [args.sigma])

@@ -314,6 +314,9 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     same run on the caller's data would use ``penalty / ||b||``.
     ``stop_reason`` is ``converged``, ``max-iter``, ``eig-failure`` or
     ``factorization-failure``; the last two have status ``failed``.  A
+    failed solve reports ``Z`` of the last normal solve (zeros if the
+    factorization failed), the residuals of the last completed sweep, a zero
+    ``xhat`` and, in its diagnostics, only ``stop_reason`` and ``error``.  A
     weight of magnitude above ``MAX_WEIGHT``, or not finite, is refused with
     a ``ValueError``.
     """
@@ -325,13 +328,6 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
         raise ValueError("operator, measurements and weights have inconsistent shapes")
     if not (np.abs(w) <= MAX_WEIGHT).all():
         raise ValueError(f"w must be finite with entries of magnitude at most {MAX_WEIGHT:g}")
-
-    try:
-        normal = _NormalSolver(op, w)
-    except np.linalg.LinAlgError as exc:
-        zero = np.zeros((n, n))
-        return SolverResult(zero, np.zeros(n), 0, math.inf, math.inf, "failed",
-                            {"stop_reason": "factorization-failure", "error": str(exc)})
 
     # the loop solves the program for b/||b|| and epsilon/||b||; by homogeneity
     # its results are scaled back at exit
@@ -359,12 +355,14 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
 
     status = "max-iter"
     error = None
-    pri = dua = math.inf
-    iterations = cfg.max_iter
-    feas = math.inf
+    pri = dua = feas = math.inf
+    iterations = 0
     z = np.zeros(d)
+    # the factorization, a sweep's psd projection and the rank-1 extraction
+    # fail with LinAlgError, and every failure leaves through the one except
     try:
-        for it in range(1, cfg.max_iter + 1):
+        normal = _NormalSolver(op, w)
+        for iterations in range(1, cfg.max_iter + 1):
             # one sweep on the (variable, dual) pairs of all three blocks at once
             duals = x[i_dl:]
             diff = x[:i_dl] - duals
@@ -387,7 +385,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
             # the full test almost never passes, so its parts are computed
             # only as far as the cheaper ones pass; the dual residual is also
             # needed on a rebalance sweep
-            rebalance_sweep = it % 10 == 0
+            rebalance_sweep = iterations % 10 == 0
             dua = dual_norm(f[:i_dl]) if rebalance_sweep or feas <= feas_tol else None
             if feas <= feas_tol:
                 g_pri = g[:i_dl]
@@ -398,7 +396,6 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
                 if (pri <= dim_pri * TOL_ABS + TOL_REL * scale_pri
                         and dua <= dim_dual * TOL_ABS + TOL_REL * dual_norm(g[i_dl:])):
                     status = "converged"
-                    iterations = it
                     break
 
             # rebalance on a cadence; adjusting every iteration makes the
@@ -420,23 +417,20 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
                 accel.reset()
             else:
                 x = accel.step(g, f)
+        z_mat = smat(z)
+        xhat, eigvals = rank1_extract(z_mat)
     except np.linalg.LinAlgError as exc:
-        iterations, error = it, str(exc)
+        error = str(exc)
     # the residuals reported are those of the last completed sweep; a rebalance
     # sweep always computes its dual residual, so rho is still that sweep's
     if dua is None:
         dua = dual_norm(f[:i_dl])
-    z_mat = smat(z)
-    if error is None:
-        try:
-            xhat, eigvals = rank1_extract(z_mat)
-        except np.linalg.LinAlgError as exc:
-            error = str(exc)
     # back to the caller's units: Z, its residuals and the objective scale with
     # unit, xhat with sqrt(unit); the dual residual does not scale
     if error is not None:
-        return SolverResult(unit * z_mat, np.zeros(n), iterations, unit * pri, dua, "failed",
-                            {"stop_reason": "eig-failure", "error": error})
+        return SolverResult(unit * smat(z), np.zeros(n), iterations, unit * pri, dua, "failed", {
+            "stop_reason": "eig-failure" if iterations else "factorization-failure",
+            "error": error})
     wzw_mat = np.outer(w, w) * z_mat
     diagnostics = {
         "stop_reason": status,

@@ -99,6 +99,10 @@ class TestConstantsCommand:
         ("--t", "inf", "--t must be finite, got inf"),
         ("--delta", "nan", "--delta must be finite and nonnegative, got nan"),
         ("--delta", "-1", "--delta must be finite and nonnegative, got -1"),
+        ("--theta-minus", "nan", "--theta-minus must lie in (0, 2), got nan"),
+        ("--theta-minus", "0", "--theta-minus must lie in (0, 2), got 0"),
+        ("--theta-plus", "inf", "--theta-plus must lie in (0, 2), got inf"),
+        ("--theta-plus", "2", "--theta-plus must lie in (0, 2), got 2"),
     ])
     def test_refuses_bad_numbers_before_any_row(self, capsys, flag, value, message):
         assert cli.main(["constants", flag, value]) == 1
@@ -164,6 +168,17 @@ class TestRecoverCommand:
     ])
     def test_refuses_bad_rho_or_alpha(self, capsys, flag, value, message):
         assert cli.main(["recover", flag, value, "--seed", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "--seed must be at least 0, got -1"),
+        ("--m", "0", "--m must be at least 1, got 0"),
+        ("--m", "-3", "--m must be at least 1, got -3"),
+    ])
+    def test_refuses_bad_seed_or_m(self, capsys, flag, value, message):
+        assert cli.main(["recover", flag, value]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
@@ -316,6 +331,27 @@ class TestSweepHarness:
         with pytest.raises(cli.UsageError, match=message):
             run_sweep(cfg)
 
+    @pytest.mark.parametrize("line, message", [
+        ("n = abc", "n: expected comma-separated integers"),
+        ("n = 3, 4", "n: expected one value, got 2"),
+        ("theta =", "theta: no value given"),
+        ("omegas = 0.3, x", "omegas: expected comma-separated numbers"),
+        ("ms = 4.5", "ms: expected comma-separated integers"),
+        ("sigmas = , ", "sigmas: no value given"),
+    ])
+    def test_config_value_that_does_not_parse_names_line_and_key(
+            self, monkeypatch, capsys, tmp_path, line, message):
+        def no_trial(*_):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trial", no_trial)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CONFIG + line + "\n")  # line 14 of the file
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: config line 14: {message}\n"
+
     def test_row_seed_reproduces_with_recover(self, tmp_path):
         # a sparse row's grid point and seed, given to `phasecs recover` with
         # the sweep's max_iter, reproduce the row; at the default max_iter
@@ -420,6 +456,19 @@ class TestCertifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: w has negative entries\n"
+
+    @pytest.mark.parametrize("source, message", [
+        (["--gaussian", "3", "3", "--seed", "-5"], "--seed must be at least 0, got -5"),
+        (["--gaussian", "0", "3"], "--gaussian must be at least 1, got 0"),
+        (["--gaussian", "3", "-1"], "--gaussian must be at least 1, got -1"),
+        (["--identity", "0"], "--identity must be at least 1, got 0"),
+        (["--identity", "-2"], "--identity must be at least 1, got -2"),
+    ])
+    def test_refuses_bad_matrix_source(self, capsys, source, message):
+        assert cli.main(["certify", *source, "--check", "rip", "--k", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_srip_two_rows(self, tmp_path):
         path = tmp_path / "ones.txt"

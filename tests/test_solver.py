@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +33,14 @@ def solve_recover_trial(seed, omega):
     """The solve of `phasecs recover --m 40 --omega <omega> --seed <seed>`."""
     x, a, inst, w, cfg = make_problem(16, 2, 40, omega, 0.75, 0.0, seed)
     return x, solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+
+
+def assert_failure_pinned(res, iterations, z_digest, pri, dua, diagnostics):
+    """A failed solve reports exactly these values and a zero xhat."""
+    assert (res.status, res.iterations, res.diagnostics) == ("failed", iterations, diagnostics)
+    assert hashlib.sha256(res.Z.tobytes()).hexdigest()[:16] == z_digest
+    assert res.xhat.tobytes() == np.zeros(res.Z.shape[0]).tobytes()
+    assert (res.primal_residual, res.dual_residual) == (pri, dua)
 
 
 class TestWeightedShrink:
@@ -378,26 +389,46 @@ class TestSolveSdp:
         short = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, max_iter=3))
         assert short.diagnostics["stop_reason"] == "max-iter"
 
-    @pytest.mark.parametrize("target, name, error, iterations", [
+    # Failed solves of make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7), pinned bit for
+    # bit: iterations, the first 16 hex digits of sha256(Z bytes), and the
+    # primal and dual residuals, keyed by the eigh call that fails (None: the
+    # rank-1 extraction of the converged Z fails).  The nth np.linalg.eigh
+    # call is the psd projection of sweep n, so a failure there reports Z of
+    # sweep n's normal solve and the residuals of sweep n - 1.  Sweep 10
+    # rebalances and so computes its dual residual; sweep 11 does not, so
+    # after a failure at call 12 the dual residual of sweep 11 is computed on
+    # the way out
+    EIG_FAILURE_PINS = {
+        1: (1, "915bcfa2534bd101", math.inf, math.inf),
+        11: (11, "57be6293035fae81", 0.020746536058613853, 0.28846860876317076),
+        12: (12, "fc0735bbf860be93", 0.019459784194928494, 0.3551360368132383),
+        None: (89, "017c78a3b5844cea", 2.7605875383127403e-07, 7.66126682807866e-06),
+    }
+
+    @pytest.mark.parametrize("target, name, error, fail_at", [
         (np.linalg, "eigh", np.linalg.LinAlgError, 1),  # psd projection, first sweep
+        (np.linalg, "eigh", np.linalg.LinAlgError, 11),
+        (np.linalg, "eigh", np.linalg.LinAlgError, 12),
         (linalg, "eig_sym", linalg.EigNonConvergenceError, None),  # rank-1 extraction
     ])
-    def test_eig_failure_is_named(self, monkeypatch, target, name, error, iterations):
+    def test_eig_failure_is_named(self, monkeypatch, target, name, error, fail_at):
         x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
         op = LiftedOperator(a)
         done = solve_sdp(op, inst.b, w, cfg)
+        calls = itertools.count(1)
+        working = getattr(target, name)
 
         def broken(*args, **kwargs):
-            raise error("eigensolver did not converge")
+            if fail_at in (None, next(calls)):
+                raise error("eigensolver did not converge")
+            return working(*args, **kwargs)
 
         monkeypatch.setattr(target, name, broken)
         res = solve_sdp(op, inst.b, w, cfg)
-        assert res.status == "failed"
-        assert res.diagnostics["stop_reason"] == "eig-failure"
-        assert "did not converge" in res.diagnostics["error"]
-        assert res.iterations == (iterations or done.iterations)
-        if iterations is None:
-            assert res.Z.tobytes() == done.Z.tobytes()
+        assert_failure_pinned(res, *self.EIG_FAILURE_PINS[fail_at], {
+            "stop_reason": "eig-failure", "error": "eigensolver did not converge"})
+        if fail_at is None:
+            assert (res.Z.tobytes(), res.iterations) == (done.Z.tobytes(), done.iterations)
 
     def test_factorization_failure_is_named(self, monkeypatch):
         x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
@@ -407,9 +438,10 @@ class TestSolveSdp:
 
         monkeypatch.setattr(linalg, "solve_spd", broken)
         res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
-        assert (res.status, res.iterations) == ("failed", 0)
-        assert res.diagnostics["stop_reason"] == "factorization-failure"
-        assert "positive definite" in res.diagnostics["error"]
+        # no sweep ran: Z is zero and there are no residuals yet
+        assert not res.Z.any() and res.Z.shape == (8, 8)
+        assert_failure_pinned(res, 0, "076a27c79e5ace2a", math.inf, math.inf, {
+            "stop_reason": "factorization-failure", "error": "matrix is not positive definite"})
 
 
 @settings(max_examples=40, deadline=None)

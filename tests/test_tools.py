@@ -1,5 +1,6 @@
-"""The timing loop and row printer that the scripts in ``tools/`` share,
-driven by stub passes; nothing is solved."""
+"""The timing loop and row printer that the scripts in ``tools/`` share, and
+the self-time clock of ``certify_cost``, driven by stub passes and a fake
+clock; nothing is solved."""
 
 import importlib
 import os
@@ -22,7 +23,7 @@ def tools(monkeypatch):
     for var in BLAS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.syspath_prepend(str(TOOLS))
-    for name in ("common", "sweep_cost"):
+    for name in ("common", "sweep_cost", "certify_cost", "certify_digest"):
         monkeypatch.delitem(sys.modules, name, raising=False)
     return importlib.import_module
 
@@ -102,3 +103,27 @@ def test_trial_sets_are_drawn_as_recover_draws_them(tools):
                                     0.75, omega, sigma)
     assert inst.A.tobytes() == ref.A.tobytes() and inst.b.tobytes() == ref.b.tobytes()
     assert est == ref_est
+
+
+def test_clock_self_time_leaves_out_wrapped_children(tools, monkeypatch):
+    certify_cost = tools("certify_cost")
+    now = [0.0]
+    monkeypatch.setattr(certify_cost.time, "perf_counter", lambda: now[0])
+    clock = certify_cost.Clock()
+
+    def inner():
+        now[0] += 2.0
+
+    def outer():
+        now[0] += 1.0
+        timed_inner()
+        now[0] += 4.0
+        timed_inner()
+
+    timed_inner = clock.wrap("inner", inner)
+    clock.wrap("outer", outer)()
+    # outer takes 9 s, 4 of them in its two inner calls: the 9 s are split
+    # between the names and counted once
+    assert clock.self_s == {"outer": 5.0, "inner": 4.0}
+    timed_inner()
+    assert clock.self_s == {"outer": 5.0, "inner": 6.0}
