@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -33,7 +34,7 @@ from .certify import (
     weighted_nsp_check,
 )
 from .plots import line_chart
-from .solver import MAX_WEIGHT, LiftedOperator, SolverConfig, SolverResult, solve_sdp
+from .solver import LiftedOperator, SolverConfig, SolverResult, check_weights, solve_sdp
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,34 +52,30 @@ class UsageError(Exception):
     pass
 
 
-def _check_nonnegative(name: str, values) -> None:
-    """Refuse a negative or non-finite value of ``name``."""
-    for value in values:
-        if not (math.isfinite(value) and value >= 0.0):
-            raise UsageError(f"{name} must be finite and nonnegative, got {value:g}")
+# the flag or config key that sets each library parameter, by command; a
+# parameter that a command's table leaves out keeps its name
+_FLAGS = {
+    "constants": {"rho": "--rho", "alphas": "--alphas", "omegas": "--omegas", "t": "--t",
+                  "delta_tk": "--delta", "theta_minus": "--theta-minus",
+                  "theta_plus": "--theta-plus"},
+    "recover": {"n": "--n", "k": "--k", "m": "--m", "rho": "--rho", "alpha": "--alpha",
+                "omega": "--omega", "w": "--omega", "sigma": "--sigma", "max_iter": "--max-iter"},
+    "sweep": {"m": "ms", "alpha": "alphas", "omega": "omegas", "w": "omegas", "sigma": "sigmas"},
+    "certify": {"m": "--gaussian", "n": "--gaussian", "w": "--omega"},
+    "oracle": {"m": "--gaussian", "n": "--gaussian", "w": "--omega", "y": "--y"},
+}
 
 
-def _check_at_least(name: str, values, low: int) -> None:
+def _named(exc: Exception, command: str) -> UsageError:
+    """A library refusal, which starts with a parameter's name, in the words of ``command``."""
+    name, space, rest = str(exc).partition(" ")
+    return UsageError(_FLAGS[command].get(name, name) + space + rest)
+
+
+def _check_at_least(name: str, value: int, low: int) -> None:
     """Refuse an integer ``name`` below ``low``."""
-    for value in values:
-        if value < low:
-            raise UsageError(f"{name} must be at least {low}, got {value}")
-
-
-def _check_max_weight(name: str, values) -> None:
-    """Refuse a prior weight ``name`` above the solver's ``MAX_WEIGHT``."""
-    for value in values:
-        if value > MAX_WEIGHT:
-            raise UsageError(f"{name} must be at most {MAX_WEIGHT:g}, got {value:g}")
-
-
-def _check_hashable(name: str, values) -> None:
-    """Refuse a grid value ``name`` that the per-trial seed hash cannot quantize."""
-    for value in values:
-        try:
-            _quantized(value)
-        except OverflowError:
-            raise UsageError(f"{name} is too large for the seed hash, got {value:g}") from None
+    if value < low:
+        raise UsageError(f"{name} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -101,31 +98,30 @@ class SweepConfig:
     max_iter: int = SolverConfig.max_iter
 
     def validate(self) -> None:
-        if self.signal not in ("sparse", "compressible"):
-            raise UsageError(f"unknown signal kind {self.signal!r}")
-        if self.signal == "compressible" and self.theta is None:
-            raise UsageError("compressible sweeps need a theta value")
+        # theta enters the per-trial seed hash
         if self.theta is not None:
             if not math.isfinite(self.theta):
                 raise UsageError(f"theta must be finite, got {self.theta:g}")
-            if self.signal == "compressible" and self.theta <= 0.0:
-                raise UsageError(f"theta must be positive, got {self.theta:g}")
-            _check_hashable("theta", [self.theta])
+            try:
+                _quantized(self.theta)
+            except OverflowError:
+                raise UsageError(f"theta is too large for the seed hash, got {self.theta:g}")
         if self.trials < 1:
             raise UsageError("trials must be at least 1")
         if not (self.alphas and self.omegas and self.ms and self.sigmas):
             raise UsageError("grid lists must be nonempty")
-        if not 1 <= self.k <= self.n or min(self.ms) < 1:
-            raise UsageError("need 1 <= k <= N and every m >= 1")
-        _check_nonnegative("omegas", self.omegas)
-        _check_max_weight("omegas", self.omegas)
-        _check_nonnegative("sigmas", self.sigmas)
-        _check_nonnegative("rho", [self.rho])
-        for alpha in self.alphas:
-            try:
-                model.support_estimate_sizes(self.n, self.k, self.rho, alpha)
-            except ValueError as exc:
-                raise UsageError(f"alpha={alpha}: {exc}") from exc
+        # the functions a trial calls refuse its bad values: every grid
+        # point's trial is drawn once, then the solver's inputs are checked
+        rng = np.random.default_rng(0)
+        try:
+            for alpha, omega, m, sigma in itertools.product(
+                    self.alphas, self.omegas, self.ms, self.sigmas):
+                model.draw_trial(rng, self.signal, self.n, self.k, m, self.rho, alpha, omega,
+                                 sigma, self.theta)
+            check_weights(self.omegas)
+            SolverConfig(max_iter=self.max_iter)
+        except ValueError as exc:
+            raise _named(exc, "sweep") from exc
 
 
 @dataclass(frozen=True)
@@ -199,12 +195,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
                 values["master_seed" if key == "seed" else key] = items[0]
         else:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
-    try:
-        cfg = SweepConfig(**values)
-    except TypeError as exc:
-        raise UsageError(str(exc)) from exc
-    cfg.validate()
-    return cfg
+    return SweepConfig(**values)
 
 
 def solve_trial(instance: model.PhaselessInstance, estimate: model.SupportEstimate,
@@ -411,12 +402,11 @@ def _load_matrix(args) -> np.ndarray:
     if args.matrix is not None:
         return read_matrix_file(args.matrix)
     if args.gaussian is not None:
-        _check_at_least("--gaussian", args.gaussian, 1)
-        _check_at_least("--seed", [args.seed], 0)
+        _check_at_least("--seed", args.seed, 0)
         m, n = args.gaussian
         rng = np.random.default_rng(args.seed)
         return model.gen_gaussian_matrix(rng, m, n)
-    _check_at_least("--identity", [args.identity], 1)
+    _check_at_least("--identity", args.identity, 1)
     return np.eye(args.identity)
 
 
@@ -438,19 +428,6 @@ def _weights_from_args(args, n: int) -> np.ndarray:
 def cmd_constants(args) -> int:
     alphas = _parse_list(args.alphas, "--alphas")
     omegas = _parse_list(args.omegas, "--omegas")
-    # refused before any row: the formulas turn these into NaN or into rows
-    # that look applicable
-    _check_nonnegative("--rho", [args.rho])
-    _check_nonnegative("--omegas", omegas)
-    for alpha in alphas:
-        if not 0.0 <= alpha <= 1.0:
-            raise UsageError(f"--alphas must be in [0, 1], got {alpha:g}")
-    if not math.isfinite(args.t):
-        raise UsageError(f"--t must be finite, got {args.t:g}")
-    _check_nonnegative("--delta", [args.delta])
-    for flag, theta in (("--theta-minus", args.theta_minus), ("--theta-plus", args.theta_plus)):
-        if not 0.0 < theta < 2.0:
-            raise UsageError(f"{flag} must lie in (0, 2), got {theta:g}")
     rows = theory.constants_table(
         args.rho, args.theta_minus, args.theta_plus, args.t, args.delta,
         alphas, omegas,
@@ -482,11 +459,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    _check_at_least("--m", [args.m], 1)
-    _check_at_least("--seed", [args.seed], 0)
-    _check_nonnegative("--omega", [args.omega])
-    _check_max_weight("--omega", [args.omega])
-    _check_nonnegative("--sigma", [args.sigma])
+    _check_at_least("--seed", args.seed, 0)
     instance, estimate = model.draw_trial(
         np.random.default_rng(args.seed), "sparse", args.n, args.k, args.m, args.rho,
         args.alpha, args.omega, args.sigma,
@@ -628,8 +601,6 @@ def cmd_oracle(args) -> int:
     else:
         if args.y is not None:
             y = np.array(_parse_list(args.y, "--y"))
-            if y.size != a.shape[0]:
-                raise UsageError(f"--y needs {a.shape[0]} entries")
         elif x is not None:
             y = a @ x
         else:
@@ -747,7 +718,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_named(exc, args.command)}", file=sys.stderr)
         return EXIT_USAGE
 
 

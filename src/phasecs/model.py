@@ -69,8 +69,10 @@ class PhaselessInstance:
 
 def gen_sparse_signal(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """Exactly k-sparse signal: uniform random support, standard normal values."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise ValueError(f"k must be between 1 and n = {n}, got {k}")
     x = np.zeros(n)
     support = rng.choice(n, size=k, replace=False)
     x[support] = rng.standard_normal(k)
@@ -83,8 +85,8 @@ def gen_compressible_signal(n: int, theta: float, rng: np.random.Generator) -> n
     Signs are i.i.d. uniform in {-1, +1} and the magnitudes are placed at
     randomly permuted positions, so the dominant support is nontrivial.
     """
-    if theta is None or theta <= 0:
-        raise ValueError("theta must be positive")
+    if theta is None or not theta > 0:
+        raise ValueError(f"theta must be positive, got {theta}")
     magnitudes = np.arange(1, n + 1, dtype=float) ** (-theta)
     signs = rng.choice([-1.0, 1.0], size=n)
     positions = rng.permutation(n)
@@ -97,7 +99,7 @@ def best_k_support(x: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest magnitudes, ties broken toward the lowest index."""
     x = np.asarray(x, dtype=float)
     if not 1 <= k <= x.size:
-        raise ValueError(f"need 1 <= k <= len(x), got k={k}")
+        raise ValueError(f"k must be between 1 and len(x) = {x.size}, got {k}")
     order = np.argsort(-np.abs(x), kind="stable")
     return np.sort(order[:k])
 
@@ -121,8 +123,8 @@ def support_estimate_sizes(n: int, k: int, rho: float, alpha: float) -> tuple[in
     size_in = math.floor(alpha * rho * k + 0.5)
     size_out = size - size_in
     if size_in > min(k, size) or size_out > n - k:
-        raise ValueError(f"infeasible estimate: {size_in} indices in T0 and {size_out} "
-                         f"outside requested, |T0|={k}, N={n}")
+        raise ValueError(f"alpha {alpha:g} at rho {rho:g} is infeasible: {size_in} indices in T0 "
+                         f"and {size_out} outside requested, |T0|={k}, N={n}")
     return size_in, size_out
 
 
@@ -149,8 +151,9 @@ def gen_support_estimate(rng: np.random.Generator, t0: np.ndarray, n: int, k: in
 
 def gen_gaussian_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """Gaussian measurement matrix, entries N(0, 1/m) so ||A x|| ~ ||x||."""
-    if m < 1 or n < 1:
-        raise ValueError("matrix dimensions must be at least 1")
+    for name, size in (("m", m), ("n", n)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
     return rng.standard_normal((m, n)) / math.sqrt(m)
 
 

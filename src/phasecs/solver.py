@@ -126,7 +126,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
 
@@ -210,7 +210,8 @@ class _NormalSolver:
         m, n = op.shape
         self.op = op
         self.h = (1.0 / (np.outer(w * w, w * w) + 1.0)).take(linalg.svec_layout(n).upper)
-        g = np.eye(m) + (op.sensors * self.h) @ op.sensors.T
+        with np.errstate(over="raise"):
+            g = np.eye(m) + (op.sensors * self.h) @ op.sensors.T
         self.g_inv = linalg.solve_spd(g, np.eye(m))
 
     def solve(self, r0: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,6 +298,14 @@ class _Anderson:
         return g - gamma @ self.dg[:q]
 
 
+def check_weights(w) -> None:
+    """Refuse, naming ``w``, a weight not finite or of magnitude above ``MAX_WEIGHT``."""
+    ok = np.abs(w) <= MAX_WEIGHT
+    if not ok.all():
+        bad = np.asarray(w, dtype=float)[~ok][0]
+        raise ValueError(f"w must be finite and at most {MAX_WEIGHT:g} in magnitude, got {bad:g}")
+
+
 def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> SolverResult:
     """Run the accelerated consensus splitting on the lifted program.
 
@@ -316,9 +325,11 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     ``factorization-failure``; the last two have status ``failed``.  A
     failed solve reports ``Z`` of the last normal solve (zeros if the
     factorization failed), the residuals of the last completed sweep, a zero
-    ``xhat`` and, in its diagnostics, only ``stop_reason`` and ``error``.  A
-    weight of magnitude above ``MAX_WEIGHT``, or not finite, is refused with
-    a ``ValueError``.
+    ``xhat`` and, in its diagnostics, only ``stop_reason`` and ``error``; a
+    normal matrix that overflows is a ``factorization-failure``.  A
+    ``ValueError`` naming ``w`` or ``b`` refuses a weight that
+    :func:`check_weights` refuses and a ``b`` that is not finite or whose
+    ``b @ b`` leaves the normal float range, ``b = 0`` aside.
     """
     cfg = cfg or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -326,12 +337,16 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     m, n = op.shape
     if b.shape != (m,) or w.shape != (n,):
         raise ValueError("operator, measurements and weights have inconsistent shapes")
-    if not (np.abs(w) <= MAX_WEIGHT).all():
-        raise ValueError(f"w must be finite with entries of magnitude at most {MAX_WEIGHT:g}")
+    check_weights(w)
+    with np.errstate(over="ignore"):
+        bb = float(b @ b)
+    if not math.isfinite(bb) or (bb < np.finfo(float).tiny and b.any()):
+        raise ValueError(f"b must be finite with b @ b in the normal float range or b = 0, "
+                         f"got b @ b = {bb:g}")
 
     # the loop solves the program for b/||b|| and epsilon/||b||; by homogeneity
     # its results are scaled back at exit
-    unit = math.sqrt(float(b @ b)) or 1.0
+    unit = math.sqrt(bb) or 1.0
     b = b / unit
     epsilon = cfg.epsilon / unit
 
@@ -358,8 +373,8 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     pri = dua = feas = math.inf
     iterations = 0
     z = np.zeros(d)
-    # the factorization, a sweep's psd projection and the rank-1 extraction
-    # fail with LinAlgError, and every failure leaves through the one except
+    # the factorization (or an overflow of its matrix), a sweep's psd projection
+    # and the rank-1 extraction fail, and every failure leaves through the one except
     try:
         normal = _NormalSolver(op, w)
         for iterations in range(1, cfg.max_iter + 1):
@@ -419,7 +434,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
                 x = accel.step(g, f)
         z_mat = smat(z)
         xhat, eigvals = rank1_extract(z_mat)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         error = str(exc)
     # the residuals reported are those of the last completed sweep; a rebalance
     # sweep always computes its dual residual, so rho is still that sweep's

@@ -16,7 +16,7 @@ def gamma(omega: float, rho: float, alpha: float) -> float:
     """gamma = omega + (1 - omega) * sqrt(1 + rho - 2*alpha*rho)."""
     radicand = 1.0 + rho - 2.0 * alpha * rho
     if radicand < 0:
-        raise ValueError("1 + rho - 2*alpha*rho must be nonnegative")
+        raise ValueError(f"rho {rho:g} at alpha {alpha:g} makes 1 + rho - 2*alpha*rho negative")
     return omega + (1.0 - omega) * math.sqrt(radicand)
 
 
@@ -34,13 +34,6 @@ def delta_threshold(t: float, d: float, gam: float) -> float:
     return math.sqrt((t - d) / (t - d + gam * gam))
 
 
-def _branch(d: float, gam: float, theta: float) -> float:
-    # tested on theta itself: 2 theta - theta^2 is NaN at theta = NaN or inf
-    if not 0.0 < theta < 2.0:
-        raise ValueError(f"theta must lie in (0, 2), got {theta}")
-    return d + gam * gam * (1.0 - theta) ** 2 / (2.0 * theta - theta * theta)
-
-
 def t_omega(
     omega: float,
     rho: float,
@@ -51,11 +44,18 @@ def t_omega(
     """Smallest order factor t for which the two-sided isometry bounds suffice.
 
     Equals ``max over theta in {theta_minus, theta_plus} of
-    d + gamma^2 (1 - theta)^2 / (2 theta - theta^2)``.
+    d + gamma^2 (1 - theta)^2 / (2 theta - theta^2)``; ``ValueError`` naming
+    the threshold if either lies outside (0, 2).
     """
     gam = gamma(omega, rho, alpha)
     d = d_const(omega, rho, alpha)
-    return max(_branch(d, gam, theta_minus), _branch(d, gam, theta_plus))
+    branches = []
+    for name, theta in (("theta_minus", theta_minus), ("theta_plus", theta_plus)):
+        # tested on theta itself: 2 theta - theta^2 is NaN at theta = NaN or inf
+        if not 0.0 < theta < 2.0:
+            raise ValueError(f"{name} must lie in (0, 2), got {theta:g}")
+        branches.append(d + gam * gam * (1.0 - theta) ** 2 / (2.0 * theta - theta * theta))
+    return max(branches)
 
 
 def error_constants(
@@ -156,12 +156,22 @@ def constants_table(
 
     Grid points where the bound is not applicable (delta at or above the
     threshold) are emitted with ``applicable=False`` and NaN constants rather
-    than dropped, so downstream CSV stays rectangular.
+    than dropped, so downstream CSV stays rectangular.  A negative or non-finite
+    rho, omega or delta_tk, an alpha outside [0, 1] or a non-finite t is a ``ValueError``.
     """
     alphas = list(alphas)
     omegas = list(omegas)
     if not alphas or not omegas:
         raise ValueError("alpha and omega grids must be nonempty")
+    for name, values in (("rho", [rho]), ("omegas", omegas), ("delta_tk", [delta_tk])):
+        for value in values:
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value:g}")
+    for alpha in alphas:
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alphas must be in [0, 1], got {alpha:g}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t:g}")
     rows = []
     for alpha in alphas:
         for omega in omegas:

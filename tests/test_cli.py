@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -55,7 +56,7 @@ def run_cli(*args, **kwargs):
 def refusal(name: str, value: str) -> str:
     """The error line for a refused prior weight or noise level."""
     too_large = math.isfinite(float(value)) and float(value) > MAX_WEIGHT
-    rule = f"at most {MAX_WEIGHT:g}" if too_large else "finite and nonnegative"
+    rule = f"finite and at most {MAX_WEIGHT:g} in magnitude" if too_large else "finite and nonnegative"
     return f"error: {name} must be {rule}, got {value}\n"
 
 
@@ -165,12 +166,14 @@ class TestRecoverCommand:
         ("--alpha", "nan", "alpha must be in [0, 1], got nan"),
         ("--alpha", "-0.5", "alpha must be in [0, 1], got -0.5"),
         ("--alpha", "1.1", "alpha must be in [0, 1], got 1.1"),
+        ("--alpha", "2", "alpha must be in [0, 1], got 2"),
     ])
     def test_refuses_bad_rho_or_alpha(self, capsys, flag, value, message):
+        # the library's message, with the flag in place of its parameter
         assert cli.main(["recover", flag, value, "--seed", "7"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: --{message}\n"
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "--seed must be at least 0, got -1"),
@@ -178,6 +181,18 @@ class TestRecoverCommand:
         ("--m", "-3", "--m must be at least 1, got -3"),
     ])
     def test_refuses_bad_seed_or_m(self, capsys, flag, value, message):
+        assert cli.main(["recover", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n", "0", "--n must be at least 1, got 0"),
+        ("--k", "0", "--k must be between 1 and n = 16, got 0"),
+        ("--max-iter", "0", "--max-iter must be at least 1, got 0"),
+    ])
+    def test_refuses_bad_size_or_sweep_cap(self, capsys, flag, value, message):
+        # refused by model.gen_sparse_signal and SolverConfig, named by the flag
         assert cli.main(["recover", flag, value]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -307,18 +322,21 @@ class TestSweepHarness:
         assert read_sweep_csv("\n".join(sweep_csv_lines(recs)))  # still serializes
 
     @pytest.mark.parametrize("fields, message", [
-        ({"k": 4, "rho": 2.0, "alphas": (0.5, 0.0)}, "alpha=0.0: infeasible"),
-        ({"ms": (12, 0)}, "every m"),
-        ({"k": 9}, "k <= N"),
+        ({"k": 4, "rho": 2.0, "alphas": (0.5, 0.0)}, "^alphas 0 at rho 2 is infeasible"),
+        ({"ms": (12, 0)}, r"^ms must be at least 1, got 0$"),
+        ({"k": 9}, r"^k must be between 1 and n = 8, got 9$"),
         ({"omegas": (1.0, -0.5)}, "omegas must be finite and nonnegative"),
         ({"sigmas": (math.nan,)}, "sigmas must be finite and nonnegative"),
         ({"rho": math.nan}, r"^rho must be finite and nonnegative, got nan$"),
-        ({"alphas": (1.0, math.nan)}, r"alpha must be in \[0, 1\], got nan$"),
+        ({"alphas": (1.0, math.nan)}, r"^alphas must be in \[0, 1\], got nan$"),
         ({"theta": math.inf}, r"^theta must be finite, got inf$"),
         ({"theta": math.nan}, r"^theta must be finite, got nan$"),
-        ({"signal": "compressible", "theta": -1.0}, r"^theta must be positive, got -1$"),
+        ({"signal": "compressible", "theta": -1.0}, r"^theta must be positive, got -1.0$"),
         ({"theta": 1e300}, r"^theta is too large for the seed hash, got 1e\+300$"),
-        ({"omegas": (1e300,)}, r"^omegas must be at most 1e\+50, got 1e\+300$"),
+        ({"omegas": (1e300,)},
+         r"^omegas must be finite and at most 1e\+50 in magnitude, got 1e\+300$"),
+        ({"max_iter": 0}, r"^max_iter must be at least 1, got 0$"),
+        ({"max_iter": -3}, r"^max_iter must be at least 1, got -3$"),
     ])
     def test_bad_grid_refused_before_any_trial(self, monkeypatch, fields, message):
         def no_trial(*_):
@@ -417,7 +435,7 @@ class TestCertifyCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: w has non-finite entries\n"
+        assert captured.err == "error: --omega has non-finite entries\n"
 
     def test_cap_refusal_exit_code(self):
         res = run_cli("certify", "--gaussian", "16", "4", "--check", "srip", "--k", "1")
@@ -455,7 +473,7 @@ class TestCertifyCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: w has negative entries\n"
+        assert captured.err == "error: --omega has negative entries\n"
 
     @pytest.mark.parametrize("source, message", [
         (["--gaussian", "3", "3", "--seed", "-5"], "--seed must be at least 0, got -5"),
@@ -506,8 +524,8 @@ class TestOracleCommand:
         assert captured.err == "error: --y applies to the linear program only\n"
 
     @pytest.mark.parametrize("args, name", [
-        (["--y", "nan,1,2"], "y"),
-        (["--y", "inf,1,2"], "y"),
+        (["--y", "nan,1,2"], "--y"),
+        (["--y", "inf,1,2"], "--y"),
         (["--x", "nan,0,1", "--phaseless"], "--x"),
         (["--x", "inf,0,1"], "--x"),
     ])
@@ -536,7 +554,62 @@ class TestOracleCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: w has negative entries\n"
+        assert captured.err == "error: --omega has negative entries\n"
+
+
+def numeric_flags(command: str) -> list[tuple[str, type]]:
+    """Each option of ``command`` that takes numbers, with the type of one: an
+    ``int`` or ``float`` option, or a comma list of numbers by its default."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = []
+    for action in sub.choices[command]._actions:
+        default = action.default
+        if action.type in (int, float):
+            flags.append((action.option_strings[0], action.type))
+        elif isinstance(default, str) and default and all(
+                v.replace(".", "", 1).isdigit() for v in default.split(",")):
+            flags.append((action.option_strings[0], float))
+    return flags
+
+
+# values that every numeric input of its type refuses
+BAD_VALUES = {int: ["-1"], float: ["nan", "inf"]}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value)
+    for command in ("recover", "constants")
+    for flag, kind in numeric_flags(command)
+    for value in BAD_VALUES[kind]
+])
+def test_every_numeric_flag_is_refused_by_name(capsys, command, flag, value):
+    # the library refuses, and the error line names the flag, not the
+    # library's parameter: a flag missing from cli's table fails here
+    assert cli.main([command, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value)
+    for key, kind in cli._NUMBER_KEYS.items()
+    if key != "seed"  # every integer is a master seed
+    for value in BAD_VALUES[kind]
+])
+def test_every_numeric_config_key_is_refused_by_name(monkeypatch, capsys, tmp_path, key, value):
+    def no_trial(*_):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_trial", no_trial)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CONFIG + f"{key} = {value}\n")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} ") and captured.err.count("\n") == 1
 
 
 def test_eigensolver_failure_is_solver_exit(monkeypatch, capsys, tmp_path):

@@ -126,6 +126,20 @@ class TestSupportEstimate:
         with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
             model.draw_trial(rng_for(5), "sparse", 16, 2, 20, 1.0, 0.5, omega, sigma)
 
+    @pytest.mark.parametrize("draw, name", [
+        (lambda rng: model.gen_sparse_signal(rng, 0, 1), "n"),
+        (lambda rng: model.gen_sparse_signal(rng, 8, 9), "k"),
+        (lambda rng: model.best_k_support(np.ones(4), 0), "k"),
+        (lambda rng: model.gen_gaussian_matrix(rng, 0, 3), "m"),
+        (lambda rng: model.gen_gaussian_matrix(rng, 3, -1), "n"),
+        (lambda rng: model.gen_compressible_signal(8, -1.0, rng), "theta"),
+        (lambda rng: model.support_estimate_sizes(8, 4, 2.0, 0.0), "alpha"),
+    ])
+    def test_refusal_starts_with_the_parameter(self, draw, name):
+        # the cli replaces this first word by the flag or config key
+        with pytest.raises(ValueError, match=f"^{name} "):
+            draw(rng_for(3))
+
     def test_weights_pattern(self):
         est = model.SupportEstimate(indices=(1, 3), omega=0.4, rho=1.0, alpha=1.0)
         assert np.allclose(est.weights(5), [1.0, 0.4, 1.0, 0.4, 1.0])

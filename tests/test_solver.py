@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -373,11 +374,33 @@ class TestSolveSdp:
         with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
             LiftedOperator(np.array([[1.0, np.nan]]))
 
+    @pytest.mark.parametrize("case", ["overflow", "nan", "underflow", "subnormal"])
+    def test_refuses_b_without_a_unit(self, case):
+        # ||b|| is the loop's unit: at 1e200 b @ b overflowed and a converged
+        # result came back as inf * 0 = NaN, a NaN ended eig-failure, at
+        # 1e-150 b @ b underflowed to 0 and the loop ran on b itself, and a
+        # subnormal b @ b gives a unit too rough for the exit guarantee
+        rng = np.random.default_rng(41)
+        a, x = rng.standard_normal((6, 3)), rng.standard_normal(3)
+        b = {"overflow": np.full(6, 1e200), "nan": np.r_[np.nan, np.ones(5)],
+             "underflow": (a @ x * 1e-150) ** 2, "subnormal": np.full(6, 1e-160)}[case]
+        with pytest.raises(ValueError, match="^b must be finite"):
+            solve_sdp(LiftedOperator(a), b, np.ones(3))
+
+    def test_overflowing_normal_matrix_is_a_factorization_failure(self):
+        # the sensors of 1e100 a are finite, their Gram matrix is not
+        a = np.random.default_rng(41).standard_normal((6, 3))
+        res = solve_sdp(LiftedOperator(1e100 * a), np.ones(6), np.ones(3))
+        assert_failure_pinned(res, 0, hashlib.sha256(np.zeros((3, 3)).tobytes()).hexdigest()[:16],
+                              math.inf, math.inf, {"stop_reason": "factorization-failure",
+                                                   "error": "overflow encountered in matmul"})
+
     @pytest.mark.parametrize("bad", [10 * solver.MAX_WEIGHT, -np.inf, np.nan])
     def test_refuses_weight_beyond_max(self, bad):
         # above about 1e77, w**4 overflows in the normal system
         op = LiftedOperator(np.eye(3))
-        with pytest.raises(ValueError, match="^w must be finite"):
+        message = f"w must be finite and at most 1e+50 in magnitude, got {bad:g}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             solve_sdp(op, np.ones(3), np.array([1.0, bad, 1.0]))
         res = solve_sdp(op, np.ones(3), np.array([1.0, solver.MAX_WEIGHT, 1.0]))
         assert res.status != "failed"
@@ -474,6 +497,36 @@ def test_noisy_solve_is_scale_equivariant(j):
     assert (scaled.status, scaled.iterations) == (base.status, base.iterations)
     assert np.array_equal(scaled.Z, 4.0**j * base.Z)
     assert np.array_equal(scaled.xhat, 2.0**j * base.xhat)
+
+
+def scaled_norm(v: np.ndarray) -> float:
+    """||v||_2 without overflow or underflow in its squares."""
+    top = np.abs(v).max()
+    return float(top * np.linalg.norm(v / top)) if top > 0 else 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-320.0, 300.0),
+       st.sampled_from([None, math.nan, math.inf, -math.inf]), st.integers(0, 5))
+def test_solve_refuses_b_or_returns_finite(seed, log_c, bad, i):
+    # b = c (Ax)^2 over most of the float range, with or without one entry
+    # that is not finite: the solve refuses b by name or returns finite Z and
+    # xhat, and a converged one meets its exit guarantee at epsilon = 0
+    rng = np.random.default_rng(seed)
+    a, x = rng.standard_normal((6, 3)), rng.standard_normal(3)
+    b = 10.0**log_c * (a @ x) ** 2
+    if bad is not None:
+        b[i] = bad
+    op = LiftedOperator(a)
+    try:
+        res = solve_sdp(op, b, np.ones(3))
+    except ValueError as exc:
+        assert str(exc).startswith("b must be finite")
+        return
+    assert np.isfinite(res.Z).all() and np.isfinite(res.xhat).all()
+    if res.status == "converged":
+        feasibility = scaled_norm(op.forward(svec(res.Z)) - b)
+        assert feasibility <= 10 * solver.TOL_ABS * scaled_norm(b) * (1 + 1e-9)
 
 
 class TestLiftedOperator:

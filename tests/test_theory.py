@@ -70,7 +70,7 @@ class TestTOmega:
         # at theta = inf, 2 theta - theta^2 is NaN: the theta_plus branch must
         # not vanish from the max, nor a theta_minus one turn the result NaN
         thetas = {"theta_minus": 0.5, "theta_plus": 1.5, side: theta}
-        with pytest.raises(ValueError, match=r"theta must lie in \(0, 2\)"):
+        with pytest.raises(ValueError, match=rf"^{side} must lie in \(0, 2\)"):
             theory.t_omega(0.5, 1.0, 0.5, **thetas)
 
     def test_decreasing_in_alpha(self):
@@ -165,6 +165,19 @@ class TestConstantsTable:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             theory.constants_table(1.0, 0.5, 1.5, 4.0, 0.3, [], [0.5])
+
+    @pytest.mark.parametrize("args, name", [
+        ((-1.0, 0.5, 1.5, 4.0, 0.3, [0.5], [0.5]), "rho"),
+        ((1.0, 0.5, 1.5, math.inf, 0.3, [0.5], [0.5]), "t"),
+        ((1.0, 0.5, 1.5, 4.0, math.nan, [0.5], [0.5]), "delta_tk"),
+        ((1.0, 0.5, 1.5, 4.0, 0.3, [0.5, 1.5], [0.5]), "alphas"),
+        ((1.0, 0.5, 1.5, 4.0, 0.3, [0.5], [0.5, -1.0]), "omegas"),
+        ((1.0, 0.5, 2.0, 4.0, 0.3, [0.5], [0.5]), "theta_plus"),
+        ((10.0, 0.5, 1.5, 4.0, 0.3, [1.0], [0.5]), "rho"),
+    ])
+    def test_refusal_names_the_parameter(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            theory.constants_table(*args)
 
 
 def test_threshold_applicable_on_default_grid():
