@@ -23,10 +23,12 @@ inputs far from general position should be read with care.  The support
 pseudo-inverses are computed per support size, in stacked LAPACK calls that
 round as one call per support does, and each candidate's residual norm and
 weighted l1 cost are computed with the arithmetic of ``np.linalg.norm`` and
-``weighted_l1``, bit for bit.  A right-hand side or weight vector of the
-wrong length or with a non-finite entry is refused with a ``ValueError``
-that names it; so is a non-finite weight in the null space checks, and a
-negative weight everywhere.
+``weighted_l1``, bit for bit; a candidate whose residual overflows is
+infeasible.  Inputs are refused by the rules of ``phasecs.linalg``, with a
+``ValueError`` whose first word names them: ``k`` outside ``1 <= k <= N``,
+a weight vector ``w`` of the wrong length or not finite and nonnegative
+(``||.||_{1,w}`` is then no norm), and a right-hand side ``y`` or
+``b_abs`` of the wrong length, not finite, or whose squared norm overflows.
 
 The enumeration caps are fixed; beyond one, a check refuses with
 :class:`CapExceededError` and never falls back to sampling.  They are
@@ -47,7 +49,8 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .linalg import TOL, _finite, as_matrix, eig_sym, kernel_basis
+from .linalg import (TOL, as_matrix, as_vector, check_nonnegative, check_order, eig_sym,
+                     kernel_basis, squared_norm)
 from .model import best_k_support, canonical_sign, weighted_l1
 
 
@@ -136,20 +139,6 @@ def phaseless_slack(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_order(k: int, n: int, w=None) -> np.ndarray | None:
-    """Refuse a weight vector of the wrong length or with a non-finite or
-    negative entry, then an order outside ``1 <= k <= n``; returns ``w`` as
-    floats (None when not given)."""
-    if w is not None:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (n,):
-            raise ValueError("weight vector length must match the column count")
-        _nonnegative(_finite(w, "w"))
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    return w
-
-
 def _half_subsets(m: int):
     """Subsets of rows 1..m-1 in bit order (bit i stands for row i+1).
 
@@ -229,7 +218,7 @@ def rip_constant(a, k: int) -> RipReport:
     """
     a = as_matrix(a)
     n = a.shape[1]
-    _check_order(k, n)
+    check_order(k, n)
     count = math.comb(n, k)
     if count > _SUPPORT_CAP:
         raise CapExceededError("support enumeration cap", f"C({n},{k})={count} > {_SUPPORT_CAP}")
@@ -247,7 +236,7 @@ def srip_bounds(a, k: int) -> RipReport:
     """
     a = as_matrix(a)
     m, n = a.shape
-    _check_order(k, n)
+    check_order(k, n)
     if m > _SRIP_ROW_CAP:
         raise CapExceededError("row subset cap", f"m={m} > {_SRIP_ROW_CAP}")
     n_supports = math.comb(n, k)
@@ -329,7 +318,8 @@ def weighted_nsp_check(a, k: int, w) -> NspVerdict:
     """
     a = as_matrix(a)
     n = a.shape[1]
-    w = _check_order(k, n, w)
+    w = as_vector(w, n, "w", check_nonnegative)
+    check_order(k, n)
     kernel = kernel_basis(a)
     dim = kernel.shape[1]
     if dim == 0:
@@ -440,7 +430,8 @@ def phaseless_nsp_check(a, k: int, w) -> NspVerdict:
     """
     a = as_matrix(a)
     m, n = a.shape
-    w = _check_order(k, n, w)
+    w = as_vector(w, n, "w", check_nonnegative)
+    check_order(k, n)
     if m > _PNSP_ROW_CAP:
         raise CapExceededError("row split cap", f"m={m} > {_PNSP_ROW_CAP}")
     positive = np.flatnonzero(w > 0.0)
@@ -545,40 +536,25 @@ class ExhaustiveL1Oracle:
             self._table.append((np.concatenate(kept), np.concatenate(pinvs)))
 
     def solve(self, y, w) -> L1MinResult:
-        y = _check_vector(y, self.m, "y")
-        w = _nonnegative(_check_vector(w, self.n, "w"))
-        yn = float(np.linalg.norm(y))
+        y = as_vector(y, self.m, "y")
+        w = as_vector(w, self.n, "w", check_nonnegative)
+        yn = math.sqrt(squared_norm(y, "y"))
         if yn <= 1e-12:
             return L1MinResult([np.zeros(self.n)], 0.0, self.degenerate)
         feas_tol = TOL.oracle_feasibility * (1.0 + yn)
         candidates: list[tuple[float, np.ndarray]] = []
-        for supports, pinvs in self._table:
-            for t, pinv in zip(supports, pinvs):
-                z = np.zeros(self.n)
-                z[t] = pinv @ y
-                # np.linalg.norm and weighted_l1, less their argument handling
-                r = self.a @ z - y
-                if math.sqrt(r @ r) > feas_tol:
-                    continue
-                candidates.append((float((w * np.abs(z)).sum()), z))
+        # an overflowing candidate has an inf or NaN residual: infeasible below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for supports, pinvs in self._table:
+                for t, pinv in zip(supports, pinvs):
+                    z = np.zeros(self.n)
+                    z[t] = pinv @ y
+                    # np.linalg.norm and weighted_l1, less their argument handling
+                    r = self.a @ z - y
+                    if not math.sqrt(r @ r) <= feas_tol:
+                        continue
+                    candidates.append((float((w * np.abs(z)).sum()), z))
         return _cheapest(candidates, self.degenerate)
-
-
-def _check_vector(v, size: int, name: str) -> np.ndarray:
-    """``v`` as a float vector of length ``size``; refuses another shape and
-    non-finite entries with a ``ValueError`` naming ``name``."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (size,):
-        raise ValueError(f"{name} must have shape ({size},), got {v.shape}")
-    return _finite(v, name)
-
-
-def _nonnegative(w: np.ndarray) -> np.ndarray:
-    """Refuse a negative weight: it makes ``||.||_{1,w}`` no norm, and a
-    weighted-l1 program with one can be unbounded below."""
-    if (w < 0.0).any():
-        raise ValueError("w has negative entries")
-    return w
 
 
 def _cheapest(candidates, degenerate: bool) -> L1MinResult:
@@ -633,8 +609,9 @@ def brute_force_phaseless(a, b_abs, w) -> L1MinResult:
     m, n = a.shape
     if m > _SIGN_ROW_CAP:
         raise CapExceededError("sign pattern cap", f"m={m} > {_SIGN_ROW_CAP}")
-    b_abs = _check_vector(b_abs, m, "b_abs")
-    w = _nonnegative(_check_vector(w, n, "w"))
+    b_abs = as_vector(b_abs, m, "b_abs")
+    squared_norm(b_abs, "b_abs")
+    w = as_vector(w, n, "w", check_nonnegative)
     oracle = ExhaustiveL1Oracle(a)
     collected: list[tuple[float, np.ndarray]] = []
     for rows in _half_subsets(m):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model, theory
+from . import linalg, model, theory
 from .certify import (
     CapExceededError,
     ExhaustiveL1Oracle,
@@ -60,9 +60,10 @@ _FLAGS = {
                   "theta_plus": "--theta-plus"},
     "recover": {"n": "--n", "k": "--k", "m": "--m", "rho": "--rho", "alpha": "--alpha",
                 "omega": "--omega", "w": "--omega", "sigma": "--sigma", "max_iter": "--max-iter"},
-    "sweep": {"m": "ms", "alpha": "alphas", "omega": "omegas", "w": "omegas", "sigma": "sigmas"},
-    "certify": {"m": "--gaussian", "n": "--gaussian", "w": "--omega"},
-    "oracle": {"m": "--gaussian", "n": "--gaussian", "w": "--omega", "y": "--y"},
+    "sweep": {"m": "ms", "alpha": "alphas", "omega": "omegas", "sigma": "sigmas"},
+    "certify": {"m": "--gaussian", "n": "--gaussian", "k": "--k", "w": "--omega"},
+    "oracle": {"m": "--gaussian", "n": "--gaussian", "w": "--omega", "y": "--y", "x": "--x",
+               "b_abs": "--x"},
 }
 
 
@@ -70,12 +71,6 @@ def _named(exc: Exception, command: str) -> UsageError:
     """A library refusal, which starts with a parameter's name, in the words of ``command``."""
     name, space, rest = str(exc).partition(" ")
     return UsageError(_FLAGS[command].get(name, name) + space + rest)
-
-
-def _check_at_least(name: str, value: int, low: int) -> None:
-    """Refuse an integer ``name`` below ``low``."""
-    if value < low:
-        raise UsageError(f"{name} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -106,19 +101,18 @@ class SweepConfig:
                 _quantized(self.theta)
             except OverflowError:
                 raise UsageError(f"theta is too large for the seed hash, got {self.theta:g}")
-        if self.trials < 1:
-            raise UsageError("trials must be at least 1")
         if not (self.alphas and self.omegas and self.ms and self.sigmas):
             raise UsageError("grid lists must be nonempty")
         # the functions a trial calls refuse its bad values: every grid
         # point's trial is drawn once, then the solver's inputs are checked
         rng = np.random.default_rng(0)
         try:
+            linalg.check_at_least(self.trials, 1, "trials")
             for alpha, omega, m, sigma in itertools.product(
                     self.alphas, self.omegas, self.ms, self.sigmas):
                 model.draw_trial(rng, self.signal, self.n, self.k, m, self.rho, alpha, omega,
                                  sigma, self.theta)
-            check_weights(self.omegas)
+            check_weights(self.omegas, "omegas")
             SolverConfig(max_iter=self.max_iter)
         except ValueError as exc:
             raise _named(exc, "sweep") from exc
@@ -402,11 +396,11 @@ def _load_matrix(args) -> np.ndarray:
     if args.matrix is not None:
         return read_matrix_file(args.matrix)
     if args.gaussian is not None:
-        _check_at_least("--seed", args.seed, 0)
+        linalg.check_at_least(args.seed, 0, "--seed")
         m, n = args.gaussian
         rng = np.random.default_rng(args.seed)
         return model.gen_gaussian_matrix(rng, m, n)
-    _check_at_least("--identity", args.identity, 1)
+    linalg.check_at_least(args.identity, 1, "--identity")
     return np.eye(args.identity)
 
 
@@ -459,7 +453,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    _check_at_least("--seed", args.seed, 0)
+    linalg.check_at_least(args.seed, 0, "--seed")
     instance, estimate = model.draw_trial(
         np.random.default_rng(args.seed), "sparse", args.n, args.k, args.m, args.rho,
         args.alpha, args.omega, args.sigma,
@@ -575,13 +569,7 @@ def cmd_oracle(args) -> int:
     a = _load_matrix(args)
     n = a.shape[1]
     w = _weights_from_args(args, n)
-    x = None
-    if args.x is not None:
-        x = np.array(_parse_list(args.x, "--x"))
-        if x.size != n:
-            raise UsageError(f"--x needs {n} entries")
-        if not np.isfinite(x).all():
-            raise UsageError("--x has non-finite entries")
+    x = None if args.x is None else linalg.as_vector(_parse_list(args.x, "--x"), n, "x")
     if args.phaseless:
         if args.y is not None:
             raise UsageError("--y applies to the linear program only")
@@ -603,6 +591,7 @@ def cmd_oracle(args) -> int:
             y = np.array(_parse_list(args.y, "--y"))
         elif x is not None:
             y = a @ x
+            linalg.squared_norm(y, "x")  # refused by the flag that set it
         else:
             raise UsageError("provide --x or --y")
         res = ExhaustiveL1Oracle(a).solve(y, w)

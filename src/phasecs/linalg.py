@@ -16,6 +16,9 @@ packed form, the vector of n(n+1)/2 upper-triangle entries in row-major
 order with the off-diagonal ones scaled by sqrt(2).  The scaling makes the
 map an isometry, ``svec(X) @ svec(Y) == <X, Y>_F``, as in the PSD cone of
 conic splitting solvers (O'Donoghue et al. 2016, SCS).
+
+The input rules that several modules share are stated here, once each; a
+refusal is a ``ValueError`` whose first word is the parameter's name.
 """
 
 from __future__ import annotations
@@ -77,6 +80,50 @@ def _finite(a: np.ndarray, name: str) -> np.ndarray:
     if a.size and not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
     return a
+
+
+def as_vector(v, n: int, name: str, entries=_finite) -> np.ndarray:
+    """``v`` as a float vector of shape (n,) whose entries pass ``entries``."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
+    return entries(v, name)
+
+
+def check_nonnegative(value, name: str) -> np.ndarray:
+    """``value``, a number or an array, as floats, each finite and nonnegative."""
+    a = np.asarray(value, dtype=float)
+    bad = ~((a >= 0.0) & (a < math.inf))
+    if bad.any():
+        raise ValueError(f"{name} must be finite and nonnegative, got {a[bad][0]:g}")
+    return a
+
+
+def check_fraction(value, name: str) -> None:
+    """Refuse a number, or an entry of an array, outside [0, 1]."""
+    a = np.asarray(value, dtype=float)
+    bad = ~((a >= 0.0) & (a <= 1.0))
+    if bad.any():
+        raise ValueError(f"{name} must be in [0, 1], got {a[bad][0]:g}")
+
+
+def check_at_least(value: int, low: int, name: str) -> None:
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def check_order(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be between 1 and n = {n}, got {k}")
+
+
+def squared_norm(v: np.ndarray, name: str) -> float:
+    """``v @ v`` of a finite vector, refused on overflow; ``np.linalg.norm`` is its root."""
+    with np.errstate(over="ignore"):
+        vv = float(v @ v)
+    if not math.isfinite(vv):
+        raise ValueError(f"{name} is too large for a finite squared norm")
+    return vv
 
 
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:

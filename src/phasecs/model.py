@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import check_at_least, check_fraction, check_nonnegative, check_order, squared_norm
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -69,10 +71,8 @@ class PhaselessInstance:
 
 def gen_sparse_signal(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """Exactly k-sparse signal: uniform random support, standard normal values."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be between 1 and n = {n}, got {k}")
+    check_at_least(n, 1, "n")
+    check_order(k, n)
     x = np.zeros(n)
     support = rng.choice(n, size=k, replace=False)
     x[support] = rng.standard_normal(k)
@@ -98,15 +98,9 @@ def gen_compressible_signal(n: int, theta: float, rng: np.random.Generator) -> n
 def best_k_support(x: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest magnitudes, ties broken toward the lowest index."""
     x = np.asarray(x, dtype=float)
-    if not 1 <= k <= x.size:
-        raise ValueError(f"k must be between 1 and len(x) = {x.size}, got {k}")
+    check_order(k, x.size)
     order = np.argsort(-np.abs(x), kind="stable")
     return np.sort(order[:k])
-
-
-def _check_nonnegative(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {value:g}")
 
 
 def support_estimate_sizes(n: int, k: int, rho: float, alpha: float) -> tuple[int, int]:
@@ -116,9 +110,8 @@ def support_estimate_sizes(n: int, k: int, rho: float, alpha: float) -> tuple[in
     ``T0``, rounded half up; ``ValueError`` if ``rho`` is negative or not finite,
     if ``alpha`` is outside [0, 1], or if ``T0`` or its complement is too small.
     """
-    _check_nonnegative("rho", rho)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha:g}")
+    check_nonnegative(rho, "rho")
+    check_fraction(alpha, "alpha")
     size = math.floor(rho * k + 0.5)
     size_in = math.floor(alpha * rho * k + 0.5)
     size_out = size - size_in
@@ -136,7 +129,7 @@ def gen_support_estimate(rng: np.random.Generator, t0: np.ndarray, n: int, k: in
     are sampled uniformly from ``t0`` and the rest uniformly from its
     complement.  ``ValueError`` if ``omega`` is negative or not finite.
     """
-    _check_nonnegative("omega", omega)
+    check_nonnegative(omega, "omega")
     t0 = np.asarray(t0, dtype=int)
     size_in, size_out = support_estimate_sizes(n, k, rho, alpha)
     inside = rng.choice(t0, size=size_in, replace=False) if size_in else np.empty(0, int)
@@ -152,8 +145,7 @@ def gen_support_estimate(rng: np.random.Generator, t0: np.ndarray, n: int, k: in
 def gen_gaussian_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """Gaussian measurement matrix, entries N(0, 1/m) so ||A x|| ~ ||x||."""
     for name, size in (("m", m), ("n", n)):
-        if size < 1:
-            raise ValueError(f"{name} must be at least 1, got {size}")
+        check_at_least(size, 1, name)
     return rng.standard_normal((m, n)) / math.sqrt(m)
 
 
@@ -165,19 +157,20 @@ def make_instance(
 ) -> PhaselessInstance:
     """Measure ``x`` through ``A``: ``b = (A x)**2 + e`` with ``e ~ N(0, sigma^2)``.
 
-    ``ValueError`` if ``sigma`` is negative or not finite.
+    ``ValueError`` if ``sigma`` is negative or not finite, or so large that
+    the squared norm of ``e`` overflows.
     """
-    _check_nonnegative("sigma", sigma)
+    check_nonnegative(sigma, "sigma")
     A = np.asarray(A, dtype=float)
     x = np.asarray(x, dtype=float)
     if A.shape[1] != x.size:
         raise ValueError("matrix and signal shapes disagree")
     m = A.shape[0]
-    e = sigma * rng.standard_normal(m) if sigma > 0 else np.zeros(m)
+    with np.errstate(over="ignore"):
+        e = sigma * rng.standard_normal(m) if sigma > 0 else np.zeros(m)
+    epsilon = math.sqrt(squared_norm(e, "sigma"))
     b = (A @ x) ** 2 + e
-    return PhaselessInstance(
-        A=A, x=x, e=e, sigma=float(sigma), epsilon=float(np.linalg.norm(e)), b=b
-    )
+    return PhaselessInstance(A=A, x=x, e=e, sigma=float(sigma), epsilon=epsilon, b=b)
 
 
 def draw_trial(rng: np.random.Generator, signal: str, n: int, k: int, m: int, rho: float,

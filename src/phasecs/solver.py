@@ -125,10 +125,8 @@ class SolverConfig:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        linalg.check_at_least(self.max_iter, 1, "max_iter")
+        linalg.check_nonnegative(self.epsilon, "epsilon")
 
 
 @dataclass(slots=True)
@@ -298,12 +296,15 @@ class _Anderson:
         return g - gamma @ self.dg[:q]
 
 
-def check_weights(w) -> None:
-    """Refuse, naming ``w``, a weight not finite or of magnitude above ``MAX_WEIGHT``."""
+def check_weights(w, name: str) -> np.ndarray:
+    """``w`` as floats; refuses, naming ``name``, a weight not finite or of
+    magnitude above ``MAX_WEIGHT``."""
+    w = np.asarray(w, dtype=float)
     ok = np.abs(w) <= MAX_WEIGHT
     if not ok.all():
-        bad = np.asarray(w, dtype=float)[~ok][0]
-        raise ValueError(f"w must be finite and at most {MAX_WEIGHT:g} in magnitude, got {bad:g}")
+        raise ValueError(f"{name} must be finite and at most {MAX_WEIGHT:g} in magnitude, "
+                         f"got {w[~ok][0]:g}")
+    return w
 
 
 def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> SolverResult:
@@ -327,22 +328,17 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     factorization failed), the residuals of the last completed sweep, a zero
     ``xhat`` and, in its diagnostics, only ``stop_reason`` and ``error``; a
     normal matrix that overflows is a ``factorization-failure``.  A
-    ``ValueError`` naming ``w`` or ``b`` refuses a weight that
-    :func:`check_weights` refuses and a ``b`` that is not finite or whose
-    ``b @ b`` leaves the normal float range, ``b = 0`` aside.
+    ``ValueError`` naming ``b`` or ``w`` refuses either of the wrong shape,
+    a weight that :func:`check_weights` refuses, and a ``b`` that is not
+    finite or whose ``b @ b`` leaves the normal float range, ``b = 0`` aside.
     """
     cfg = cfg or SolverConfig()
-    b = np.asarray(b, dtype=float)
-    w = np.asarray(w, dtype=float)
     m, n = op.shape
-    if b.shape != (m,) or w.shape != (n,):
-        raise ValueError("operator, measurements and weights have inconsistent shapes")
-    check_weights(w)
-    with np.errstate(over="ignore"):
-        bb = float(b @ b)
-    if not math.isfinite(bb) or (bb < np.finfo(float).tiny and b.any()):
-        raise ValueError(f"b must be finite with b @ b in the normal float range or b = 0, "
-                         f"got b @ b = {bb:g}")
+    b = linalg.as_vector(b, m, "b")
+    w = linalg.as_vector(w, n, "w", check_weights)
+    bb = linalg.squared_norm(b, "b")
+    if bb < np.finfo(float).tiny and b.any():
+        raise ValueError(f"b must be 0 or have b @ b in the normal float range, got b @ b = {bb:g}")
 
     # the loop solves the program for b/||b|| and epsilon/||b||; by homogeneity
     # its results are scaled back at exit

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .linalg import check_at_least, check_fraction, check_nonnegative
+
 
 def gamma(omega: float, rho: float, alpha: float) -> float:
     """gamma = omega + (1 - omega) * sqrt(1 + rho - 2*alpha*rho)."""
@@ -121,8 +123,7 @@ def error_bound(
     + C2 eta / sqrt(k)``, where ``tail_t0`` is the l1 mass off the dominant
     support and ``tail_joint`` the mass off both the support and the prior.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_at_least(k, 1, "k")
     rk = math.sqrt(k)
     return (
         c1 * (zeta + eps)
@@ -163,13 +164,9 @@ def constants_table(
     omegas = list(omegas)
     if not alphas or not omegas:
         raise ValueError("alpha and omega grids must be nonempty")
-    for name, values in (("rho", [rho]), ("omegas", omegas), ("delta_tk", [delta_tk])):
-        for value in values:
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value:g}")
-    for alpha in alphas:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alphas must be in [0, 1], got {alpha:g}")
+    for name, value in (("rho", rho), ("omegas", omegas), ("delta_tk", delta_tk)):
+        check_nonnegative(value, name)
+    check_fraction(alphas, "alphas")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t:g}")
     rows = []

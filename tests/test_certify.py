@@ -51,6 +51,17 @@ class TestRip:
         for k in (1, 2, 3):
             assert rip_constant(np.eye(5), k).delta == 0.0
 
+    @pytest.mark.parametrize("check", [
+        pytest.param(rip_constant, id="rip_constant"),
+        pytest.param(srip_bounds, id="srip_bounds"),
+        pytest.param(lambda a, k: weighted_nsp_check(a, k, np.ones(3)), id="weighted_nsp_check"),
+        pytest.param(lambda a, k: phaseless_nsp_check(a, k, np.ones(3)), id="phaseless_nsp_check"),
+    ])
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_refuses_order_outside_one_to_n(self, check, k):
+        with pytest.raises(ValueError, match=f"^k must be between 1 and n = 3, got {k}$"):
+            check(np.eye(3), k)
+
     def test_scaled_diagonal(self):
         rep = rip_constant(np.diag([1.0, 0.5]), 1)
         assert abs(rep.delta - 0.75) <= 1e-12
@@ -404,10 +415,10 @@ A_4x3 = np.random.default_rng(0).standard_normal((4, 3))
 ])
 def test_nsp_checks_refuse_non_finite_weights(check, a, bad):
     # a NaN weight once certified: its NaN margin passed the band test
-    with pytest.raises(ValueError, match="^w has non-finite entries$"):
+    with pytest.raises(ValueError, match=f"^w must be finite and nonnegative, got {bad:g}$"):
         check(a, 1, [bad, 1.0, 1.0])
     # the length message keeps its place ahead of the entries
-    with pytest.raises(ValueError, match="^weight vector length"):
+    with pytest.raises(ValueError, match=r"^w must have shape \(3,\), got \(2,\)$"):
         check(a, 1, [bad, 1.0])
 
 
@@ -423,7 +434,7 @@ def test_refuses_negative_weights(entry):
     # with a negative weight ||.||_{1,w} is no norm: the null space checks
     # once scored negative mass, and the oracles' basic solutions need not
     # contain a minimiser (the program can be unbounded below)
-    with pytest.raises(ValueError, match="^w has negative entries$"):
+    with pytest.raises(ValueError, match="^w must be finite and nonnegative, got -1$"):
         entry([-1.0, 1.0, 1.0])
     entry([-0.0, 1.0, 1.0])  # a signed zero is no negative weight
 
@@ -515,6 +526,21 @@ class TestL1Oracle:
         with pytest.raises(ValueError, match=f"^{name} "):
             ExhaustiveL1Oracle(a).solve(y, w)
 
+    def test_refuses_y_whose_norm_overflows(self):
+        # ||y|| = inf once made the feasibility tolerance inf, and the two
+        # 1-sparse candidates, neither with z = y, came back at value 1e200
+        with pytest.raises(ValueError, match="^y is too large for a finite squared norm$"):
+            ExhaustiveL1Oracle(np.eye(2)).solve([1e200, 1e200], [1.0, 1.0])
+        res = ExhaustiveL1Oracle(np.eye(2)).solve([1e150, 1e150], [1.0, 1.0])
+        assert res.value == 2e150 and len(res.minimizers) == 1
+        assert np.array_equal(res.minimizers[0], [1e150, 1e150])
+
+    def test_overflowing_candidate_is_infeasible(self):
+        # z = 1e200 * 1e150 overflows, and A z = (inf, 0 * inf) has a NaN
+        # residual, which once passed the feasibility test at value inf
+        res = ExhaustiveL1Oracle(np.array([[1e-200], [0.0]])).solve([1e150, 0.0], [1.0])
+        assert res.value is None and res.minimizers == []
+
 
 class TestPhaselessOracle:
     def test_identity_four_minimizers(self):
@@ -541,6 +567,11 @@ class TestPhaselessOracle:
         a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match=f"^{name} "):
             brute_force_phaseless(a, b_abs, w)
+
+    def test_refuses_magnitudes_whose_norm_overflows(self):
+        # the sign pattern (+, +) once returned the infeasible (1e200, 0)
+        with pytest.raises(ValueError, match="^b_abs is too large for a finite squared norm$"):
+            brute_force_phaseless(np.eye(2), [1e200, 3e200], np.ones(2))
 
     def test_zero_magnitudes(self):
         res = brute_force_phaseless(A_SPARK, np.zeros(4), np.ones(2))
@@ -976,3 +1007,23 @@ def test_phaseless_oracle_matches_scalar_reference(kind):
             assert new.degenerate == ref.degenerate
             assert float(new.value).hex() == float(ref.value).hex()
             assert [z.tobytes() for z in new.minimizers] == [z.tobytes() for z in ref.minimizers]
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, st.integers(1, 4), st.integers(1, 4), st.floats(-300.0, 300.0))
+def test_oracle_refuses_y_or_returns_feasible_minimizers(seed, m, n, log_c):
+    # y = c A x over the whole float range: the oracle refuses y by name or
+    # returns minimizers that meet A z = y to its own tolerance (a numpy
+    # RuntimeWarning fails the test)
+    rng = np.random.default_rng(seed)
+    a = model.gen_gaussian_matrix(rng, m, n)
+    y = 10.0**log_c * (a @ rng.standard_normal(n))
+    try:
+        res = ExhaustiveL1Oracle(a).solve(y, np.ones(n))
+    except ValueError as exc:
+        assert str(exc).startswith("y ")
+        return
+    top = np.abs(y).max()
+    for z in res.minimizers:
+        residual = top * np.linalg.norm((a @ z - y) / top) if top > 0 else 0.0
+        assert residual <= TOL.oracle_feasibility * (1.0 + top * np.linalg.norm(y / top))

@@ -160,6 +160,14 @@ class TestRecoverCommand:
         assert captured.out == ""
         assert captured.err == refusal(flag, value)
 
+    def test_refuses_sigma_whose_noise_norm_overflows(self, capsys):
+        # the noise norm epsilon once overflowed with a numpy warning, and the
+        # solve then refused b, a name the command line does not have
+        assert cli.main(["recover", "--n", "8", "--k", "1", "--m", "12", "--sigma", "1e200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --sigma is too large for a finite squared norm\n"
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--rho", "nan", "rho must be finite and nonnegative, got nan"),
         ("--rho", "-1", "rho must be finite and nonnegative, got -1"),
@@ -337,6 +345,7 @@ class TestSweepHarness:
          r"^omegas must be finite and at most 1e\+50 in magnitude, got 1e\+300$"),
         ({"max_iter": 0}, r"^max_iter must be at least 1, got 0$"),
         ({"max_iter": -3}, r"^max_iter must be at least 1, got -3$"),
+        ({"sigmas": (1e200,)}, r"^sigmas is too large for a finite squared norm$"),
     ])
     def test_bad_grid_refused_before_any_trial(self, monkeypatch, fields, message):
         def no_trial(*_):
@@ -435,7 +444,7 @@ class TestCertifyCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --omega has non-finite entries\n"
+        assert captured.err == refusal("--omega", omega)
 
     def test_cap_refusal_exit_code(self):
         res = run_cli("certify", "--gaussian", "16", "4", "--check", "srip", "--k", "1")
@@ -473,7 +482,7 @@ class TestCertifyCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --omega has negative entries\n"
+        assert captured.err == refusal("--omega", "-1")
 
     @pytest.mark.parametrize("source, message", [
         (["--gaussian", "3", "3", "--seed", "-5"], "--seed must be at least 0, got -5"),
@@ -554,7 +563,7 @@ class TestOracleCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --omega has negative entries\n"
+        assert captured.err == refusal("--omega", "-0.5")
 
 
 def numeric_flags(command: str) -> list[tuple[str, type]]:
@@ -589,6 +598,40 @@ def test_every_numeric_flag_is_refused_by_name(capsys, command, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} ") and captured.err.count("\n") == 1
+
+
+# (command, matrix and check arguments, flag, value, error line after the flag)
+CERTIFIER_REFUSALS = [
+    ("certify", "--check rip", "--k", "0", "must be between 1 and n = 4, got 0"),
+    ("certify", "--check srip", "--k", "5", "must be between 1 and n = 4, got 5"),
+    ("certify", "--check nsp --k 1 --estimate 0", "--omega", "-1",
+     "must be finite and nonnegative, got -1"),
+    ("certify", "--check pnsp --k 1 --estimate 0", "--omega", "nan",
+     "must be finite and nonnegative, got nan"),
+    ("certify", "--check rip --k 1", "--gaussian", "0 4", "must be at least 1, got 0"),
+    ("oracle", "--y 1,0,2 --estimate 0", "--omega", "-1", "must be finite and nonnegative, got -1"),
+    ("oracle", "--y 1,0,2 --estimate 0", "--omega", "nan",
+     "must be finite and nonnegative, got nan"),
+    ("oracle", "", "--y", "nan,1,2", "has non-finite entries"),
+    ("oracle", "", "--y", "1e200,1e200,0", "is too large for a finite squared norm"),
+    ("oracle", "", "--x", "nan,1,2,0", "has non-finite entries"),
+    ("oracle", "", "--x", "1,2", "must have shape (4,), got (2,)"),
+    ("oracle", "--phaseless", "--x", "1e200,1e200,0,0", "is too large for a finite squared norm"),
+    ("oracle", "", "--x", "1e200,1e200,0,0", "is too large for a finite squared norm"),
+    ("oracle", "--y 1,0", "--gaussian", "0 4", "must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("command, args, flag, value, rule", CERTIFIER_REFUSALS)
+def test_every_certifier_flag_is_refused_by_name(capsys, command, args, flag, value, rule):
+    # the certifiers and oracles refuse by parameter name (k, w, y, x,
+    # b_abs, m), and the error line names the flag that was given
+    source = [] if flag == "--gaussian" else ["--gaussian", "3", "4"]
+    argv = [command, *source, *args.split(), flag, *value.split()]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {rule}\n"
 
 
 @pytest.mark.parametrize("key, value", [

@@ -7,12 +7,18 @@ from phasecs.linalg import (
     TOL,
     EigNonConvergenceError,
     NotPositiveDefiniteError,
+    as_vector,
+    check_at_least,
+    check_fraction,
+    check_nonnegative,
+    check_order,
     eig_sym,
     kernel_basis,
     smat,
     solve_spd,
     svec,
     svec_order,
+    squared_norm,
 )
 from phasecs.solver import _psd_project as _psd_project_packed
 
@@ -302,3 +308,35 @@ class TestSolveSpd:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1.0]))
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("rule, message", [
+        (lambda: as_vector([1.0, 2.0], 3, "y"), "y must have shape (3,), got (2,)"),
+        (lambda: as_vector([1.0, np.nan], 2, "y"), "y has non-finite entries"),
+        (lambda: as_vector([1.0, -2.0], 2, "w", check_nonnegative),
+         "w must be finite and nonnegative, got -2"),
+        (lambda: check_nonnegative(np.inf, "rho"), "rho must be finite and nonnegative, got inf"),
+        (lambda: check_nonnegative([0.5, np.nan], "omegas"),
+         "omegas must be finite and nonnegative, got nan"),
+        (lambda: check_fraction([0.5, 1.5], "alphas"), "alphas must be in [0, 1], got 1.5"),
+        (lambda: check_fraction(np.nan, "alpha"), "alpha must be in [0, 1], got nan"),
+        (lambda: check_order(0, 4), "k must be between 1 and n = 4, got 0"),
+        (lambda: check_order(5, 4), "k must be between 1 and n = 4, got 5"),
+        (lambda: check_at_least(0, 1, "m"), "m must be at least 1, got 0"),
+        (lambda: squared_norm(np.array([1e200, 1.0]), "y"),
+         "y is too large for a finite squared norm"),
+    ])
+    def test_refusal_names_the_parameter_first(self, rule, message):
+        with pytest.raises(ValueError) as info:
+            rule()
+        assert str(info.value) == message
+
+    def test_accepted_values_pass_through(self):
+        assert np.array_equal(as_vector((1, 2), 2, "y"), [1.0, 2.0])
+        w = as_vector([-0.0, 0.0, 3.0], 3, "w", check_nonnegative)  # a signed zero is no negative
+        assert w.dtype == float and w[2] == 3.0
+        check_fraction([0.0, 1.0], "alphas")
+        check_order(4, 4)
+        v = np.array([3.0, 4.0, 1e150])
+        assert squared_norm(v, "y") == v @ v and np.sqrt(squared_norm(v, "y")) == np.linalg.norm(v)

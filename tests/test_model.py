@@ -224,6 +224,19 @@ class TestMakeInstance:
         inst = model.make_instance(a, x, 0.3, rng_for(11))
         assert np.all(inst.b - inst.e >= 0)
 
+    @pytest.mark.parametrize("sigma", [1e-170, 0.1, 1e150])
+    def test_noise_norm_is_that_of_numpy(self, sigma):
+        a = model.gen_gaussian_matrix(rng_for(12), 12, 8)
+        inst = model.make_instance(a, np.ones(8), sigma, rng_for(13))
+        assert inst.epsilon == float(np.linalg.norm(inst.e))
+
+    @pytest.mark.parametrize("sigma", [1e155, 1e200, 1.7e308])
+    def test_refuses_sigma_whose_noise_norm_overflows(self, sigma):
+        # epsilon = ||e|| once overflowed to inf with a numpy warning
+        a = model.gen_gaussian_matrix(rng_for(12), 12, 8)
+        with pytest.raises(ValueError, match="^sigma is too large for a finite squared norm$"):
+            model.make_instance(a, np.ones(8), sigma, rng_for(13))
+
 
 class TestSnr:
     def test_exact_recovery_inf(self):

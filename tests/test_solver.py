@@ -384,7 +384,11 @@ class TestSolveSdp:
         a, x = rng.standard_normal((6, 3)), rng.standard_normal(3)
         b = {"overflow": np.full(6, 1e200), "nan": np.r_[np.nan, np.ones(5)],
              "underflow": (a @ x * 1e-150) ** 2, "subnormal": np.full(6, 1e-160)}[case]
-        with pytest.raises(ValueError, match="^b must be finite"):
+        unit = "b must be 0 or have b @ b in the normal float range, got b @ b = "
+        message = {"overflow": "b is too large for a finite squared norm",
+                   "nan": "b has non-finite entries", "underflow": unit + "0",
+                   "subnormal": unit + "5.99993e-320"}[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             solve_sdp(LiftedOperator(a), b, np.ones(3))
 
     def test_overflowing_normal_matrix_is_a_factorization_failure(self):
@@ -521,7 +525,7 @@ def test_solve_refuses_b_or_returns_finite(seed, log_c, bad, i):
     try:
         res = solve_sdp(op, b, np.ones(3))
     except ValueError as exc:
-        assert str(exc).startswith("b must be finite")
+        assert str(exc).startswith(("b is too large", "b has non-finite", "b must be 0 or"))
         return
     assert np.isfinite(res.Z).all() and np.isfinite(res.xhat).all()
     if res.status == "converged":
@@ -597,6 +601,15 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=-1.0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1.0])
+def test_config_refuses_epsilon_not_finite_and_nonnegative(epsilon):
+    # a NaN epsilon once ended the solve "failed" at eig-failure after two
+    # sweeps, a bad input reported as a numerical failure
+    message = f"^epsilon must be finite and nonnegative, got {epsilon:g}$"
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(epsilon=epsilon)
 
 
 class TestAnderson:
