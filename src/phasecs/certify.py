@@ -26,9 +26,10 @@ weighted l1 cost are computed with the arithmetic of ``np.linalg.norm`` and
 ``weighted_l1``, bit for bit; a candidate whose residual overflows is
 infeasible.  Inputs are refused by the rules of ``phasecs.linalg``, with a
 ``ValueError`` whose first word names them: ``k`` outside ``1 <= k <= N``,
-a weight vector ``w`` of the wrong length or not finite and nonnegative
-(``||.||_{1,w}`` is then no norm), and a right-hand side ``y`` or
-``b_abs`` of the wrong length, not finite, or whose squared norm overflows.
+a weight vector ``w`` of the wrong length or refused by ``check_weights``
+(``||.||_{1,w}`` is then no norm, or its sums can overflow), and a
+right-hand side ``y`` or ``b_abs`` of the wrong length, not finite, or whose
+squared norm overflows.  A least cost that overflows even so refuses ``w``.
 
 The enumeration caps are fixed; beyond one, a check refuses with
 :class:`CapExceededError` and never falls back to sampling.  They are
@@ -49,8 +50,8 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .linalg import (TOL, as_matrix, as_vector, check_nonnegative, check_order, eig_sym,
-                     kernel_basis, squared_norm)
+from .linalg import (TOL, as_matrix, as_vector, check_order, check_weights, eig_sym, kernel_basis,
+                     squared_norm)
 from .model import best_k_support, canonical_sign, weighted_l1
 
 
@@ -314,11 +315,11 @@ def weighted_nsp_check(a, k: int, w) -> NspVerdict:
     trivial kernel holds vacuously (margin inf); a nonzero kernel vector on
     zero-weight coordinates only fails at margin 0.  The witness is the
     worst vertex, unit in l2, on its ``k`` largest weighted entries.
-    Refuses negative weights, and more than 2,000,000 subsets.
+    Refuses weights that ``check_weights`` refuses, and over 2,000,000 subsets.
     """
     a = as_matrix(a)
     n = a.shape[1]
-    w = as_vector(w, n, "w", check_nonnegative)
+    w = as_vector(w, n, "w", check_weights)
     check_order(k, n)
     kernel = kernel_basis(a)
     dim = kernel.shape[1]
@@ -425,12 +426,12 @@ def phaseless_nsp_check(a, k: int, w) -> NspVerdict:
 
     A matrix without such splits holds vacuously (margin inf).  The witness
     of a vertex is the pair as evaluated, ``||u - v||_2 = 1`` on the
-    positive weights.  Refuses more than 12 rows, negative weights, and
-    more than 2,000,000 subsets over all ``(S, T)``.
+    positive weights.  Refuses more than 12 rows, weights that
+    ``check_weights`` refuses, and more than 2,000,000 subsets over all ``(S, T)``.
     """
     a = as_matrix(a)
     m, n = a.shape
-    w = as_vector(w, n, "w", check_nonnegative)
+    w = as_vector(w, n, "w", check_weights)
     check_order(k, n)
     if m > _PNSP_ROW_CAP:
         raise CapExceededError("row split cap", f"m={m} > {_PNSP_ROW_CAP}")
@@ -537,7 +538,7 @@ class ExhaustiveL1Oracle:
 
     def solve(self, y, w) -> L1MinResult:
         y = as_vector(y, self.m, "y")
-        w = as_vector(w, self.n, "w", check_nonnegative)
+        w = as_vector(w, self.n, "w", check_weights)
         yn = math.sqrt(squared_norm(y, "y"))
         if yn <= 1e-12:
             return L1MinResult([np.zeros(self.n)], 0.0, self.degenerate)
@@ -559,11 +560,15 @@ class ExhaustiveL1Oracle:
 
 def _cheapest(candidates, degenerate: bool) -> L1MinResult:
     """Minimizer set of ``(cost, vector)`` candidates: the vectors within the
-    cost-tie width of the minimum, deduplicated."""
+    cost-tie width of the minimum, deduplicated.  A least cost or tie width
+    that overflows would tie every candidate; it refuses ``w``, whose scale
+    moves no minimizer."""
     if not candidates:
         return L1MinResult([], None, degenerate)
     vmin = min(c for c, _ in candidates)
     tie = vmin + TOL.oracle_value_tie * (1.0 + abs(vmin))
+    if not math.isfinite(tie):
+        raise ValueError("w is too large for a finite least cost")
     return L1MinResult(_dedupe([z for c, z in candidates if c <= tie]), vmin, degenerate)
 
 
@@ -611,7 +616,7 @@ def brute_force_phaseless(a, b_abs, w) -> L1MinResult:
         raise CapExceededError("sign pattern cap", f"m={m} > {_SIGN_ROW_CAP}")
     b_abs = as_vector(b_abs, m, "b_abs")
     squared_norm(b_abs, "b_abs")
-    w = as_vector(w, n, "w", check_nonnegative)
+    w = as_vector(w, n, "w", check_weights)
     oracle = ExhaustiveL1Oracle(a)
     collected: list[tuple[float, np.ndarray]] = []
     for rows in _half_subsets(m):

@@ -34,7 +34,7 @@ from .certify import (
     weighted_nsp_check,
 )
 from .plots import line_chart
-from .solver import LiftedOperator, SolverConfig, SolverResult, check_weights, solve_sdp
+from .solver import LiftedOperator, SolverConfig, SolverResult, solve_sdp
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,7 +59,7 @@ _FLAGS = {
                   "delta_tk": "--delta", "theta_minus": "--theta-minus",
                   "theta_plus": "--theta-plus"},
     "recover": {"n": "--n", "k": "--k", "m": "--m", "rho": "--rho", "alpha": "--alpha",
-                "omega": "--omega", "w": "--omega", "sigma": "--sigma", "max_iter": "--max-iter"},
+                "omega": "--omega", "sigma": "--sigma", "max_iter": "--max-iter"},
     "sweep": {"m": "ms", "alpha": "alphas", "omega": "omegas", "sigma": "sigmas"},
     "certify": {"m": "--gaussian", "n": "--gaussian", "k": "--k", "w": "--omega"},
     "oracle": {"m": "--gaussian", "n": "--gaussian", "w": "--omega", "y": "--y", "x": "--x",
@@ -104,7 +104,8 @@ class SweepConfig:
         if not (self.alphas and self.omegas and self.ms and self.sigmas):
             raise UsageError("grid lists must be nonempty")
         # the functions a trial calls refuse its bad values: every grid
-        # point's trial is drawn once, then the solver's inputs are checked
+        # point's trial is drawn once, which checks its omega by the weight
+        # rule of the solve, then max_iter is checked
         rng = np.random.default_rng(0)
         try:
             linalg.check_at_least(self.trials, 1, "trials")
@@ -112,7 +113,6 @@ class SweepConfig:
                     self.alphas, self.omegas, self.ms, self.sigmas):
                 model.draw_trial(rng, self.signal, self.n, self.k, m, self.rho, alpha, omega,
                                  sigma, self.theta)
-            check_weights(self.omegas, "omegas")
             SolverConfig(max_iter=self.max_iter)
         except ValueError as exc:
             raise _named(exc, "sweep") from exc
@@ -254,23 +254,14 @@ def run_sweep(cfg: SweepConfig, progress=None) -> list[SweepRecord]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return format(value, ".10g")
-    return str(value)
+    # .10g writes nan, inf and -inf as they are
+    return format(value, ".10g") if isinstance(value, float) else str(value)
 
 
 def sweep_csv_lines(records: list[SweepRecord]) -> list[str]:
-    lines = [f"# schema={SWEEP_SCHEMA}", ",".join(SWEEP_COLUMNS)]
-    for r in records:
-        lines.append(",".join(_fmt(v) for v in (
-            r.signal_kind, r.n, r.k, r.theta, r.rho, r.alpha, r.omega, r.m,
-            r.sigma, r.trial, r.seed, r.snr_db, r.iterations, r.status, r.wall_ms,
-        )))
-    return lines
+    # the fields of a SweepRecord are the columns, in order
+    return [f"# schema={SWEEP_SCHEMA}", ",".join(SWEEP_COLUMNS)] + [
+        ",".join(_fmt(v) for v in dataclasses.astuple(r)) for r in records]
 
 
 def sweep_summary_lines(records: list[SweepRecord]) -> list[str]:
@@ -302,12 +293,10 @@ def read_sweep_csv(text: str) -> list[dict]:
         if len(parts) != len(SWEEP_COLUMNS):
             raise ValueError(f"malformed row: {ln!r}")
         row = dict(zip(SWEEP_COLUMNS, parts))
-        row["N"] = int(row["N"])
-        row["k"] = int(row["k"])
         row["theta"] = float(row["theta"]) if row["theta"] else None
         for key in ("rho", "alpha", "omega", "sigma", "snr_db"):
             row[key] = float(row[key])
-        for key in ("m", "trial", "seed", "iterations", "wall_ms"):
+        for key in ("N", "k", "m", "trial", "seed", "iterations", "wall_ms"):
             row[key] = int(row[key])
         if row["status"] not in ("converged", "max-iter", "failed"):
             raise ValueError(f"unknown status {row['status']!r}")
@@ -340,12 +329,11 @@ def _parse_list(text: str, flag: str, kind=float) -> tuple:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n")
+        Path(path).write_text(text)
 
 
 def _jsonable(obj):
@@ -353,11 +341,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
-            return "nan"
-        return v
+        return v if math.isfinite(v) else str(v)  # "inf", "-inf" or "nan"
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (list, tuple)):

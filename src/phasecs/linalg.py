@@ -59,6 +59,14 @@ class Tolerances:
 
 TOL = Tolerances()
 
+# the largest weight of a weighted program.  Scaling every weight by one
+# c > 0 changes no such program, so the bound costs nothing; it keeps their
+# sums finite.  solve_sdp's normal system holds w**4 and its stopping test
+# ||W Z W||^2 <= w**4 ||Z||^2, far inside the float range (about 1.8e308)
+# for any ||Z|| below 1e54; the certifiers add up w |h| over at most 12
+# coordinates, which overflowed only near weights of 1e307
+MAX_WEIGHT = 1e50
+
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -96,6 +104,17 @@ def check_nonnegative(value, name: str) -> np.ndarray:
     bad = ~((a >= 0.0) & (a < math.inf))
     if bad.any():
         raise ValueError(f"{name} must be finite and nonnegative, got {a[bad][0]:g}")
+    return a
+
+
+def check_weights(value, name: str) -> np.ndarray:
+    """``value`` as floats, each a weight: finite, nonnegative and at most ``MAX_WEIGHT``."""
+    a = np.asarray(value, dtype=float)
+    bad = ~((a >= 0.0) & (a <= MAX_WEIGHT))
+    if bad.any():
+        v = a[bad][0]
+        check_nonnegative(v, name)  # NaN, infinite and negative weights
+        raise ValueError(f"{name} must be at most {MAX_WEIGHT:g}, got {v:g}")
     return a
 
 

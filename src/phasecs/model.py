@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_at_least, check_fraction, check_nonnegative, check_order, squared_norm
+from .linalg import (check_at_least, check_fraction, check_nonnegative, check_order,
+                     check_weights, squared_norm)
 
 _MASK64 = (1 << 64) - 1
 
@@ -127,9 +128,9 @@ def gen_support_estimate(rng: np.random.Generator, t0: np.ndarray, n: int, k: in
 
     The counts come from :func:`support_estimate_sizes`; the correct indices
     are sampled uniformly from ``t0`` and the rest uniformly from its
-    complement.  ``ValueError`` if ``omega`` is negative or not finite.
+    complement.  ``ValueError`` if :func:`linalg.check_weights` refuses ``omega``.
     """
-    check_nonnegative(omega, "omega")
+    check_weights(omega, "omega")
     t0 = np.asarray(t0, dtype=int)
     size_in, size_out = support_estimate_sizes(n, k, rho, alpha)
     inside = rng.choice(t0, size=size_in, replace=False) if size_in else np.empty(0, int)

@@ -82,10 +82,6 @@ INITIAL_PENALTY = 1.0
 # absolute and relative thresholds of the stopping test
 TOL_ABS = 1e-6
 TOL_REL = 1e-4
-# largest weight magnitude solve_sdp accepts: w**4 enters the normal system,
-# and ||W Z W||^2 <= w**4 ||Z||^2 the stopping test; at 1e50 both stay far
-# inside the float range (about 1.8e308) for any ||Z|| below 1e54
-MAX_WEIGHT = 1e50
 
 
 @dataclass(frozen=True)
@@ -296,17 +292,6 @@ class _Anderson:
         return g - gamma @ self.dg[:q]
 
 
-def check_weights(w, name: str) -> np.ndarray:
-    """``w`` as floats; refuses, naming ``name``, a weight not finite or of
-    magnitude above ``MAX_WEIGHT``."""
-    w = np.asarray(w, dtype=float)
-    ok = np.abs(w) <= MAX_WEIGHT
-    if not ok.all():
-        raise ValueError(f"{name} must be finite and at most {MAX_WEIGHT:g} in magnitude, "
-                         f"got {w[~ok][0]:g}")
-    return w
-
-
 def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> SolverResult:
     """Run the accelerated consensus splitting on the lifted program.
 
@@ -329,13 +314,13 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     ``xhat`` and, in its diagnostics, only ``stop_reason`` and ``error``; a
     normal matrix that overflows is a ``factorization-failure``.  A
     ``ValueError`` naming ``b`` or ``w`` refuses either of the wrong shape,
-    a weight that :func:`check_weights` refuses, and a ``b`` that is not
-    finite or whose ``b @ b`` leaves the normal float range, ``b = 0`` aside.
+    weights that :func:`linalg.check_weights` refuses, and a ``b`` that is
+    not finite or whose ``b @ b`` leaves the normal float range, ``b = 0`` aside.
     """
     cfg = cfg or SolverConfig()
     m, n = op.shape
     b = linalg.as_vector(b, m, "b")
-    w = linalg.as_vector(w, n, "w", check_weights)
+    w = linalg.as_vector(w, n, "w", linalg.check_weights)
     bb = linalg.squared_norm(b, "b")
     if bb < np.finfo(float).tiny and b.any():
         raise ValueError(f"b must be 0 or have b @ b in the normal float range, got b @ b = {bb:g}")

@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phasecs import model
@@ -30,7 +31,8 @@ from phasecs.certify import (
     srip_bounds,
     weighted_nsp_check,
 )
-from phasecs.linalg import TOL
+from phasecs.linalg import MAX_WEIGHT, TOL
+from phasecs.solver import LiftedOperator, SolverConfig, solve_sdp
 
 A_2x3 = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 A_SPARK = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
@@ -422,20 +424,32 @@ def test_nsp_checks_refuse_non_finite_weights(check, a, bad):
         check(a, 1, [bad, 1.0])
 
 
-@pytest.mark.parametrize("entry", [
-    pytest.param(lambda w: weighted_nsp_check(A_2x3, 1, w), id="weighted_nsp_check"),
-    pytest.param(lambda w: phaseless_nsp_check(A_4x3, 1, w), id="phaseless_nsp_check"),
-    pytest.param(lambda w: ExhaustiveL1Oracle(A_2x3).solve([1.0, 1.0], w),
+@pytest.mark.parametrize("entry, name", [
+    pytest.param(lambda w: weighted_nsp_check(A_2x3, 1, w), "w", id="weighted_nsp_check"),
+    pytest.param(lambda w: phaseless_nsp_check(A_4x3, 1, w), "w", id="phaseless_nsp_check"),
+    pytest.param(lambda w: ExhaustiveL1Oracle(A_2x3).solve([1.0, 1.0], w), "w",
                  id="ExhaustiveL1Oracle.solve"),
-    pytest.param(lambda w: brute_force_phaseless(A_2x3, [1.0, 1.0], w),
+    pytest.param(lambda w: brute_force_phaseless(A_2x3, [1.0, 1.0], w), "w",
                  id="brute_force_phaseless"),
+    pytest.param(lambda w: solve_sdp(LiftedOperator(np.eye(3)), np.ones(3), w,
+                                     SolverConfig(max_iter=20)), "w", id="solve_sdp"),
+    pytest.param(lambda w: model.gen_support_estimate(np.random.default_rng(0), [0], 3, 1, 1.0,
+                                                      1.0, w[0]), "omega",
+                 id="gen_support_estimate"),
 ])
-def test_refuses_negative_weights(entry):
-    # with a negative weight ||.||_{1,w} is no norm: the null space checks
-    # once scored negative mass, and the oracles' basic solutions need not
-    # contain a minimiser (the program can be unbounded below)
-    with pytest.raises(ValueError, match="^w must be finite and nonnegative, got -1$"):
-        entry([-1.0, 1.0, 1.0])
+def test_refuses_negative_weights(entry, name):
+    # every weighted program takes its weights by one rule: with a negative
+    # weight ||.||_{1,w} is no norm (the null space checks once scored
+    # negative mass, and the oracles' program can be unbounded below), and
+    # above MAX_WEIGHT its sums can overflow (pnsp once certified at margin
+    # inf, and the oracles tied every candidate at value inf)
+    for bad, rule in ((-1.0, "finite and nonnegative, got -1"),
+                      (math.nan, "finite and nonnegative, got nan"),
+                      (math.inf, "finite and nonnegative, got inf"),
+                      (2 * MAX_WEIGHT, "at most 1e+50, got 2e+50")):
+        with pytest.raises(ValueError, match=f"^{name} must be {re.escape(rule)}$"):
+            entry([bad, 1.0, 1.0])
+    entry([MAX_WEIGHT, 1.0, 1.0])
     entry([-0.0, 1.0, 1.0])  # a signed zero is no negative weight
 
 
@@ -540,6 +554,19 @@ class TestL1Oracle:
         # residual, which once passed the feasibility test at value inf
         res = ExhaustiveL1Oracle(np.array([[1e-200], [0.0]])).solve([1e150, 0.0], [1.0])
         assert res.value is None and res.minimizers == []
+
+    @pytest.mark.parametrize("entry", [
+        pytest.param(lambda a, y, w: ExhaustiveL1Oracle(a).solve(y, w), id="solve"),
+        pytest.param(brute_force_phaseless, id="brute_force_phaseless"),
+    ])
+    def test_refuses_weights_whose_least_cost_overflows(self, entry):
+        # within MAX_WEIGHT, w |z| = 1e50 * 1e260 overflows; the least cost
+        # was once returned as inf, with every candidate tied at it
+        a = np.array([[1e-250]])
+        with pytest.raises(ValueError, match="^w is too large for a finite least cost$"):
+            entry(a, [1e10], [1e50])
+        res = entry(a, [1e10], [1.0])
+        assert res.value == 1e10 / 1e-250 and np.array_equal(res.minimizers, [[1e10 / 1e-250]])
 
 
 class TestPhaselessOracle:
@@ -762,6 +789,36 @@ def test_weighted_nsp_depends_only_on_the_kernel(n, dim, k, seed):
     perm = rng.permutation(n)
     for a2, w2 in ((g @ a, w), (a[:, perm], w[perm]), (a * random_signs(rng, n), w)):
         assert_same_verdict(base, weighted_nsp_check(a2, k, w2))
+
+
+def verdict_bits(verdict):
+    """A verdict's status, margin, count and witness, each as exact bits."""
+    witness = verdict.witness and tuple(
+        x.tobytes() if isinstance(x, np.ndarray) else x
+        for x in (getattr(verdict.witness, f.name) for f in dataclasses.fields(verdict.witness)))
+    return verdict.status, verdict.margin.hex(), verdict.enumerated, witness
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 5), st.integers(1, 3),
+       st.lists(st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0]), min_size=6, max_size=6),
+       st.integers(-60, 166), SEEDS)
+def test_certifiers_see_weights_only_up_to_scale(n, m, k, weights, j, seed):
+    # the weighted programs and both null space properties are unchanged
+    # when every weight is scaled by one c > 0; at c = 2**j every product
+    # w |h| and every sum of them scales exactly, so the verdicts are bit
+    # for bit those at w (2**166 max w stays within MAX_WEIGHT)
+    w = np.array(weights[:n])
+    assume(w.any())
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    a = model.gen_gaussian_matrix(rng, m, n)
+    for check in (weighted_nsp_check, phaseless_nsp_check):
+        assert verdict_bits(check(a, k, 2.0**j * w)) == verdict_bits(check(a, k, w))
+    x = np.zeros(n)
+    x[rng.choice(n, k, replace=False)] = rng.standard_normal(k)
+    oracle = ExhaustiveL1Oracle(a)
+    assert oracle.solve(a @ x, 2.0**j * w).value == 2.0**j * oracle.solve(a @ x, w).value
 
 
 @settings(max_examples=30, deadline=None)

@@ -20,8 +20,7 @@ from phasecs.cli import (
     run_sweep,
     sweep_csv_lines,
 )
-from phasecs.linalg import EigNonConvergenceError, NotPositiveDefiniteError
-from phasecs.solver import MAX_WEIGHT
+from phasecs.linalg import MAX_WEIGHT, EigNonConvergenceError, NotPositiveDefiniteError
 
 TINY_CONFIG = """
 # tiny smoke sweep
@@ -55,8 +54,8 @@ def run_cli(*args, **kwargs):
 
 def refusal(name: str, value: str) -> str:
     """The error line for a refused prior weight or noise level."""
-    too_large = math.isfinite(float(value)) and float(value) > MAX_WEIGHT
-    rule = f"finite and at most {MAX_WEIGHT:g} in magnitude" if too_large else "finite and nonnegative"
+    too_large = MAX_WEIGHT < float(value) < math.inf
+    rule = f"at most {MAX_WEIGHT:g}" if too_large else "finite and nonnegative"
     return f"error: {name} must be {rule}, got {value}\n"
 
 
@@ -341,8 +340,7 @@ class TestSweepHarness:
         ({"theta": math.nan}, r"^theta must be finite, got nan$"),
         ({"signal": "compressible", "theta": -1.0}, r"^theta must be positive, got -1.0$"),
         ({"theta": 1e300}, r"^theta is too large for the seed hash, got 1e\+300$"),
-        ({"omegas": (1e300,)},
-         r"^omegas must be finite and at most 1e\+50 in magnitude, got 1e\+300$"),
+        ({"omegas": (1e300,)}, r"^omegas must be at most 1e\+50, got 1e\+300$"),
         ({"max_iter": 0}, r"^max_iter must be at least 1, got 0$"),
         ({"max_iter": -3}, r"^max_iter must be at least 1, got -3$"),
         ({"sigmas": (1e200,)}, r"^sigmas is too large for a finite squared norm$"),
@@ -612,6 +610,16 @@ CERTIFIER_REFUSALS = [
     ("oracle", "--y 1,0,2 --estimate 0", "--omega", "-1", "must be finite and nonnegative, got -1"),
     ("oracle", "--y 1,0,2 --estimate 0", "--omega", "nan",
      "must be finite and nonnegative, got nan"),
+    # weights whose weighted sums once overflowed: pnsp certified at margin
+    # inf, nsp failed at margin 0, and both oracles tied every candidate
+    ("certify", "--check nsp --k 2 --estimate 0,1,2,3", "--omega", "1e51",
+     "must be at most 1e+50, got 1e+51"),
+    ("certify", "--check pnsp --k 2 --estimate 0,1,2,3", "--omega", "1e51",
+     "must be at most 1e+50, got 1e+51"),
+    ("oracle", "--y 1,0,2 --estimate 0,1,2,3", "--omega", "1e51",
+     "must be at most 1e+50, got 1e+51"),
+    ("oracle", "--x 1,0,0,-2 --phaseless --estimate 0,1,2,3", "--omega", "1e51",
+     "must be at most 1e+50, got 1e+51"),
     ("oracle", "", "--y", "nan,1,2", "has non-finite entries"),
     ("oracle", "", "--y", "1e200,1e200,0", "is too large for a finite squared norm"),
     ("oracle", "", "--x", "nan,1,2,0", "has non-finite entries"),

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasecs.linalg import (
+    MAX_WEIGHT,
     TOL,
     EigNonConvergenceError,
     NotPositiveDefiniteError,
@@ -12,6 +13,7 @@ from phasecs.linalg import (
     check_fraction,
     check_nonnegative,
     check_order,
+    check_weights,
     eig_sym,
     kernel_basis,
     smat,
@@ -319,6 +321,9 @@ class TestInputRules:
         (lambda: check_nonnegative(np.inf, "rho"), "rho must be finite and nonnegative, got inf"),
         (lambda: check_nonnegative([0.5, np.nan], "omegas"),
          "omegas must be finite and nonnegative, got nan"),
+        # a weight vector is refused by its first bad entry, whichever rule it breaks
+        (lambda: check_weights([1.0, 2e50, -1.0], "w"), "w must be at most 1e+50, got 2e+50"),
+        (lambda: check_weights([1.0, -1.0, 2e50], "w"), "w must be finite and nonnegative, got -1"),
         (lambda: check_fraction([0.5, 1.5], "alphas"), "alphas must be in [0, 1], got 1.5"),
         (lambda: check_fraction(np.nan, "alpha"), "alpha must be in [0, 1], got nan"),
         (lambda: check_order(0, 4), "k must be between 1 and n = 4, got 0"),
@@ -336,6 +341,7 @@ class TestInputRules:
         assert np.array_equal(as_vector((1, 2), 2, "y"), [1.0, 2.0])
         w = as_vector([-0.0, 0.0, 3.0], 3, "w", check_nonnegative)  # a signed zero is no negative
         assert w.dtype == float and w[2] == 3.0
+        assert np.array_equal(check_weights((-0.0, MAX_WEIGHT), "w"), [0.0, MAX_WEIGHT])
         check_fraction([0.0, 1.0], "alphas")
         check_order(4, 4)
         v = np.array([3.0, 4.0, 1e150])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasecs import linalg, model, solver
-from phasecs.linalg import smat, svec
+from phasecs.linalg import MAX_WEIGHT, smat, svec
 from phasecs.solver import (
     LiftedOperator,
     _Anderson,
@@ -399,14 +399,15 @@ class TestSolveSdp:
                               math.inf, math.inf, {"stop_reason": "factorization-failure",
                                                    "error": "overflow encountered in matmul"})
 
-    @pytest.mark.parametrize("bad", [10 * solver.MAX_WEIGHT, -np.inf, np.nan])
+    @pytest.mark.parametrize("bad", [10 * MAX_WEIGHT, -np.inf, np.nan])
     def test_refuses_weight_beyond_max(self, bad):
         # above about 1e77, w**4 overflows in the normal system
         op = LiftedOperator(np.eye(3))
-        message = f"w must be finite and at most 1e+50 in magnitude, got {bad:g}"
+        rule = "at most 1e+50" if 0 < bad < np.inf else "finite and nonnegative"
+        message = f"w must be {rule}, got {bad:g}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             solve_sdp(op, np.ones(3), np.array([1.0, bad, 1.0]))
-        res = solve_sdp(op, np.ones(3), np.array([1.0, solver.MAX_WEIGHT, 1.0]))
+        res = solve_sdp(op, np.ones(3), np.array([1.0, MAX_WEIGHT, 1.0]))
         assert res.status != "failed"
 
     def test_stop_reason_names_the_exit(self):
