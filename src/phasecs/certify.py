@@ -24,12 +24,21 @@ pseudo-inverses are computed per support size, in stacked LAPACK calls that
 round as one call per support does, and each candidate's residual norm and
 weighted l1 cost are computed with the arithmetic of ``np.linalg.norm`` and
 ``weighted_l1``, bit for bit; a candidate whose residual overflows is
-infeasible.  Inputs are refused by the rules of ``phasecs.linalg``, with a
+infeasible.  The oracles' programs are homogeneous in the right-hand side
+and in ``w``, so every tolerance is relative to their own scale: a
+candidate is feasible with a residual norm of at most
+``TOL.oracle_feasibility * ||y||``, ties in cost within
+``TOL.oracle_value_tie`` times the least cost, and is one minimizer with
+another within ``1e-7`` times the largest entry of those kept; and
+``recovers_uniquely`` accepts a minimizer within ``1e-6 * max|x|`` of
+``x``.  Inputs are refused by the rules of ``phasecs.linalg``, with a
 ``ValueError`` whose first word names them: ``k`` outside ``1 <= k <= N``,
 a weight vector ``w`` of the wrong length or refused by ``check_weights``
 (``||.||_{1,w}`` is then no norm, or its sums can overflow), and a
-right-hand side ``y`` or ``b_abs`` of the wrong length, not finite, or whose
-squared norm overflows.  A least cost that overflows even so refuses ``w``.
+right-hand side ``y`` or ``b_abs`` of the wrong length, not finite, or
+refused by ``unit_squared_norm``: nonzero, its squared norm must be a
+finite normal float, since its norm sets the scale.  A least cost that
+overflows even so refuses ``w``.
 
 The enumeration caps are fixed; beyond one, a check refuses with
 :class:`CapExceededError` and never falls back to sampling.  They are
@@ -51,7 +60,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .linalg import (TOL, as_matrix, as_vector, check_order, check_weights, eig_sym, kernel_basis,
-                     squared_norm)
+                     unit_squared_norm)
 from .model import best_k_support, canonical_sign, weighted_l1
 
 
@@ -539,10 +548,10 @@ class ExhaustiveL1Oracle:
     def solve(self, y, w) -> L1MinResult:
         y = as_vector(y, self.m, "y")
         w = as_vector(w, self.n, "w", check_weights)
-        yn = math.sqrt(squared_norm(y, "y"))
-        if yn <= 1e-12:
+        yn = math.sqrt(unit_squared_norm(y, "y"))
+        if yn == 0.0:
             return L1MinResult([np.zeros(self.n)], 0.0, self.degenerate)
-        feas_tol = TOL.oracle_feasibility * (1.0 + yn)
+        feas_tol = TOL.oracle_feasibility * yn
         candidates: list[tuple[float, np.ndarray]] = []
         # an overflowing candidate has an inf or NaN residual: infeasible below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -566,7 +575,7 @@ def _cheapest(candidates, degenerate: bool) -> L1MinResult:
     if not candidates:
         return L1MinResult([], None, degenerate)
     vmin = min(c for c, _ in candidates)
-    tie = vmin + TOL.oracle_value_tie * (1.0 + abs(vmin))
+    tie = vmin + TOL.oracle_value_tie * vmin
     if not math.isfinite(tie):
         raise ValueError("w is too large for a finite least cost")
     return L1MinResult(_dedupe([z for c, z in candidates if c <= tie]), vmin, degenerate)
@@ -574,7 +583,7 @@ def _cheapest(candidates, degenerate: bool) -> L1MinResult:
 
 def _dedupe(vectors: list[np.ndarray]) -> list[np.ndarray]:
     """The vectors in ascending order of their entries rounded to 9 digits,
-    less each one within ``1e-7 * (1 + top)`` in the max norm of one kept
+    less each one within ``1e-7 * top`` in the max norm of one kept
     before it, where ``top`` is the largest magnitude kept so far.
 
     The walk keeps, for every row, its least distance to the vectors kept so
@@ -595,7 +604,7 @@ def _dedupe(vectors: list[np.ndarray]) -> list[np.ndarray]:
         top = max(top, float(np.abs(rows[i]).max()))
         later = nearest[i + 1:]
         np.minimum(later, np.abs(rows[i + 1:] - rows[i]).max(axis=1), out=later)
-        beyond = np.flatnonzero(later > 1e-7 * (1.0 + top))
+        beyond = np.flatnonzero(later > 1e-7 * top)
         if not beyond.size:
             return kept[:]  # exact-size copy: results are kept by the thousand
         i += 1 + int(beyond[0])
@@ -615,7 +624,7 @@ def brute_force_phaseless(a, b_abs, w) -> L1MinResult:
     if m > _SIGN_ROW_CAP:
         raise CapExceededError("sign pattern cap", f"m={m} > {_SIGN_ROW_CAP}")
     b_abs = as_vector(b_abs, m, "b_abs")
-    squared_norm(b_abs, "b_abs")
+    unit_squared_norm(b_abs, "b_abs")
     w = as_vector(w, n, "w", check_weights)
     oracle = ExhaustiveL1Oracle(a)
     collected: list[tuple[float, np.ndarray]] = []
@@ -636,4 +645,4 @@ def recovers_uniquely(result: L1MinResult, x, up_to_sign: bool = False) -> bool:
         return False
     target = canonical_sign(x) if up_to_sign else x
     z = result.minimizers[0]
-    return bool(np.abs(z - target).max() <= 1e-6 * (1.0 + np.abs(x).max()))
+    return bool(np.abs(z - target).max() <= 1e-6 * np.abs(x).max())

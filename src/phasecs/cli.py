@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,10 +43,6 @@ EXIT_SOLVER = 2
 EXIT_CAP = 3
 
 SWEEP_SCHEMA = "phasecs.sweep.v7"
-SWEEP_COLUMNS = [
-    "signal_kind", "N", "k", "theta", "rho", "alpha", "omega", "m", "sigma",
-    "trial", "seed", "snr_db", "iterations", "status", "wall_ms",
-]
 
 
 class UsageError(Exception):
@@ -60,7 +57,8 @@ _FLAGS = {
                   "theta_plus": "--theta-plus"},
     "recover": {"n": "--n", "k": "--k", "m": "--m", "rho": "--rho", "alpha": "--alpha",
                 "omega": "--omega", "sigma": "--sigma", "max_iter": "--max-iter"},
-    "sweep": {"m": "ms", "alpha": "alphas", "omega": "omegas", "sigma": "sigmas"},
+    "sweep": {"m": "ms", "alpha": "alphas", "omega": "omegas", "sigma": "sigmas",
+              "master_seed": "seed"},
     "certify": {"m": "--gaussian", "n": "--gaussian", "k": "--k", "w": "--omega"},
     "oracle": {"m": "--gaussian", "n": "--gaussian", "w": "--omega", "y": "--y", "x": "--x",
                "b_abs": "--x"},
@@ -75,7 +73,8 @@ def _named(exc: Exception, command: str) -> UsageError:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid of experiment settings; one trial runs per grid point and trial index."""
+    """Grid of experiment settings, checked when built; one trial runs per grid point
+    and trial index.  The fields are the config keys (``seed`` for ``master_seed``)."""
 
     signal: str = "sparse"  # sparse | compressible
     n: int = 32
@@ -92,7 +91,7 @@ class SweepConfig:
     master_seed: int = 1
     max_iter: int = SolverConfig.max_iter
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # theta enters the per-trial seed hash
         if self.theta is not None:
             if not math.isfinite(self.theta):
@@ -103,25 +102,30 @@ class SweepConfig:
                 raise UsageError(f"theta is too large for the seed hash, got {self.theta:g}")
         if not (self.alphas and self.omegas and self.ms and self.sigmas):
             raise UsageError("grid lists must be nonempty")
-        # the functions a trial calls refuse its bad values: every grid
-        # point's trial is drawn once, which checks its omega by the weight
-        # rule of the solve, then max_iter is checked
+        # the functions a trial calls refuse its bad values: each grid point's trial
+        # is drawn once (omega by the solve's weight rule), then max_iter is checked
         rng = np.random.default_rng(0)
         try:
+            model.check_master_seed(self.master_seed, "master_seed")
             linalg.check_at_least(self.trials, 1, "trials")
-            for alpha, omega, m, sigma in itertools.product(
-                    self.alphas, self.omegas, self.ms, self.sigmas):
+            for alpha, omega, m, sigma in self.points():
                 model.draw_trial(rng, self.signal, self.n, self.k, m, self.rho, alpha, omega,
                                  sigma, self.theta)
             SolverConfig(max_iter=self.max_iter)
         except ValueError as exc:
             raise _named(exc, "sweep") from exc
 
+    def points(self):
+        """The grid points ``(alpha, omega, m, sigma)``, in the order a sweep runs them."""
+        return itertools.product(self.alphas, self.omegas, self.ms, self.sigmas)
+
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One sweep row; the fields are the CSV columns, in order."""
+
     signal_kind: str
-    n: int
+    N: int
     k: int
     theta: float | None
     rho: float
@@ -137,35 +141,42 @@ class SweepRecord:
     wall_ms: int
 
     def sort_key(self):
-        return (
-            self.signal_kind, self.n, self.k, self.theta if self.theta is not None else -1.0,
-            self.rho, self.alpha, self.omega, self.m, self.sigma, self.trial,
-        )
+        # the rest of a row is the same throughout one sweep
+        return self.alpha, self.omega, self.m, self.sigma, self.trial
+
+
+SWEEP_COLUMNS = [field.name for field in dataclasses.fields(SweepRecord)]
+
+
+def _field_types(cls) -> dict[str, tuple[type, bool, bool]]:
+    """Each field of the dataclass ``cls``: the type of one value, whether the
+    field is a tuple of them and whether it may be None."""
+    return {name: ((typing.get_args(hint) or (hint,))[0], typing.get_origin(hint) is tuple,
+                   type(None) in typing.get_args(hint))
+            for name, hint in typing.get_type_hints(cls).items()}
+
+
+# SweepConfig's keyword arguments for each `phasecs sweep --preset`
+_PRESETS = {"fig2-sparse": {"signal": "sparse"},
+            "fig3-compressible": {"signal": "compressible", "theta": 4.5}}
 
 
 def preset_sweep(name: str) -> SweepConfig:
-    if name == "fig2-sparse":
-        return SweepConfig(signal="sparse")
-    if name == "fig3-compressible":
-        return SweepConfig(signal="compressible", theta=4.5)
-    raise UsageError(f"unknown sweep preset {name!r}")
-
-
-# the type of each numeric key's values; the list keys take one or more
-_NUMBER_KEYS = {"n": int, "k": int, "trials": int, "seed": int, "max_iter": int,
-                "theta": float, "rho": float,
-                "alphas": float, "omegas": float, "ms": int, "sigmas": float}
-_LIST_KEYS = {"alphas", "omegas", "ms", "sigmas"}
+    if name not in _PRESETS:
+        raise UsageError(f"unknown sweep preset {name!r}")
+    return SweepConfig(**_PRESETS[name])
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
     """Parse the flat ``key = value`` sweep config format.
 
-    Lists are comma separated; ``#`` starts a comment.  Keys: signal, n, k,
-    theta, rho, alphas, omegas, ms, sigmas, trials, seed, max_iter.  A value
-    that does not parse, or a scalar key given a list, is refused with its
-    line number and key.
+    The keys are the fields of :class:`SweepConfig` (``seed`` for
+    ``master_seed``): a tuple field takes a comma-separated list, any other
+    field one value; ``#`` starts a comment.  A value that does not parse,
+    or a scalar key given a list, is refused with its line number and key.
     """
+    fields = {_FLAGS["sweep"].get(name, name): (name, kinds)
+              for name, kinds in _field_types(SweepConfig).items()}
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -176,19 +187,14 @@ def parse_sweep_config(text: str) -> SweepConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        name = f"config line {lineno}: {key}"
-        if key == "signal":
-            values["signal"] = value
-        elif key in _NUMBER_KEYS:
-            items = _parse_list(value, name, _NUMBER_KEYS[key])
-            if key in _LIST_KEYS:
-                values[key] = items
-            elif len(items) > 1:
-                raise UsageError(f"{name}: expected one value, got {len(items)}")
-            else:
-                values["master_seed" if key == "seed" else key] = items[0]
-        else:
+        if key not in fields:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
+        field, (kind, is_tuple, _) = fields[key]
+        name = f"config line {lineno}: {key}"
+        items = (value,) if kind is str else _parse_list(value, name, kind)
+        if not is_tuple and len(items) > 1:
+            raise UsageError(f"{name}: expected one value, got {len(items)}")
+        values[field] = items if is_tuple else items[0]
     return SweepConfig(**values)
 
 
@@ -227,7 +233,7 @@ def run_trial(cfg: SweepConfig, alpha: float, omega: float, m: int, sigma: float
     result, snr = solve_trial(instance, estimate, cfg.max_iter)
     wall_ms = int(round((time.perf_counter() - start) * 1000))
     return SweepRecord(
-        signal_kind=cfg.signal, n=cfg.n, k=cfg.k, theta=cfg.theta, rho=cfg.rho,
+        signal_kind=cfg.signal, N=cfg.n, k=cfg.k, theta=cfg.theta, rho=cfg.rho,
         alpha=alpha, omega=omega, m=m, sigma=sigma, trial=trial, seed=seed,
         snr_db=snr, iterations=result.iterations, status=result.status,
         wall_ms=wall_ms,
@@ -236,17 +242,13 @@ def run_trial(cfg: SweepConfig, alpha: float, omega: float, m: int, sigma: float
 
 def run_sweep(cfg: SweepConfig, progress=None) -> list[SweepRecord]:
     """Run every (grid point, trial) of the config; rows come back sorted by key."""
-    cfg.validate()
     records = []
-    for alpha in cfg.alphas:
-        for omega in cfg.omegas:
-            for m in cfg.ms:
-                for sigma in cfg.sigmas:
-                    for trial in range(cfg.trials):
-                        rec = run_trial(cfg, alpha, omega, m, sigma, trial)
-                        records.append(rec)
-                        if progress:
-                            progress(rec)
+    for alpha, omega, m, sigma in cfg.points():
+        for trial in range(cfg.trials):
+            rec = run_trial(cfg, alpha, omega, m, sigma, trial)
+            records.append(rec)
+            if progress:
+                progress(rec)
     records.sort(key=SweepRecord.sort_key)
     return records
 
@@ -259,7 +261,6 @@ def _fmt(value) -> str:
 
 
 def sweep_csv_lines(records: list[SweepRecord]) -> list[str]:
-    # the fields of a SweepRecord are the columns, in order
     return [f"# schema={SWEEP_SCHEMA}", ",".join(SWEEP_COLUMNS)] + [
         ",".join(_fmt(v) for v in dataclasses.astuple(r)) for r in records]
 
@@ -279,7 +280,8 @@ def sweep_summary_lines(records: list[SweepRecord]) -> list[str]:
 
 
 def read_sweep_csv(text: str) -> list[dict]:
-    """Parse and validate sweep CSV text back into typed row dicts."""
+    """Parse and validate sweep CSV text back into row dicts, each cell typed
+    as its :class:`SweepRecord` field (an empty ``theta`` is None)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("# schema="):
         raise ValueError("missing schema header comment")
@@ -287,17 +289,14 @@ def read_sweep_csv(text: str) -> list[dict]:
         raise ValueError(f"unsupported schema line {lines[0]!r}")
     if len(lines) < 2 or lines[1].split(",") != SWEEP_COLUMNS:
         raise ValueError("unexpected CSV header")
+    kinds = [(kind, optional) for kind, _, optional in _field_types(SweepRecord).values()]
     rows = []
     for ln in lines[2:]:
         parts = ln.split(",")
         if len(parts) != len(SWEEP_COLUMNS):
             raise ValueError(f"malformed row: {ln!r}")
-        row = dict(zip(SWEEP_COLUMNS, parts))
-        row["theta"] = float(row["theta"]) if row["theta"] else None
-        for key in ("rho", "alpha", "omega", "sigma", "snr_db"):
-            row[key] = float(row[key])
-        for key in ("N", "k", "m", "trial", "seed", "iterations", "wall_ms"):
-            row[key] = int(row[key])
+        row = {column: None if optional and not cell else kind(cell)
+               for column, cell, (kind, optional) in zip(SWEEP_COLUMNS, parts, kinds)}
         if row["status"] not in ("converged", "max-iter", "failed"):
             raise ValueError(f"unknown status {row['status']!r}")
         rows.append(row)
@@ -476,6 +475,7 @@ def cmd_sweep(args) -> int:
     else:
         cfg = parse_sweep_config(Path(args.config).read_text())
     if args.seed is not None:
+        model.check_master_seed(args.seed, "--seed")
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
     progress = None
     if args.verbose:
@@ -493,18 +493,16 @@ def cmd_sweep(args) -> int:
         if args.out is None:
             raise UsageError("--plot needs --out to derive the SVG paths")
         stem = Path(args.out).with_suffix("")
+        snrs: dict = {}  # the finite SNRs of each grid point, in row order
+        for r in records:
+            if math.isfinite(r.snr_db):
+                snrs.setdefault(r.sort_key()[:4], []).append(r.snr_db)
         for alpha in cfg.alphas:
             for sigma in cfg.sigmas:
                 series = []
                 for omega in cfg.omegas:
-                    xs, ys = [], []
-                    for m in cfg.ms:
-                        vals = [r.snr_db for r in records
-                                if (r.alpha, r.omega, r.m, r.sigma) == (alpha, omega, m, sigma)
-                                and math.isfinite(r.snr_db)]
-                        if vals:
-                            xs.append(m)
-                            ys.append(sum(vals) / len(vals))
+                    xs = [m for m in cfg.ms if (alpha, omega, m, sigma) in snrs]
+                    ys = [sum(v) / len(v) for v in (snrs[alpha, omega, m, sigma] for m in xs)]
                     series.append((f"omega={omega:g}", xs, ys))
                 svg = line_chart(series, f"mean SNR, alpha={alpha:g}, sigma={sigma:g}",
                                  "measurements m", "SNR (dB)")
@@ -575,7 +573,7 @@ def cmd_oracle(args) -> int:
             y = np.array(_parse_list(args.y, "--y"))
         elif x is not None:
             y = a @ x
-            linalg.squared_norm(y, "x")  # refused by the flag that set it
+            linalg.unit_squared_norm(y, "x")  # refused by the flag that set it
         else:
             raise UsageError("provide --x or --y")
         res = ExhaustiveL1Oracle(a).solve(y, w)
@@ -643,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("sweep", help="experiment grid to CSV")
-    p.add_argument("--preset", choices=["fig2-sparse", "fig3-compressible"])
+    p.add_argument("--preset", choices=_PRESETS)
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int, help="override the master seed")
     p.add_argument("--out")

@@ -53,8 +53,8 @@ class Tolerances:
     spd_residual_rel: float = 1e-8       # x ||rhs||, solve_spd guarantee
     nsp_margin_band: float = 1e-9        # slack band below which a verdict is indeterminate
     struct_zero: float = 1e-10           # coordinate of a unit vector treated as zero
-    oracle_value_tie: float = 1e-9       # x (1 + |min|), cost-tie width in the l1 oracles
-    oracle_feasibility: float = 1e-8     # x (1 + ||y||), residual for a feasible candidate
+    oracle_value_tie: float = 1e-9       # x least cost, cost-tie width in the l1 oracles
+    oracle_feasibility: float = 1e-8     # x ||y||, residual for a feasible candidate
 
 
 TOL = Tolerances()
@@ -142,6 +142,17 @@ def squared_norm(v: np.ndarray, name: str) -> float:
         vv = float(v @ v)
     if not math.isfinite(vv):
         raise ValueError(f"{name} is too large for a finite squared norm")
+    return vv
+
+
+def unit_squared_norm(v: np.ndarray, name: str) -> float:
+    """``squared_norm`` of a vector whose norm is the unit of a program that is
+    homogeneous in it, refused also when ``v`` is nonzero and ``v @ v`` is
+    below the smallest normal float, where the norm is 0 or too rough a unit."""
+    vv = squared_norm(v, name)
+    if vv < np.finfo(float).tiny and v.any():
+        raise ValueError(f"{name} must be 0 or have a squared norm in the normal float range, "
+                         f"got {vv:g}")
     return vv
 
 

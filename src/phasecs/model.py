@@ -27,6 +27,13 @@ def substream(master_seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def check_master_seed(seed: int, name: str) -> None:
+    """Refuse a master seed outside [0, 2**64): the seeds derived from it keep
+    its low 64 bits, so two seeds that share them would give the same trials."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
+
+
 def derived_seed(master_seed: int, *keys: int) -> int:
     """64-bit seed hashed from ``(master_seed, *keys)``; feed to ``default_rng``."""
     entropy = [int(master_seed) & _MASK64] + [int(k) & _MASK64 for k in keys]

@@ -321,9 +321,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     m, n = op.shape
     b = linalg.as_vector(b, m, "b")
     w = linalg.as_vector(w, n, "w", linalg.check_weights)
-    bb = linalg.squared_norm(b, "b")
-    if bb < np.finfo(float).tiny and b.any():
-        raise ValueError(f"b must be 0 or have b @ b in the normal float range, got b @ b = {bb:g}")
+    bb = linalg.unit_squared_norm(b, "b")
 
     # the loop solves the program for b/||b|| and epsilon/||b||; by homogeneity
     # its results are scaled back at exit

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -555,6 +556,19 @@ class TestL1Oracle:
         res = ExhaustiveL1Oracle(np.array([[1e-200], [0.0]])).solve([1e150, 0.0], [1.0])
         assert res.value is None and res.minimizers == []
 
+    @pytest.mark.parametrize("scale", [1e-9, 1e-12, 1e-30])
+    def test_minimizers_do_not_depend_on_weight_scale(self, scale):
+        # the cost-tie width was once 1e-9 (1 + least cost), absolute below
+        # a least cost of 1: at 1e-9 and 1e-12 the linear oracle returned 3
+        # and 6 minimizers, and the phaseless one 3 and 12, where 1 is right
+        a = np.random.default_rng(0).standard_normal((2, 4))
+        y, w = np.array([1.0, 2.0]), np.ones(4)
+        for solve in (ExhaustiveL1Oracle(a).solve, functools.partial(brute_force_phaseless, a)):
+            base, res = solve(y, w), solve(y, scale * w)
+            assert len(base.minimizers) == len(res.minimizers) == 1
+            assert res.value == pytest.approx(scale * base.value, rel=1e-15)
+            assert np.array_equal(res.minimizers[0], base.minimizers[0])
+
     @pytest.mark.parametrize("entry", [
         pytest.param(lambda a, y, w: ExhaustiveL1Oracle(a).solve(y, w), id="solve"),
         pytest.param(brute_force_phaseless, id="brute_force_phaseless"),
@@ -821,6 +835,42 @@ def test_certifiers_see_weights_only_up_to_scale(n, m, k, weights, j, seed):
     assert oracle.solve(a @ x, 2.0**j * w).value == 2.0**j * oracle.solve(a @ x, w).value
 
 
+def assert_scaled(res, base, c):
+    """``res`` is the oracle answer ``base`` at c times its scale: the value
+    exactly, and each minimizer within 1e-12 of the largest entry."""
+    assert res.value == c * base.value
+    assert len(res.minimizers) == len(base.minimizers)
+    top = max(np.abs(u).max() for u in base.minimizers)
+    for z in res.minimizers:
+        assert min(np.abs(z - c * u).max() for u in base.minimizers) <= 1e-12 * c * top
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 4), st.integers(3, 6),
+       st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=6, max_size=6),
+       st.integers(-60, 60), SEEDS)
+def test_oracles_see_y_and_w_only_up_to_scale(m, n, weights, j, seed):
+    # min ||z||_{1,w} s.t. A z = y (or |A z| = y) is homogeneous in y and
+    # in w; at c = 2**j every product and sum scales exactly, so only the
+    # order of near-equal minimizers may move (it sorts on rounded entries)
+    rng = np.random.default_rng(seed)
+    a = model.gen_gaussian_matrix(rng, m, n)
+    x = np.zeros(n)
+    x[rng.choice(n, 2, replace=False)] = rng.standard_normal(2)
+    w, c = np.array(weights[:n]), 2.0**j
+    oracles = ((ExhaustiveL1Oracle(a).solve, a @ x, False),
+               (functools.partial(brute_force_phaseless, a), np.abs(a @ x), True))
+    for solve, y, up_to_sign in oracles:
+        base = solve(y, w)
+        at_cy = solve(c * y, w)
+        assert_scaled(at_cy, base, c)
+        assert (recovers_uniquely(at_cy, c * x, up_to_sign)
+                == recovers_uniquely(base, x, up_to_sign))
+        at_cw = solve(y, c * w)
+        assert at_cw.value == c * base.value
+        assert [z.tobytes() for z in at_cw.minimizers] == [z.tobytes() for z in base.minimizers]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 5), st.integers(1, 5), SEEDS)
 def test_phaseless_checks_ignore_row_signs_and_order(n, k, seed):
@@ -866,7 +916,7 @@ def scalar_dedupe(vectors):
     ordered = sorted(vectors, key=lambda z: tuple(np.round(z, 9)))
     unique = []
     for z in ordered:
-        scale = 1.0 + max((np.abs(u).max() for u in unique), default=0.0)
+        scale = max((np.abs(u).max() for u in unique), default=0.0)
         if not any(np.abs(z - u).max() <= 1e-7 * scale for u in unique):
             unique.append(z)
     return unique
@@ -883,7 +933,7 @@ def assert_same_objects(new, ref):
 def test_dedupe_matches_scalar_loop(n, n_base, n_copies, factors, shared_lead, signed_zeros,
                                     seed):
     # a few vertices at magnitudes from 1e-3 to 1e3, so that a later kept
-    # vector often raises the threshold 1e-7 (1 + top); their copies are
+    # vector often raises the threshold 1e-7 top; their copies are
     # moved in one entry by a factor of the largest threshold, from exact
     # and 1e-9 copies to just under and just over it.  A shared first entry
     # lets a copy moved there sort after a larger vertex, which then has
@@ -896,7 +946,7 @@ def test_dedupe_matches_scalar_loop(n, n_base, n_copies, factors, shared_lead, s
     if signed_zeros:
         for z in base:
             z[rng.random(n) < 0.5] = 0.0
-    thresholds = [1e-7 * (1.0 + np.abs(z).max()) for z in base]
+    thresholds = [1e-7 * np.abs(z).max() for z in base]
     vectors = list(base)
     for _ in range(n_copies):
         j = int(rng.integers(n_base))
@@ -911,8 +961,8 @@ def test_dedupe_matches_scalar_loop(n, n_base, n_copies, factors, shared_lead, s
 
 
 def test_dedupe_threshold_grows_mid_walk():
-    # after (0, 0.5) is kept, (1e-6, 0.5) is 1e-6 from it, over 1e-7 (1 + 0.5);
-    # (0, 100) sorts between them and raises the threshold to 1.01e-5, so
+    # after (0, 0.5) is kept, (1e-6, 0.5) is 1e-6 from it, over 1e-7 * 0.5;
+    # (0, 100) sorts between them and raises the threshold to 1e-5, so
     # the loop drops (1e-6, 0.5) when it reaches it
     small, large, near = np.array([0.0, 0.5]), np.array([0.0, 100.0]), np.array([1e-6, 0.5])
     vectors = [near, large, small]
@@ -970,7 +1020,7 @@ def scalar_solve(a, degenerate, table, y, w):
     """Reference: ``ExhaustiveL1Oracle.solve`` over the per-support table."""
     n = a.shape[1]
     yn = float(np.linalg.norm(y))
-    feas_tol = TOL.oracle_feasibility * (1.0 + yn)
+    feas_tol = TOL.oracle_feasibility * yn
     candidates = []
     for t, pinv in table:
         z = np.zeros(n)
@@ -981,7 +1031,7 @@ def scalar_solve(a, degenerate, table, y, w):
     if not candidates:
         return L1MinResult([], None, degenerate)
     vmin = min(c for c, _ in candidates)
-    tie = vmin + TOL.oracle_value_tie * (1.0 + abs(vmin))
+    tie = vmin + TOL.oracle_value_tie * vmin
     return L1MinResult(scalar_dedupe([z for c, z in candidates if c <= tie]), vmin, degenerate)
 
 
@@ -1045,7 +1095,7 @@ def scalar_phaseless(a, b_abs, w):
     if not collected:
         return L1MinResult([], None, degenerate)
     vmin = min(c for c, _ in collected)
-    tie = vmin + TOL.oracle_value_tie * (1.0 + abs(vmin))
+    tie = vmin + TOL.oracle_value_tie * vmin
     kept = [canonical_sign(z) for c, z in collected if c <= tie]
     return L1MinResult(scalar_dedupe(kept), vmin, degenerate)
 
@@ -1083,4 +1133,4 @@ def test_oracle_refuses_y_or_returns_feasible_minimizers(seed, m, n, log_c):
     top = np.abs(y).max()
     for z in res.minimizers:
         residual = top * np.linalg.norm((a @ z - y) / top) if top > 0 else 0.0
-        assert residual <= TOL.oracle_feasibility * (1.0 + top * np.linalg.norm(y / top))
+        assert residual <= TOL.oracle_feasibility * top * np.linalg.norm(y / top)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from phasecs.cli import (
     EXIT_SOLVER,
     SWEEP_COLUMNS,
     SweepConfig,
+    SweepRecord,
     parse_sweep_config,
     preset_sweep,
     read_sweep_csv,
@@ -37,6 +39,9 @@ seed = 3
 max_iter = 3000
 """
 
+
+# the config key of each SweepConfig field that is not named by it
+CONFIG_KEYS = {"master_seed": "seed"}
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -275,6 +280,27 @@ class TestSweepCommand:
         assert not out.exists()
         assert capsys.readouterr().err == refusal(key, value)
 
+    @pytest.mark.parametrize("flags, line, message", [
+        (["--seed", "-1"], "", "--seed must be in [0, 2**64), got -1"),
+        (["--seed", str(2**64)], "", f"--seed must be in [0, 2**64), got {2**64}"),
+        ([], f"seed = {2**64}", f"seed must be in [0, 2**64), got {2**64}"),
+    ])
+    def test_refuses_master_seed_outside_64_bits(self, monkeypatch, capsys, tmp_path, flags,
+                                                 line, message):
+        # the derived seeds keep 64 bits of the master seed, so --seed -1
+        # and --seed 2**64 once wrote the rows of 2**64 - 1 and of 0
+        def no_trial(*_):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trial", no_trial)
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(TINY_CONFIG + line + "\n")
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", str(cfg), *flags, "--out", str(out)]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
 
 class TestSweepHarness:
     def tiny(self, seed=3):
@@ -289,10 +315,14 @@ class TestSweepHarness:
         assert strip(lines_a) == strip(lines_b)  # wall_ms column excluded
 
     def test_rows_sorted_and_unique(self):
-        recs = run_sweep(self.tiny())
-        keys = [r.sort_key() for r in recs]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
+        # the rest of a row is the config's, so the grid point and the trial
+        # order the rows, whatever the order of the grid lists
+        recs = run_sweep(dataclasses.replace(self.tiny(), omegas=(1.0, 0.5)))
+        keys = [(r.alpha, r.omega, r.m, r.sigma, r.trial) for r in recs]
+        assert keys == sorted(keys) == [r.sort_key() for r in recs]
+        assert len(set(keys)) == len(keys) == 4
+        assert {(r.signal_kind, r.N, r.k, r.theta, r.rho) for r in recs} == {
+            ("sparse", 8, 1, None, 1.0)}
 
     def test_matched_noise_pairing(self):
         # sigma is excluded from the trial seed: same signal and matrix
@@ -317,8 +347,15 @@ class TestSweepHarness:
         assert set(SWEEP_COLUMNS) == set(rows[0].keys())
 
     def test_presets_validate(self):
-        for name in ("fig2-sparse", "fig3-compressible"):
-            preset_sweep(name).validate()
+        # a preset is checked when it is built, and --preset offers each one
+        assert preset_sweep("fig2-sparse") == SweepConfig(signal="sparse")
+        assert preset_sweep("fig3-compressible") == SweepConfig(signal="compressible", theta=4.5)
+        with pytest.raises(cli.UsageError, match="^unknown sweep preset 'fig4'$"):
+            preset_sweep("fig4")
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        preset = next(a for a in sub.choices["sweep"]._actions if a.dest == "preset")
+        assert list(preset.choices) == ["fig2-sparse", "fig3-compressible"]
 
     def test_unconverged_trials_recorded_in_row(self):
         cfg = SweepConfig(signal="sparse", n=8, k=1, alphas=(1.0,), omegas=(1.0,),
@@ -344,17 +381,24 @@ class TestSweepHarness:
         ({"max_iter": 0}, r"^max_iter must be at least 1, got 0$"),
         ({"max_iter": -3}, r"^max_iter must be at least 1, got -3$"),
         ({"sigmas": (1e200,)}, r"^sigmas is too large for a finite squared norm$"),
+        # outside the 64 bits of a master seed that the derived seeds keep
+        ({"master_seed": -1}, r"^seed must be in \[0, 2\*\*64\), got -1$"),
+        ({"master_seed": 2**64}, r"^seed must be in \[0, 2\*\*64\), got 18446744073709551616$"),
     ])
     def test_bad_grid_refused_before_any_trial(self, monkeypatch, fields, message):
+        # a config is checked when it is built, so no sweep gets one
         def no_trial(*_):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(cli, "run_trial", no_trial)
-        cfg = SweepConfig(**{"signal": "sparse", "n": 8, "k": 1, "alphas": (1.0,),
-                             "omegas": (1.0,), "ms": (12,), "sigmas": (0.0,),
-                             "trials": 1, **fields})
         with pytest.raises(cli.UsageError, match=message):
-            run_sweep(cfg)
+            SweepConfig(**{"signal": "sparse", "n": 8, "k": 1, "alphas": (1.0,),
+                           "omegas": (1.0,), "ms": (12,), "sigmas": (0.0,),
+                           "trials": 1, **fields})
+
+    def test_master_seed_range_ends_are_accepted(self):
+        for seed in (0, 2**64 - 1):
+            assert dataclasses.replace(self.tiny(), master_seed=seed).master_seed == seed
 
     @pytest.mark.parametrize("line, message", [
         ("n = abc", "n: expected comma-separated integers"),
@@ -401,6 +445,59 @@ class TestSweepHarness:
     def test_parse_rejects_bad_line(self):
         with pytest.raises(Exception):
             parse_sweep_config("just some words\n")
+
+
+def test_sweep_columns_are_the_record_fields():
+    assert SWEEP_COLUMNS == [field.name for field in dataclasses.fields(SweepRecord)]
+    assert ",".join(SWEEP_COLUMNS) == (  # the header of schema v7
+        "signal_kind,N,k,theta,rho,alpha,omega,m,sigma,trial,seed,snr_db,iterations,status,wall_ms")
+
+
+@pytest.mark.parametrize("fields", [
+    {"signal": "sparse", "n": 8, "k": 1, "alphas": (1.0,), "omegas": (0.5, 1.0), "ms": (12,),
+     "sigmas": (0.0,), "trials": 2, "master_seed": 3, "max_iter": 40},
+    # unsorted grid lists, and a theta in every row
+    {"signal": "compressible", "n": 8, "k": 2, "theta": 4.5, "alphas": (1.0, 0.5),
+     "omegas": (1.0, 0.3), "ms": (14, 12), "sigmas": (0.1, 0.0), "trials": 1,
+     "master_seed": 2, "max_iter": 40},
+])
+def test_csv_rows_read_back_as_typed_fields(fields):
+    recs = run_sweep(SweepConfig(**fields))
+    rows = read_sweep_csv("\n".join(sweep_csv_lines(recs)))
+    assert len(rows) == len(recs)
+    for row, rec in zip(rows, recs):
+        assert list(row) == SWEEP_COLUMNS
+        for name, value in dataclasses.asdict(rec).items():
+            assert type(row[name]) is type(value), name
+            if isinstance(value, float):  # the CSV keeps 10 significant digits
+                assert format(row[name], ".10g") == format(value, ".10g"), name
+            else:
+                assert row[name] == value, name
+
+
+def config_text(cfg: SweepConfig) -> str:
+    """``cfg`` in the config format: one line per field that is not None."""
+    lines = []
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        if value is not None:
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            lines.append(f"{CONFIG_KEYS.get(field.name, field.name)} = {text}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("fields", [
+    {},
+    # every field away from its default
+    {"signal": "compressible", "n": 8, "k": 2, "theta": 4.5, "rho": 0.5, "alphas": (0.75, 0.25),
+     "omegas": (1.0, 0.1), "ms": (14, 12), "sigmas": (0.1, 0.0), "trials": 3,
+     "master_seed": 2**64 - 1, "max_iter": 250},
+])
+def test_every_config_field_is_a_key_that_reads_back(fields):
+    cfg = SweepConfig(**fields)
+    text = config_text(cfg)
+    assert len(text.splitlines()) == len(dataclasses.fields(cfg)) - (cfg.theta is None)
+    assert parse_sweep_config(text) == cfg
 
 
 @pytest.mark.parametrize("text", ["", f"# schema={cli.SWEEP_SCHEMA}\n"])
@@ -554,6 +651,24 @@ class TestOracleCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("program, flags", [("minimizers", []),
+                                                ("minimizers_up_to_sign", ["--phaseless"])])
+    def test_answer_scales_with_x(self, capsys, program, flags):
+        # both programs are homogeneous in x: at 1e-9 x the oracles once
+        # answered with a point that is neither x nor feasible, and called
+        # it recovered
+        reports = []
+        for x in ("1,0,0,-2", "1e-9,0,0,-2e-9"):
+            assert cli.main(["oracle", "--gaussian", "2", "4", "--seed", "0", "--x", x,
+                             *flags]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        one, small = reports
+        assert one["recovered"] is small["recovered"] is True
+        assert one["value"] == pytest.approx(3.0, rel=1e-12)
+        assert small["value"] == pytest.approx(1e-9 * one["value"], rel=1e-12)
+        assert len(small[program]) == len(one[program]) == 1
+        assert np.allclose(small[program], 1e-9 * np.array(one[program]), rtol=1e-9, atol=0.0)
+
     @pytest.mark.parametrize("args", [["--y", "1,0,2"], ["--x", "1,0,2", "--phaseless"]])
     def test_refuses_negative_weight(self, capsys, args):
         code = cli.main(["oracle", "--identity", "3", "--omega", "-0.5", "--estimate", "1",
@@ -627,6 +742,16 @@ CERTIFIER_REFUSALS = [
     ("oracle", "--phaseless", "--x", "1e200,1e200,0,0", "is too large for a finite squared norm"),
     ("oracle", "", "--x", "1e200,1e200,0,0", "is too large for a finite squared norm"),
     ("oracle", "--y 1,0", "--gaussian", "0 4", "must be at least 1, got 0"),
+    # a nonzero right-hand side whose squared norm is no normal float: at
+    # 1e-160 and 1e-200 the phaseless oracle once returned 0, recovered
+    ("oracle", "--phaseless", "--x", "1e-160,0,0,0",
+     "must be 0 or have a squared norm in the normal float range, got 2.66301e-321"),
+    ("oracle", "--phaseless", "--x", "1e-200,0,0,-2e-200",
+     "must be 0 or have a squared norm in the normal float range, got 0"),
+    ("oracle", "", "--x", "1e-200,0,0,-2e-200",
+     "must be 0 or have a squared norm in the normal float range, got 0"),
+    ("oracle", "", "--y", "1e-170,0,0",
+     "must be 0 or have a squared norm in the normal float range, got 0"),
 ]
 
 
@@ -643,10 +768,10 @@ def test_every_certifier_flag_is_refused_by_name(capsys, command, args, flag, va
 
 
 @pytest.mark.parametrize("key, value", [
-    (key, value)
-    for key, kind in cli._NUMBER_KEYS.items()
-    if key != "seed"  # every integer is a master seed
-    for value in BAD_VALUES[kind]
+    (CONFIG_KEYS.get(field.name, field.name), value)
+    for field in dataclasses.fields(SweepConfig)
+    if field.name != "signal"
+    for value in BAD_VALUES[int if "int" in field.type else float]
 ])
 def test_every_numeric_config_key_is_refused_by_name(monkeypatch, capsys, tmp_path, key, value):
     def no_trial(*_):

@@ -21,6 +21,7 @@ from phasecs.linalg import (
     svec,
     svec_order,
     squared_norm,
+    unit_squared_norm,
 )
 from phasecs.solver import _psd_project as _psd_project_packed
 
@@ -331,6 +332,12 @@ class TestInputRules:
         (lambda: check_at_least(0, 1, "m"), "m must be at least 1, got 0"),
         (lambda: squared_norm(np.array([1e200, 1.0]), "y"),
          "y is too large for a finite squared norm"),
+        (lambda: unit_squared_norm(np.array([1e200, 1.0]), "b"),
+         "b is too large for a finite squared norm"),
+        (lambda: unit_squared_norm(np.array([0.0, 1e-170]), "b_abs"),
+         "b_abs must be 0 or have a squared norm in the normal float range, got 0"),
+        (lambda: unit_squared_norm(np.array([3e-160, 0.0]), "y"),
+         "y must be 0 or have a squared norm in the normal float range, got 8.9999e-320"),
     ])
     def test_refusal_names_the_parameter_first(self, rule, message):
         with pytest.raises(ValueError) as info:
@@ -346,3 +353,7 @@ class TestInputRules:
         check_order(4, 4)
         v = np.array([3.0, 4.0, 1e150])
         assert squared_norm(v, "y") == v @ v and np.sqrt(squared_norm(v, "y")) == np.linalg.norm(v)
+        assert unit_squared_norm(v, "y") == v @ v
+        tiny = np.sqrt(np.finfo(float).tiny)  # the least norm of a unit, and 0
+        assert unit_squared_norm(np.array([tiny, 0.0]), "b") == tiny * tiny
+        assert unit_squared_norm(np.array([0.0, -0.0]), "b") == 0.0

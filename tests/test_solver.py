@@ -384,7 +384,7 @@ class TestSolveSdp:
         a, x = rng.standard_normal((6, 3)), rng.standard_normal(3)
         b = {"overflow": np.full(6, 1e200), "nan": np.r_[np.nan, np.ones(5)],
              "underflow": (a @ x * 1e-150) ** 2, "subnormal": np.full(6, 1e-160)}[case]
-        unit = "b must be 0 or have b @ b in the normal float range, got b @ b = "
+        unit = "b must be 0 or have a squared norm in the normal float range, got "
         message = {"overflow": "b is too large for a finite squared norm",
                    "nan": "b has non-finite entries", "underflow": unit + "0",
                    "subnormal": unit + "5.99993e-320"}[case]
