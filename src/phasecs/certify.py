@@ -582,9 +582,10 @@ def _cheapest(candidates, degenerate: bool) -> L1MinResult:
 
 
 def _dedupe(vectors: list[np.ndarray]) -> list[np.ndarray]:
-    """The vectors in ascending order of their entries rounded to 9 digits,
-    less each one within ``1e-7 * top`` in the max norm of one kept
-    before it, where ``top`` is the largest magnitude kept so far.
+    """The vectors in ascending order of their entries over the largest
+    magnitude among them, rounded to 9 digits, less each one within
+    ``1e-7 * top`` in the max norm of one kept before it, where ``top`` is
+    the largest magnitude kept so far.
 
     The walk keeps, for every row, its least distance to the vectors kept so
     far; ``top`` grows only when a vector is kept, so the next vector kept is
@@ -595,7 +596,7 @@ def _dedupe(vectors: list[np.ndarray]) -> list[np.ndarray]:
         return vectors[:]
     rows = np.array(vectors)
     # lexsort is stable and takes its last key first, as tuple order does
-    order = np.lexsort(np.round(rows, 9).T[::-1])
+    order = np.lexsort(np.round(rows / (np.abs(rows).max() or 1.0), 9).T[::-1])
     rows = rows[order]
     nearest = np.full(len(rows), math.inf)
     kept, top, i = [], 0.0, 0

@@ -45,10 +45,6 @@ EXIT_CAP = 3
 SWEEP_SCHEMA = "phasecs.sweep.v7"
 
 
-class UsageError(Exception):
-    pass
-
-
 # the flag or config key that sets each library parameter, by command; a
 # parameter that a command's table leaves out keeps its name
 _FLAGS = {
@@ -59,16 +55,17 @@ _FLAGS = {
                 "omega": "--omega", "sigma": "--sigma", "max_iter": "--max-iter"},
     "sweep": {"m": "ms", "alpha": "alphas", "omega": "omegas", "sigma": "sigmas",
               "master_seed": "seed"},
-    "certify": {"m": "--gaussian", "n": "--gaussian", "k": "--k", "w": "--omega"},
-    "oracle": {"m": "--gaussian", "n": "--gaussian", "w": "--omega", "y": "--y", "x": "--x",
-               "b_abs": "--x"},
+    "certify": {"matrix": "--matrix", "m": "--gaussian", "n": "--gaussian", "k": "--k",
+                "w": "--omega"},
+    "oracle": {"matrix": "--matrix", "m": "--gaussian", "n": "--gaussian", "w": "--omega",
+               "y": "--y", "x": "--x", "b_abs": "--x"},
 }
 
 
-def _named(exc: Exception, command: str) -> UsageError:
+def _named(exc: Exception, command: str) -> ValueError:
     """A library refusal, which starts with a parameter's name, in the words of ``command``."""
     name, space, rest = str(exc).partition(" ")
-    return UsageError(_FLAGS[command].get(name, name) + space + rest)
+    return ValueError(_FLAGS[command].get(name, name) + space + rest)
 
 
 @dataclass(frozen=True)
@@ -95,13 +92,16 @@ class SweepConfig:
         # theta enters the per-trial seed hash
         if self.theta is not None:
             if not math.isfinite(self.theta):
-                raise UsageError(f"theta must be finite, got {self.theta:g}")
+                raise ValueError(f"theta must be finite, got {self.theta:g}")
             try:
                 _quantized(self.theta)
             except OverflowError:
-                raise UsageError(f"theta is too large for the seed hash, got {self.theta:g}")
+                raise ValueError(f"theta is too large for the seed hash, got {self.theta:g}")
+            # a sparse signal ignores theta, which would still move every seed
+            if self.signal == "sparse":
+                raise ValueError(f"theta applies to compressible signals only, got {self.theta:g}")
         if not (self.alphas and self.omegas and self.ms and self.sigmas):
-            raise UsageError("grid lists must be nonempty")
+            raise ValueError("grid lists must be nonempty")
         # the functions a trial calls refuse its bad values: each grid point's trial
         # is drawn once (omega by the solve's weight rule), then max_iter is checked
         rng = np.random.default_rng(0)
@@ -163,7 +163,7 @@ _PRESETS = {"fig2-sparse": {"signal": "sparse"},
 
 def preset_sweep(name: str) -> SweepConfig:
     if name not in _PRESETS:
-        raise UsageError(f"unknown sweep preset {name!r}")
+        raise ValueError(f"unknown sweep preset {name!r}")
     return SweepConfig(**_PRESETS[name])
 
 
@@ -183,17 +183,17 @@ def parse_sweep_config(text: str) -> SweepConfig:
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"config line {lineno}: expected 'key = value'")
+            raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
         if key not in fields:
-            raise UsageError(f"config line {lineno}: unknown key {key!r}")
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
         field, (kind, is_tuple, _) = fields[key]
         name = f"config line {lineno}: {key}"
         items = (value,) if kind is str else _parse_list(value, name, kind)
         if not is_tuple and len(items) > 1:
-            raise UsageError(f"{name}: expected one value, got {len(items)}")
+            raise ValueError(f"{name}: expected one value, got {len(items)}")
         values[field] = items if is_tuple else items[0]
     return SweepConfig(**values)
 
@@ -321,9 +321,9 @@ def _parse_list(text: str, flag: str, kind=float) -> tuple:
         items = tuple(kind(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
         noun = "integers" if kind is int else "numbers"
-        raise UsageError(f"{flag}: expected comma-separated {noun}") from exc
+        raise ValueError(f"{flag}: expected comma-separated {noun}") from exc
     if not items:
-        raise UsageError(f"{flag}: no value given")
+        raise ValueError(f"{flag}: no value given")
     return items
 
 
@@ -353,29 +353,24 @@ def _jsonable(obj):
 
 
 def read_matrix_file(path: str) -> np.ndarray:
-    """Plain-text matrix: first line ``m N``, then m rows of N decimals."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise UsageError(f"{path}: empty matrix file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise UsageError(f"{path}: first line must be 'm N'")
-    m, n = int(head[0]), int(head[1])
-    if len(lines) != m + 1:
-        raise UsageError(f"{path}: expected {m} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        vals = [float(v) for v in ln.split()]
-        if len(vals) != n:
-            raise UsageError(f"{path}: row with {len(vals)} entries, expected {n}")
-        rows.append(vals)
-    return np.array(rows)
+    """Plain-text matrix: a first line ``m N`` of two integers, both at least 1,
+    then m rows of N decimals; any other file is refused as ``--matrix``."""
+    rows = [ln.split() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    try:
+        m, n = map(int, rows[0])
+        a = np.array(rows[1:], dtype=float)
+        if min(m, n) >= 1 and a.shape == (m, n):
+            return a
+    except (IndexError, ValueError):
+        pass
+    raise ValueError(f"--matrix {path}: expected a first line 'm N' with m, N >= 1, "
+                     "then m rows of N numbers")
 
 
 def _load_matrix(args) -> np.ndarray:
     sources = [args.matrix is not None, args.gaussian is not None, args.identity is not None]
     if sum(sources) != 1:
-        raise UsageError("choose exactly one of --matrix/--gaussian/--identity")
+        raise ValueError("choose exactly one of --matrix/--gaussian/--identity")
     if args.matrix is not None:
         return read_matrix_file(args.matrix)
     if args.gaussian is not None:
@@ -392,7 +387,7 @@ def _weights_from_args(args, n: int) -> np.ndarray:
     if args.estimate:
         idx = list(_parse_list(args.estimate, "--estimate", int))
         if any(i < 0 or i >= n for i in idx):
-            raise UsageError("--estimate index out of range")
+            raise ValueError("--estimate index out of range")
         w[idx] = args.omega
     return w
 
@@ -417,8 +412,6 @@ def cmd_constants(args) -> int:
         ]))
     _write_text(args.out, "\n".join(lines))
     if args.plot:
-        if args.out is None:
-            raise UsageError("--plot needs --out to derive the SVG paths")
         stem = Path(args.out).with_suffix("")
         panels = [
             ("t_omega", lambda r: r.t_omega, "order factor threshold"),
@@ -469,7 +462,7 @@ def cmd_recover(args) -> int:
 
 def cmd_sweep(args) -> int:
     if (args.preset is None) == (args.config is None):
-        raise UsageError("provide exactly one of --preset or --config")
+        raise ValueError("provide exactly one of --preset or --config")
     if args.preset is not None:
         cfg = preset_sweep(args.preset)
     else:
@@ -490,8 +483,6 @@ def cmd_sweep(args) -> int:
     if args.verbose:
         print("\n".join(sweep_summary_lines(records)), file=sys.stderr)
     if args.plot:
-        if args.out is None:
-            raise UsageError("--plot needs --out to derive the SVG paths")
         stem = Path(args.out).with_suffix("")
         snrs: dict = {}  # the finite SNRs of each grid point, in row order
         for r in records:
@@ -539,8 +530,8 @@ def cmd_certify(args) -> int:
         verdict = check(a, args.k, w)
         report = {
             "check": args.check, "k": args.k,
-            "status": verdict.status, "margin": _jsonable(verdict.margin),
-            "witness": _jsonable(verdict.witness),
+            "status": verdict.status, "margin": verdict.margin,
+            "witness": verdict.witness,
             "enumerated_count": verdict.enumerated,
         }
     _write_text(args.out, json.dumps(_jsonable(report), indent=2))
@@ -554,16 +545,16 @@ def cmd_oracle(args) -> int:
     x = None if args.x is None else linalg.as_vector(_parse_list(args.x, "--x"), n, "x")
     if args.phaseless:
         if args.y is not None:
-            raise UsageError("--y applies to the linear program only")
+            raise ValueError("--y applies to the linear program only")
         if x is None:
-            raise UsageError("--phaseless needs --x to form the magnitudes")
+            raise ValueError("--phaseless needs --x to form the magnitudes")
         b_abs = np.abs(a @ x)
         res = brute_force_phaseless(a, b_abs, w)
         zero_class = len(res.minimizers) == 1 and not np.any(res.minimizers[0])
         signed = len(res.minimizers) if zero_class else 2 * len(res.minimizers)
         report = {
             "program": "phaseless", "value": res.value,
-            "minimizers_up_to_sign": [_jsonable(z) for z in res.minimizers],
+            "minimizers_up_to_sign": res.minimizers,
             "signed_minimizer_count": signed,
             "degenerate": res.degenerate,
             "recovered": recovers_uniquely(res, x, up_to_sign=True),
@@ -575,11 +566,11 @@ def cmd_oracle(args) -> int:
             y = a @ x
             linalg.unit_squared_norm(y, "x")  # refused by the flag that set it
         else:
-            raise UsageError("provide --x or --y")
+            raise ValueError("provide --x or --y")
         res = ExhaustiveL1Oracle(a).solve(y, w)
         report = {
             "program": "linear", "value": res.value,
-            "minimizers": [_jsonable(z) for z in res.minimizers],
+            "minimizers": res.minimizers,
             "minimizer_count": len(res.minimizers),
             "degenerate": res.degenerate,
             "recovered": None if x is None else recovers_uniquely(res, x),
@@ -675,15 +666,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if getattr(args, "plot", False) and args.out is None:
+            raise ValueError("--plot needs --out to derive the SVG paths")
         return args.func(args)
     except CapExceededError as exc:
         report = {"status": "refused", "caps_hit": [exc.cap], "detail": str(exc)}
         print(json.dumps(report, indent=2))
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except np.linalg.LinAlgError as exc:
         # numerical failure, not a usage error (LinAlgError is a ValueError)
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -15,11 +15,10 @@ _PALETTE = [
 ]
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five ticks from ``lo`` to ``hi``, which the caller keeps apart."""
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def line_chart(
@@ -27,10 +26,9 @@ def line_chart(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 640,
-    height: int = 420,
 ) -> str:
     """Render ``series = [(label, xs, ys), ...]`` as an SVG document string."""
+    width, height = 640, 420
     left, right, top, bottom = 64, 24, 36, 48
     plot_w = width - left - right
     plot_h = height - top - bottom

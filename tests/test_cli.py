@@ -350,7 +350,7 @@ class TestSweepHarness:
         # a preset is checked when it is built, and --preset offers each one
         assert preset_sweep("fig2-sparse") == SweepConfig(signal="sparse")
         assert preset_sweep("fig3-compressible") == SweepConfig(signal="compressible", theta=4.5)
-        with pytest.raises(cli.UsageError, match="^unknown sweep preset 'fig4'$"):
+        with pytest.raises(ValueError, match="^unknown sweep preset 'fig4'$"):
             preset_sweep("fig4")
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
@@ -384,6 +384,8 @@ class TestSweepHarness:
         # outside the 64 bits of a master seed that the derived seeds keep
         ({"master_seed": -1}, r"^seed must be in \[0, 2\*\*64\), got -1$"),
         ({"master_seed": 2**64}, r"^seed must be in \[0, 2\*\*64\), got 18446744073709551616$"),
+        # a sparse signal ignores theta, which would still move every trial's seed
+        ({"theta": 2.0}, r"^theta applies to compressible signals only, got 2$"),
     ])
     def test_bad_grid_refused_before_any_trial(self, monkeypatch, fields, message):
         # a config is checked when it is built, so no sweep gets one
@@ -391,7 +393,7 @@ class TestSweepHarness:
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(cli, "run_trial", no_trial)
-        with pytest.raises(cli.UsageError, match=message):
+        with pytest.raises(ValueError, match=message):
             SweepConfig(**{"signal": "sparse", "n": 8, "k": 1, "alphas": (1.0,),
                            "omegas": (1.0,), "ms": (12,), "sigmas": (0.0,),
                            "trials": 1, **fields})
@@ -844,11 +846,46 @@ def test_removed_settings_are_unknown(monkeypatch, tmp_path, argv, config):
     assert not (tmp_path / "out.txt").exists()
 
 
-def test_matrix_file_errors(tmp_path):
+def test_matrix_file_errors(capsys, tmp_path):
+    # too few rows, a header that is no size, an empty file, a ragged row and
+    # an entry that is no finite number: each is one error line naming the flag
     bad = tmp_path / "bad.txt"
-    bad.write_text("2 2\n1 2\n")
-    res = run_cli("certify", "--matrix", str(bad), "--check", "rip", "--k", "1")
-    assert res.returncode == 1
+    for text in ["2 2\n1 2\n", "0 2\n", "2 0\n", "", "1\n1\n", "1 x\n1\n",
+                 "2 2\n1 x\n3 4\n", "2 2\n1 2\n3\n", "1 2\nnan 1\n", "1 2\n1e400 1\n"]:
+        bad.write_text(text)
+        for command, *rest in (["certify", "--check", "rip", "--k", "1"],
+                               ["oracle", "--y", "1,0"]):
+            assert cli.main([command, "--matrix", str(bad), *rest]) == 1, text
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: --matrix "), text
+            assert captured.err.count("\n") == 1, text
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants"],
+    ["sweep", "--preset", "fig2-sparse"],
+    ["sweep", "--config", "tiny.cfg"],
+])
+def test_plot_without_out_is_refused_before_any_work(monkeypatch, capsys, tmp_path, argv):
+    def no_trial(*_):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_trial", no_trial)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text(TINY_CONFIG)
+    assert cli.main([*argv, "--plot"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --plot needs --out to derive the SVG paths\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "tiny.cfg"]
+
+
+@pytest.mark.parametrize("command", cli._FLAGS)
+def test_flag_tables_name_each_parameter_once(command):
+    # a refusal may be named twice (a sweep config, then main), which must
+    # leave it as it was: no flag or key that a table gives is a name it maps
+    table = cli._FLAGS[command]
+    assert not set(table.values()) & set(table)
 
 
 def test_unknown_subcommand():
