@@ -251,7 +251,8 @@ def srip_bounds(a, k: int) -> RipReport:
         raise CapExceededError("row subset cap", f"m={m} > {_SRIP_ROW_CAP}")
     n_supports = math.comb(n, k)
     if n_supports > _SUPPORT_CAP:
-        raise CapExceededError("support enumeration cap", f"C({n},{k})={n_supports}")
+        raise CapExceededError("support enumeration cap",
+                               f"C({n},{k})={n_supports} > {_SUPPORT_CAP}")
     # the first extremum wins: ties keep the earliest candidate, row subsets
     # before supports; negation is exact, so the least eigenvalue is the
     # negated first maximum of its negation

@@ -35,7 +35,7 @@ from .certify import (
     weighted_nsp_check,
 )
 from .plots import line_chart
-from .solver import LiftedOperator, SolverConfig, SolverResult, solve_sdp
+from .solver import MAX_ITER, SolverResult, solve_sdp
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,7 +86,7 @@ class SweepConfig:
     sigmas: tuple[float, ...] = (0.0, 0.1)
     trials: int = 10
     master_seed: int = 1
-    max_iter: int = SolverConfig.max_iter
+    max_iter: int = MAX_ITER
 
     def __post_init__(self) -> None:
         # theta enters the per-trial seed hash
@@ -111,7 +111,7 @@ class SweepConfig:
             for alpha, omega, m, sigma in self.points():
                 model.draw_trial(rng, self.signal, self.n, self.k, m, self.rho, alpha, omega,
                                  sigma, self.theta)
-            SolverConfig(max_iter=self.max_iter)
+            linalg.check_at_least(self.max_iter, 1, "max_iter")
         except ValueError as exc:
             raise _named(exc, "sweep") from exc
 
@@ -199,10 +199,10 @@ def parse_sweep_config(text: str) -> SweepConfig:
 
 
 def solve_trial(instance: model.PhaselessInstance, estimate: model.SupportEstimate,
-                max_iter: int = SolverConfig.max_iter) -> tuple[SolverResult, float]:
+                max_iter: int = MAX_ITER) -> tuple[SolverResult, float]:
     """Solve a drawn trial at its noise level ``epsilon``; the SNR is NaN if the solve failed."""
-    result = solve_sdp(LiftedOperator(instance.A), instance.b, estimate.weights(instance.x.size),
-                       SolverConfig(max_iter=max_iter, epsilon=instance.epsilon))
+    result = solve_sdp(instance.A, instance.b, estimate.weights(instance.x.size),
+                       epsilon=instance.epsilon, max_iter=max_iter)
     snr = model.snr_db(instance.x, result.xhat) if result.status != "failed" else math.nan
     return result, snr
 
@@ -627,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--max-iter", type=int, default=MAX_ITER)
     p.add_argument("--out")
     p.set_defaults(func=cmd_recover)
 

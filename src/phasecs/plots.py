@@ -37,10 +37,11 @@ def line_chart(
     finite_y = [y for _, xs, ys in series for y in ys if math.isfinite(y)]
     x_lo, x_hi = (min(finite_x), max(finite_x)) if finite_x else (0.0, 1.0)
     y_lo, y_hi = (min(finite_y), max(finite_y)) if finite_y else (0.0, 1.0)
+    # a one-value range is widened by a width that does not round away at |v| >= 2**53
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = x_lo + max(1.0, 1e-9 * abs(x_lo))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = y_lo + max(1.0, 1e-9 * abs(y_lo))
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

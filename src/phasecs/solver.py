@@ -82,9 +82,10 @@ INITIAL_PENALTY = 1.0
 # absolute and relative thresholds of the stopping test
 TOL_ABS = 1e-6
 TOL_REL = 1e-4
+# default sweep cap of a solve (its max_iter)
+MAX_ITER = 5000
 
 
-@dataclass(frozen=True)
 class LiftedOperator:
     """Forward map Z -> (a_i' Z a_i)_i and its adjoint for a sensing matrix.
 
@@ -93,16 +94,13 @@ class LiftedOperator:
     and ``adjoint(c)`` is svec(sum_i c_i a_i a_i') = ``c @ sensors``.
     """
 
-    a: np.ndarray  # (m, n), rows are the sensing vectors
-    sensors: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", linalg.as_matrix(self.a))
+    def __init__(self, a):
+        self.a = linalg.as_matrix(a)  # (m, n), rows are the sensing vectors
         m, n = self.a.shape
         lay = linalg.svec_layout(n)
         # row i is svec(a_i a_i')
         lifts = (self.a[:, :, None] * self.a[:, None, :]).reshape(m, n * n)
-        object.__setattr__(self, "sensors", lifts[:, lay.upper] * lay.scale)
+        self.sensors = lifts[:, lay.upper] * lay.scale
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -113,16 +111,6 @@ class LiftedOperator:
 
     def adjoint(self, c: np.ndarray) -> np.ndarray:
         return c @ self.sensors
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    max_iter: int = 5000
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        linalg.check_at_least(self.max_iter, 1, "max_iter")
-        linalg.check_nonnegative(self.epsilon, "epsilon")
 
 
 @dataclass(slots=True)
@@ -292,8 +280,10 @@ class _Anderson:
         return g - gamma @ self.dg[:q]
 
 
-def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> SolverResult:
-    """Run the accelerated consensus splitting on the lifted program.
+def solve_sdp(a, b, w, *, epsilon: float = 0.0, max_iter: int = MAX_ITER) -> SolverResult:
+    """Run the accelerated consensus splitting on the lifted program of the
+    sensing matrix ``a`` (rows a_i), magnitudes ``b``, weights ``w`` and noise
+    radius ``epsilon``, for at most ``max_iter`` sweeps.
 
     The iteration runs on ``b / ||b||`` and ``epsilon / ||b||`` (``b = 0`` is
     left as it is), so every threshold acts relative to ``||b||``.
@@ -313,12 +303,17 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     factorization failed), the residuals of the last completed sweep, a zero
     ``xhat`` and, in its diagnostics, only ``stop_reason`` and ``error``; a
     normal matrix that overflows is a ``factorization-failure``.  A
-    ``ValueError`` naming ``b`` or ``w`` refuses either of the wrong shape,
+    ``ValueError`` refuses, in this order, an ``a`` that is not a finite
+    matrix (named ``matrix``), a ``max_iter`` below 1, an ``epsilon`` that
+    is not finite and nonnegative, a ``b`` or ``w`` of the wrong shape,
     weights that :func:`linalg.check_weights` refuses, and a ``b`` that is
-    not finite or whose ``b @ b`` leaves the normal float range, ``b = 0`` aside.
+    not finite or whose ``b @ b`` leaves the normal float range, ``b = 0``
+    aside.
     """
-    cfg = cfg or SolverConfig()
+    op = LiftedOperator(a)
     m, n = op.shape
+    linalg.check_at_least(max_iter, 1, "max_iter")
+    linalg.check_nonnegative(epsilon, "epsilon")
     b = linalg.as_vector(b, m, "b")
     w = linalg.as_vector(w, n, "w", linalg.check_weights)
     bb = linalg.unit_squared_norm(b, "b")
@@ -327,7 +322,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     # its results are scaled back at exit
     unit = math.sqrt(bb) or 1.0
     b = b / unit
-    epsilon = cfg.epsilon / unit
+    epsilon = epsilon / unit
 
     # W Z W acts entrywise, so on packed Z it is ww times the packed Z
     ww = np.outer(w, w).take(linalg.svec_layout(n).upper)
@@ -356,7 +351,7 @@ def solve_sdp(op: LiftedOperator, b, w, cfg: SolverConfig | None = None) -> Solv
     # and the rank-1 extraction fail, and every failure leaves through the one except
     try:
         normal = _NormalSolver(op, w)
-        for iterations in range(1, cfg.max_iter + 1):
+        for iterations in range(1, max_iter + 1):
             # one sweep on the (variable, dual) pairs of all three blocks at once
             duals = x[i_dl:]
             diff = x[:i_dl] - duals

@@ -33,7 +33,7 @@ from phasecs.certify import (
     weighted_nsp_check,
 )
 from phasecs.linalg import MAX_WEIGHT, TOL
-from phasecs.solver import LiftedOperator, SolverConfig, solve_sdp
+from phasecs.solver import solve_sdp
 
 A_2x3 = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 A_SPARK = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
@@ -92,9 +92,12 @@ class TestRip:
         assert abs(np.abs(lam - 1).max() - rep.delta) <= 1e-10
 
     def test_cap_refusal(self):
-        with pytest.raises(CapExceededError) as err:
-            rip_constant(np.ones((2, 40)), 20)
-        assert "support enumeration cap" in str(err.value)
+        # both isometry checks refuse the same support count with the same text
+        message = "support enumeration cap exceeded: C(40,20)=137846528820 > 2000000"
+        for check in (rip_constant, srip_bounds):
+            with pytest.raises(CapExceededError, match=f"^{re.escape(message)}$") as err:
+                check(np.ones((2, 40)), 20)
+            assert err.value.cap == "support enumeration cap"
 
     def test_support_table_is_drawn_in_chunks(self):
         # the (C(700, 2), 2) table of supports alone would take 3.9 MB
@@ -432,8 +435,8 @@ def test_nsp_checks_refuse_non_finite_weights(check, a, bad):
                  id="ExhaustiveL1Oracle.solve"),
     pytest.param(lambda w: brute_force_phaseless(A_2x3, [1.0, 1.0], w), "w",
                  id="brute_force_phaseless"),
-    pytest.param(lambda w: solve_sdp(LiftedOperator(np.eye(3)), np.ones(3), w,
-                                     SolverConfig(max_iter=20)), "w", id="solve_sdp"),
+    pytest.param(lambda w: solve_sdp(np.eye(3), np.ones(3), w, max_iter=20), "w",
+                 id="solve_sdp"),
     pytest.param(lambda w: model.gen_support_estimate(np.random.default_rng(0), [0], 3, 1, 1.0,
                                                       1.0, w[0]), "omega",
                  id="gen_support_estimate"),
@@ -861,6 +864,33 @@ def test_oracles_see_y_and_w_only_up_to_scale(m, n, weights, j, seed):
         at_cw = solve(y, c * w)
         assert at_cw.value == c * base.value
         assert [z.tobytes() for z in at_cw.minimizers] == [z.tobytes() for z in base.minimizers]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), st.integers(2, 8), st.floats(0.5, 3.0), st.data(), SEEDS)
+def test_weighted_nsp_margin_bounds_the_oracle_error(m, n, decay, data, seed):
+    # stable recovery (Foucart & Rauhut 2013, Thm 4.12): under the weighted
+    # NSP with margin mu = 1 - 2 theta, i.e. constant rho = theta / (1 - theta),
+    # every minimizer x# of ||z||_{1,w} s.t. A z = A x has
+    # ||x - x#||_{1,w} <= 2 (1 + rho) / (1 - rho) sigma_k(x)_{1,w}
+    # = (2 / mu) sigma_k(x)_{1,w}, sigma_k the mass of w |x| off its k
+    # largest entries.  The weights stay positive: with a zero weight
+    # ||.||_{1,w} is not a norm
+    k = data.draw(st.integers(1, n))
+    w = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    rng = np.random.default_rng(seed)
+    a = model.gen_gaussian_matrix(rng, m, n)
+    x = model.gen_compressible_signal(n, decay, rng)
+    verdict = weighted_nsp_check(a, k, w)
+    if verdict.status != "holds-exact":
+        return
+    mass = w * np.abs(x)
+    sigma_k = np.sort(mass)[: n - k].sum()
+    bound = 2.0 / verdict.margin * sigma_k * (1 + 1e-9) + 1e-12 * mass.sum()
+    res = ExhaustiveL1Oracle(a).solve(a @ x, w)
+    assert res.minimizers
+    for z in res.minimizers:
+        assert (w * np.abs(x - z)).sum() <= bound
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,20 @@ class TestConstantsCommand:
             svg = (tmp_path / name).read_text()
             assert svg.startswith("<svg") and "polyline" in svg
 
+    @pytest.mark.parametrize("omega", ["1e17", "1e300"])
+    def test_plot_of_one_large_omega(self, tmp_path, omega):
+        # one x value at or above 2**53 once made a range of width 0, and
+        # the chart divided by it
+        out = tmp_path / "c.csv"
+        assert cli.main(["constants", "--alphas", "0.5", "--omegas", omega,
+                         "--out", str(out), "--plot"]) == 0
+        for name in ("c_t_omega.svg", "c_c1.svg", "c_c2.svg"):
+            svg = (tmp_path / name).read_text()
+            coords = re.findall(r' (?:x|y|x1|y1|x2|y2)="([^"]*)"', svg)
+            for points in re.findall(r'points="([^"]*)"', svg):
+                coords += points.replace(",", " ").split()
+            assert coords and all(math.isfinite(float(c)) for c in coords)
+
 
 class TestRecoverCommand:
     def test_noise_free_success(self):
@@ -204,7 +219,7 @@ class TestRecoverCommand:
         ("--max-iter", "0", "--max-iter must be at least 1, got 0"),
     ])
     def test_refuses_bad_size_or_sweep_cap(self, capsys, flag, value, message):
-        # refused by model.gen_sparse_signal and SolverConfig, named by the flag
+        # refused by model.gen_sparse_signal and solve_sdp, named by the flag
         assert cli.main(["recover", flag, value]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -15,7 +14,6 @@ from phasecs.solver import (
     LiftedOperator,
     _Anderson,
     _NormalSolver,
-    SolverConfig,
     ball_project,
     rank1_extract,
     solve_sdp,
@@ -23,17 +21,17 @@ from phasecs.solver import (
 )
 
 
-def make_problem(n, k, m, omega, alpha, sigma, seed, **cfg_kw):
+def make_problem(n, k, m, omega, alpha, sigma, seed, **solve_kw):
+    """A drawn trial and the keywords of its solve: its ``epsilon`` and ``solve_kw``."""
     inst, est = model.draw_trial(np.random.default_rng(seed), "sparse", n, k, m, 1.0,
                                  alpha, omega, sigma)
-    cfg = SolverConfig(epsilon=inst.epsilon, **cfg_kw)
-    return inst.x, inst.A, inst, est.weights(n), cfg
+    return inst.x, inst.A, inst, est.weights(n), dict(epsilon=inst.epsilon, **solve_kw)
 
 
 def solve_recover_trial(seed, omega):
     """The solve of `phasecs recover --m 40 --omega <omega> --seed <seed>`."""
-    x, a, inst, w, cfg = make_problem(16, 2, 40, omega, 0.75, 0.0, seed)
-    return x, solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+    x, a, inst, w, kw = make_problem(16, 2, 40, omega, 0.75, 0.0, seed)
+    return x, solve_sdp(a, inst.b, w, **kw)
 
 
 def assert_failure_pinned(res, iterations, z_digest, pri, dua, diagnostics):
@@ -179,63 +177,61 @@ class TestRank1Extract:
 
 class TestSolveSdp:
     def test_zero_measurements(self):
-        op = LiftedOperator(np.eye(3))
-        res = solve_sdp(op, np.zeros(3), np.ones(3), SolverConfig())
+        res = solve_sdp(np.eye(3), np.zeros(3), np.ones(3))
         assert res.status == "converged"
         assert np.abs(res.Z).max() <= 1e-9
 
     def test_ball_contains_origin(self):
-        op = LiftedOperator(np.eye(3))
-        res = solve_sdp(op, np.ones(3), np.ones(3), SolverConfig(epsilon=5.0))
+        res = solve_sdp(np.eye(3), np.ones(3), np.ones(3), epsilon=5.0)
         assert res.status == "converged"
         assert np.abs(res.Z).max() <= 1e-4
 
     def test_small_recovery(self):
-        x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
-        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+        x, a, inst, w, kw = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
+        res = solve_sdp(a, inst.b, w, **kw)
         assert res.status == "converged"
         assert model.snr_db(x, res.xhat) >= 40.0
 
     def test_feasibility_and_splitting_at_convergence(self):
-        x, a, inst, w, cfg = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3)
-        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+        x, a, inst, w, kw = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3)
+        res = solve_sdp(a, inst.b, w, **kw)
         assert res.status == "converged"
         d = res.diagnostics
-        assert d["feasibility"] <= cfg.epsilon + 10 * solver.TOL_ABS
+        assert d["feasibility"] <= inst.epsilon + 10 * solver.TOL_ABS
         assert d["min_eigenvalue"] >= -10 * solver.TOL_ABS
         for key in ("split_l", "split_p", "ball_violation"):
             assert d[key] <= res.primal_residual + 1e-12
 
     def test_noisy_feasibility_within_ball(self):
-        x, a, inst, w, cfg = make_problem(8, 1, 20, 1.0, 1.0, 0.1, 5)
-        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+        x, a, inst, w, kw = make_problem(8, 1, 20, 1.0, 1.0, 0.1, 5)
+        res = solve_sdp(a, inst.b, w, **kw)
         assert res.status == "converged"
         assert res.diagnostics["feasibility"] <= inst.epsilon + 10 * solver.TOL_ABS
 
     def test_deterministic(self):
-        x, a, inst, w, cfg = make_problem(6, 1, 10, 0.5, 1.0, 0.0, 11)
-        r1 = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
-        r2 = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+        x, a, inst, w, kw = make_problem(6, 1, 10, 0.5, 1.0, 0.0, 11)
+        r1 = solve_sdp(a, inst.b, w, **kw)
+        r2 = solve_sdp(a, inst.b, w, **kw)
         assert r1.iterations == r2.iterations
         assert r1.Z.tobytes() == r2.Z.tobytes()
         assert r1.xhat.tobytes() == r2.xhat.tobytes()
 
     def test_rank1_self_consistency(self):
-        x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
-        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+        x, a, inst, w, kw = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
+        res = solve_sdp(a, inst.b, w, **kw)
         if res.diagnostics["top_eigenvalue_ratio"] <= 1e-6:
             gap = np.linalg.norm(np.outer(res.xhat, res.xhat) - res.Z)
             assert gap <= 1e-5 * np.linalg.norm(res.Z)
 
     def test_many_rows_recovery(self):
-        x, a, inst, w, cfg = make_problem(4, 1, 20, 1.0, 1.0, 0.0, 17)
-        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+        x, a, inst, w, kw = make_problem(4, 1, 20, 1.0, 1.0, 0.0, 17)
+        res = solve_sdp(a, inst.b, w, **kw)
         assert res.status == "converged"
         assert model.snr_db(x, res.xhat) >= 40.0
 
     def test_reports_accelerator_counts(self):
-        x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
-        d = solve_sdp(LiftedOperator(a), inst.b, w, cfg).diagnostics
+        x, a, inst, w, kw = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
+        d = solve_sdp(a, inst.b, w, **kw).diagnostics
         assert type(d["anderson_accepted"]) is int and d["anderson_accepted"] > 0
         assert type(d["anderson_rejected"]) is int and d["anderson_rejected"] >= 0
 
@@ -284,8 +280,8 @@ class TestSolveSdp:
         # sweeps, penalty updates and accepted and rejected extrapolations as
         # recorded for sweep schema phasecs.sweep.v7.  A change that moves a
         # trajectory updates these pins together with the schema
-        x, a, inst, w, cfg = make_problem(16, 2, m, omega, 0.75, sigma, 7)
-        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+        x, a, inst, w, kw = make_problem(16, 2, m, omega, 0.75, sigma, 7)
+        res = solve_sdp(a, inst.b, w, **kw)
         d = res.diagnostics
         assert res.status == "converged"
         assert (res.iterations, d["penalty_updates"], d["anderson_accepted"],
@@ -294,17 +290,16 @@ class TestSolveSdp:
     def test_fixed_penalty_reports_no_updates(self):
         # the penalty is rebalanced on sweeps 10, 20, ... only, so a solve
         # that stops before sweep 10 keeps the penalty it started from
-        x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
-        op = LiftedOperator(a)
+        x, a, inst, w, kw = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
         for max_iter in (1, 9):
-            res = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, max_iter=max_iter))
+            res = solve_sdp(a, inst.b, w, **kw, max_iter=max_iter)
             assert res.status == "max-iter" and res.iterations == max_iter
             assert res.diagnostics["penalty_updates"] == 0
             assert res.diagnostics["penalty"] == solver.INITIAL_PENALTY
 
     def test_spectrum_diagnostics_match_eigvalsh(self):
-        x, a, inst, w, cfg = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3)
-        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+        x, a, inst, w, kw = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3)
+        res = solve_sdp(a, inst.b, w, **kw)
         lam = np.linalg.eigvalsh(res.Z)
         scale = np.abs(lam).max()
         assert abs(res.diagnostics["min_eigenvalue"] - lam[0]) <= 1e-12 * scale
@@ -316,12 +311,11 @@ class TestSolveSdp:
     def test_accelerated_minimiser_matches_plain(self, monkeypatch, sigma, seed):
         monkeypatch.setattr(solver, "TOL_ABS", 1e-8)
         monkeypatch.setattr(solver, "TOL_REL", 1e-6)
-        x, a, inst, w, cfg = make_problem(8, 2, 24 if sigma else 16, 0.5, 0.5, sigma, seed,
+        x, a, inst, w, kw = make_problem(8, 2, 24 if sigma else 16, 0.5, 0.5, sigma, seed,
                                           max_iter=20000)
-        op = LiftedOperator(a)
-        fast = solve_sdp(op, inst.b, w, cfg)
+        fast = solve_sdp(a, inst.b, w, **kw)
         monkeypatch.setattr(solver, "ANDERSON_MEMORY", 0)
-        plain = solve_sdp(op, inst.b, w, cfg)
+        plain = solve_sdp(a, inst.b, w, **kw)
         assert fast.status == plain.status == "converged"
         assert fast.iterations < plain.iterations
         assert plain.diagnostics["anderson_accepted"] == 0
@@ -332,8 +326,8 @@ class TestSolveSdp:
         (8, 16, 0.0, 3, 4),  # max-iter exit
     ])
     def test_returned_z_is_exactly_symmetric(self, n, m, sigma, seed, max_iter):
-        x, a, inst, w, cfg = make_problem(n, 2, m, 0.5, 0.5, sigma, seed, max_iter=max_iter)
-        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+        x, a, inst, w, kw = make_problem(n, 2, m, 0.5, 0.5, sigma, seed, max_iter=max_iter)
+        res = solve_sdp(a, inst.b, w, **kw)
         assert res.status == ("converged" if max_iter == 5000 else "max-iter")
         assert res.Z.tobytes() == res.Z.T.copy().tobytes()
 
@@ -342,11 +336,10 @@ class TestSolveSdp:
         # the loop; sweeps 7 and 9 are not, and theirs is computed after the
         # loop.  Each exit reports the residuals of its own last sweep, so
         # no two exits report the same ones
-        x, a, inst, w, cfg = make_problem(16, 2, 40, 0.3, 0.75, 0.0, 4)
-        op = LiftedOperator(a)
+        x, a, inst, w, kw = make_problem(16, 2, 40, 0.3, 0.75, 0.0, 4)
         residuals = set()
         for max_iter in (7, 9, 10):
-            res = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, max_iter=max_iter))
+            res = solve_sdp(a, inst.b, w, **kw, max_iter=max_iter)
             assert res.status == "max-iter" and res.iterations == max_iter
             # not tested in the loop, so the convergence test needs no dual residual
             assert res.diagnostics["ball_violation"] > 10 * solver.TOL_ABS
@@ -356,23 +349,22 @@ class TestSolveSdp:
         assert len(residuals) == 3
 
     def test_reports_objective(self):
-        x, a, inst, w, cfg = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3)
-        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+        x, a, inst, w, kw = make_problem(8, 2, 16, 0.5, 0.5, 0.0, 3)
+        res = solve_sdp(a, inst.b, w, **kw)
         wzw = np.outer(w, w) * res.Z
         expected = np.trace(wzw) + solver.LAM * np.abs(wzw).sum()
         assert res.diagnostics["objective"] == pytest.approx(expected, rel=1e-12)
 
     def test_result_has_no_instance_dict(self):
-        x, a, inst, w, cfg = make_problem(6, 1, 10, 0.5, 1.0, 0.0, 11)
-        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+        x, a, inst, w, kw = make_problem(6, 1, 10, 0.5, 1.0, 0.0, 11)
+        res = solve_sdp(a, inst.b, w, **kw)
         assert not hasattr(res, "__dict__")
 
     def test_shape_validation(self):
-        op = LiftedOperator(np.eye(3))
         with pytest.raises(ValueError):
-            solve_sdp(op, np.zeros(2), np.ones(3), SolverConfig())
+            solve_sdp(np.eye(3), np.zeros(2), np.ones(3))
         with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
-            LiftedOperator(np.array([[1.0, np.nan]]))
+            solve_sdp(np.array([[1.0, np.nan]]), np.ones(1), np.ones(2))
 
     @pytest.mark.parametrize("case", ["overflow", "nan", "underflow", "subnormal"])
     def test_refuses_b_without_a_unit(self, case):
@@ -389,12 +381,12 @@ class TestSolveSdp:
                    "nan": "b has non-finite entries", "underflow": unit + "0",
                    "subnormal": unit + "5.99993e-320"}[case]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            solve_sdp(LiftedOperator(a), b, np.ones(3))
+            solve_sdp(a, b, np.ones(3))
 
     def test_overflowing_normal_matrix_is_a_factorization_failure(self):
         # the sensors of 1e100 a are finite, their Gram matrix is not
         a = np.random.default_rng(41).standard_normal((6, 3))
-        res = solve_sdp(LiftedOperator(1e100 * a), np.ones(6), np.ones(3))
+        res = solve_sdp(1e100 * a, np.ones(6), np.ones(3))
         assert_failure_pinned(res, 0, hashlib.sha256(np.zeros((3, 3)).tobytes()).hexdigest()[:16],
                               math.inf, math.inf, {"stop_reason": "factorization-failure",
                                                    "error": "overflow encountered in matmul"})
@@ -402,19 +394,18 @@ class TestSolveSdp:
     @pytest.mark.parametrize("bad", [10 * MAX_WEIGHT, -np.inf, np.nan])
     def test_refuses_weight_beyond_max(self, bad):
         # above about 1e77, w**4 overflows in the normal system
-        op = LiftedOperator(np.eye(3))
+        a = np.eye(3)
         rule = "at most 1e+50" if 0 < bad < np.inf else "finite and nonnegative"
         message = f"w must be {rule}, got {bad:g}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            solve_sdp(op, np.ones(3), np.array([1.0, bad, 1.0]))
-        res = solve_sdp(op, np.ones(3), np.array([1.0, MAX_WEIGHT, 1.0]))
+            solve_sdp(a, np.ones(3), np.array([1.0, bad, 1.0]))
+        res = solve_sdp(a, np.ones(3), np.array([1.0, MAX_WEIGHT, 1.0]))
         assert res.status != "failed"
 
     def test_stop_reason_names_the_exit(self):
-        x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
-        op = LiftedOperator(a)
-        assert solve_sdp(op, inst.b, w, cfg).diagnostics["stop_reason"] == "converged"
-        short = solve_sdp(op, inst.b, w, dataclasses.replace(cfg, max_iter=3))
+        x, a, inst, w, kw = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
+        assert solve_sdp(a, inst.b, w, **kw).diagnostics["stop_reason"] == "converged"
+        short = solve_sdp(a, inst.b, w, **kw, max_iter=3)
         assert short.diagnostics["stop_reason"] == "max-iter"
 
     # Failed solves of make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7), pinned bit for
@@ -440,9 +431,8 @@ class TestSolveSdp:
         (linalg, "eig_sym", linalg.EigNonConvergenceError, None),  # rank-1 extraction
     ])
     def test_eig_failure_is_named(self, monkeypatch, target, name, error, fail_at):
-        x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
-        op = LiftedOperator(a)
-        done = solve_sdp(op, inst.b, w, cfg)
+        x, a, inst, w, kw = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
+        done = solve_sdp(a, inst.b, w, **kw)
         calls = itertools.count(1)
         working = getattr(target, name)
 
@@ -452,20 +442,20 @@ class TestSolveSdp:
             return working(*args, **kwargs)
 
         monkeypatch.setattr(target, name, broken)
-        res = solve_sdp(op, inst.b, w, cfg)
+        res = solve_sdp(a, inst.b, w, **kw)
         assert_failure_pinned(res, *self.EIG_FAILURE_PINS[fail_at], {
             "stop_reason": "eig-failure", "error": "eigensolver did not converge"})
         if fail_at is None:
             assert (res.Z.tobytes(), res.iterations) == (done.Z.tobytes(), done.iterations)
 
     def test_factorization_failure_is_named(self, monkeypatch):
-        x, a, inst, w, cfg = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
+        x, a, inst, w, kw = make_problem(8, 1, 12, 1.0, 1.0, 0.0, 7)
 
         def broken(g, rhs):
             raise linalg.NotPositiveDefiniteError("matrix is not positive definite")
 
         monkeypatch.setattr(linalg, "solve_spd", broken)
-        res = solve_sdp(LiftedOperator(a), inst.b, w, cfg)
+        res = solve_sdp(a, inst.b, w, **kw)
         # no sweep ran: Z is zero and there are no residuals yet
         assert not res.Z.any() and res.Z.shape == (8, 8)
         assert_failure_pinned(res, 0, "076a27c79e5ace2a", math.inf, math.inf, {
@@ -478,13 +468,12 @@ class TestSolveSdp:
 def test_solve_is_scale_equivariant(n, ratio, seed, j):
     # x -> 2^j x scales b = (Ax)^2 by 4^j exactly, so the loop, which runs on
     # b/||b||, takes bitwise the same steps, and Z and xhat scale exactly
-    x, a, inst, w, cfg = make_problem(n, 1 + n // 4, ratio * n, 0.5, 0.75, 0.0, seed)
-    op = LiftedOperator(a)
+    x, a, inst, w, kw = make_problem(n, 1 + n // 4, ratio * n, 0.5, 0.75, 0.0, seed)
     b = (a @ x) ** 2
     b_scaled = (a @ (2.0**j * x)) ** 2
     assert np.array_equal(b_scaled, 4.0**j * b)
-    base = solve_sdp(op, b, w, cfg)
-    scaled = solve_sdp(op, b_scaled, w, cfg)
+    base = solve_sdp(a, b, w, **kw)
+    scaled = solve_sdp(a, b_scaled, w, **kw)
     assert (scaled.status, scaled.iterations) == (base.status, base.iterations)
     assert np.array_equal(scaled.Z, 4.0**j * base.Z)
     assert np.array_equal(scaled.xhat, 2.0**j * base.xhat)
@@ -493,12 +482,10 @@ def test_solve_is_scale_equivariant(n, ratio, seed, j):
 @pytest.mark.parametrize("j", [-3, -1, 2])
 def test_noisy_solve_is_scale_equivariant(j):
     # b and epsilon scaled together by 4^j
-    x, a, inst, w, cfg = make_problem(8, 2, 24, 0.5, 0.75, 0.05, 3)
-    op = LiftedOperator(a)
-    base = solve_sdp(op, inst.b, w, cfg)
-    scaled = solve_sdp(op, 4.0**j * inst.b, w,
-                       dataclasses.replace(cfg, epsilon=4.0**j * inst.epsilon))
-    assert cfg.epsilon > 0 and base.status == "converged"
+    x, a, inst, w, kw = make_problem(8, 2, 24, 0.5, 0.75, 0.05, 3)
+    base = solve_sdp(a, inst.b, w, **kw)
+    scaled = solve_sdp(a, 4.0**j * inst.b, w, epsilon=4.0**j * inst.epsilon)
+    assert inst.epsilon > 0 and base.status == "converged"
     assert (scaled.status, scaled.iterations) == (base.status, base.iterations)
     assert np.array_equal(scaled.Z, 4.0**j * base.Z)
     assert np.array_equal(scaled.xhat, 2.0**j * base.xhat)
@@ -522,15 +509,15 @@ def test_solve_refuses_b_or_returns_finite(seed, log_c, bad, i):
     b = 10.0**log_c * (a @ x) ** 2
     if bad is not None:
         b[i] = bad
-    op = LiftedOperator(a)
     try:
-        res = solve_sdp(op, b, np.ones(3))
+        res = solve_sdp(a, b, np.ones(3))
     except ValueError as exc:
         assert str(exc).startswith(("b is too large", "b has non-finite", "b must be 0 or"))
         return
     assert np.isfinite(res.Z).all() and np.isfinite(res.xhat).all()
     if res.status == "converged":
-        feasibility = scaled_norm(op.forward(svec(res.Z)) - b)
+        # the quadratic forms a_i' Z a_i, without the solver's packed operator
+        feasibility = scaled_norm(((a @ res.Z) * a).sum(axis=1) - b)
         assert feasibility <= 10 * solver.TOL_ABS * scaled_norm(b) * (1 + 1e-9)
 
 
@@ -598,10 +585,13 @@ def test_lifted_operator_forward_and_adjoint(n, m, data):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=-1.0)
+    # the solve's settings, max_iter and epsilon, are checked before b and w
+    with pytest.raises(ValueError, match="^max_iter must be at least 1, got 0$"):
+        solve_sdp(np.eye(3), np.ones(3), np.ones(3), max_iter=0)
+    with pytest.raises(ValueError, match="^max_iter must be at least 1, got 0$"):
+        solve_sdp(np.eye(3), np.ones(2), np.ones(3), epsilon=-1.0, max_iter=0)
+    with pytest.raises(ValueError, match="^epsilon must be finite and nonnegative, got -1$"):
+        solve_sdp(np.eye(3), np.ones(2), np.ones(3), epsilon=-1.0)
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1.0])
@@ -610,7 +600,7 @@ def test_config_refuses_epsilon_not_finite_and_nonnegative(epsilon):
     # sweeps, a bad input reported as a numerical failure
     message = f"^epsilon must be finite and nonnegative, got {epsilon:g}$"
     with pytest.raises(ValueError, match=message):
-        SolverConfig(epsilon=epsilon)
+        solve_sdp(np.eye(3), np.ones(3), np.ones(3), epsilon=epsilon)
 
 
 class TestAnderson:

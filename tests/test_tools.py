@@ -1,8 +1,9 @@
 """The timing loop and row printer that the scripts in ``tools/`` share, and
 the self-time clock of ``certify_cost``, driven by stub passes and a fake
-clock; nothing is solved."""
+clock, and one pass of each solver script on a tiny cell."""
 
 import importlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasecs import model
+from phasecs import cli, model
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -23,7 +24,7 @@ def tools(monkeypatch):
     for var in BLAS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.syspath_prepend(str(TOOLS))
-    for name in ("common", "sweep_cost", "certify_cost", "certify_digest"):
+    for name in ("common", "sweep_cost", "solver_census", "certify_cost", "certify_digest"):
         monkeypatch.delitem(sys.modules, name, raising=False)
     return importlib.import_module
 
@@ -127,3 +128,18 @@ def test_clock_self_time_leaves_out_wrapped_children(tools, monkeypatch):
     assert clock.self_s == {"outer": 5.0, "inner": 4.0}
     timed_inner()
     assert clock.self_s == {"outer": 5.0, "inner": 6.0}
+
+
+def test_solver_scripts_run_a_tiny_cell(tools, monkeypatch):
+    # N=6, k=1, m=12, omega in {0.3, 1}, sigma 0 and two seeds: both scripts
+    # solve the same four trials through cli.solve_trial, so they count the
+    # same sweeps
+    sweep_cost = tools("sweep_cost")
+    solver_census = tools("solver_census")
+    monkeypatch.setattr(sweep_cost, "SEEDS", range(3, 5))
+    figures = sweep_cost.solve_pass(cli, {"tiny": sweep_cost.draw(6, 1, 12, 5000)})()
+    census = solver_census.census(6, 1, (12,), sweep_cost.OMEGAS, (0.0,), range(3, 5))
+    assert (census["trials"], census["capped"], census["failed"]) == (4, 0, 0)
+    assert figures["tiny sweeps"] == census["sweeps"] > 0
+    assert 0 < figures["tiny us/sweep"] < math.inf
+    assert census["snr_min"] >= 40.0

@@ -15,13 +15,17 @@ solved with the default solver settings:
   would run to the default cap of 5000 do not dominate the run time.
 
 The trials are drawn before timing.  One pass solves every trial of every
-set once and gives two rows per set: the summed wall time of its
-``solve_sdp`` calls (setup, sweeps and the rank-1 extraction) over its
-summed sweep count, and that sweep count, which is the same in every pass
-(quartiles after it would mean it was not).
+set once, each by one ``cli.solve_trial(instance, estimate, max_iter)``
+call, the solve of ``phasecs recover`` and of a sweep trial, and gives two
+rows per set: the summed wall time of those calls over the summed sweep
+count, and that sweep count, which is the same in every pass (quartiles
+after it would mean it was not).  The time of a call is that of the whole
+solve (building the lifted operator and the normal system, the sweeps and
+the rank-1 extraction) plus the weights built from the estimate and the
+SNR of the result.
 
 Given the path of another checkout (``PARENT``), the script imports its
-package as well and times both in one process on the same trials (drawn
+``cli`` as well and times both in one process on the same trials (drawn
 by this checkout's ``model``), so that host load falls on both alike.  The
 passes are timed by the loop of ``tools/common.py``: one warm-up pass per
 side that is not counted, then 7 repetitions of one pass per side, the side
@@ -48,26 +52,22 @@ OMEGAS = (0.3, 1.0)
 
 
 def draw(n, k, m, max_iter) -> list:
-    """``(A, b, w, epsilon, max_iter)`` per trial of a set."""
-    return [(inst.A, inst.b, est.weights(n), inst.epsilon, max_iter)
+    """``(instance, estimate, max_iter)`` per trial of a set."""
+    return [(inst, est, max_iter)
             for _, inst, est in common.draw_trials(n, k, (m,), OMEGAS, (0.0,), SEEDS)]
 
 
-def solve_pass(solver, drawn: dict):
-    """A pass of the ``solver`` module over the drawn sets that returns
+def solve_pass(cli, drawn: dict):
+    """A pass of the ``cli`` module over the drawn sets that returns
     microseconds per sweep and sweeps per set."""
-    sets = {name: [(solver.LiftedOperator(a), b, w,
-                    solver.SolverConfig(epsilon=epsilon, max_iter=max_iter))
-                   for a, b, w, epsilon, max_iter in trials]
-            for name, trials in drawn.items()}
 
     def run() -> dict:
         figures = {}
-        for name, trials in sets.items():
+        for name, trials in drawn.items():
             seconds, sweeps = 0.0, 0
-            for op, b, w, cfg in trials:
+            for inst, est, max_iter in trials:
                 start = time.perf_counter()
-                result = solver.solve_sdp(op, b, w, cfg)
+                result, _ = cli.solve_trial(inst, est, max_iter)
                 seconds += time.perf_counter() - start
                 sweeps += result.iterations
             figures[f"{name} us/sweep"] = 1e6 * seconds / sweeps
@@ -77,7 +77,7 @@ def solve_pass(solver, drawn: dict):
 
 
 def main(argv=None) -> int:
-    modules = common.side_modules(__doc__, "solver", argv)
+    modules = common.side_modules(__doc__, "cli", argv)
     drawn = {name: draw(*params) for name, params in SETS.items()}
     figures = common.alternate(
         {label: solve_pass(module, drawn) for label, module in modules.items()}, REPS)
