@@ -383,13 +383,10 @@ def _load_matrix(args) -> np.ndarray:
 
 
 def _weights_from_args(args, n: int) -> np.ndarray:
-    w = np.ones(n)
-    if args.estimate:
-        idx = list(_parse_list(args.estimate, "--estimate", int))
-        if any(i < 0 or i >= n for i in idx):
-            raise ValueError("--estimate index out of range")
-        w[idx] = args.omega
-    return w
+    idx = _parse_list(args.estimate, "--estimate", int) if args.estimate else ()
+    if any(i < 0 or i >= n for i in idx):
+        raise ValueError("--estimate index out of range")
+    return model.SupportEstimate(idx, args.omega).weights(n)
 
 
 # ---------------------------------------------------------------------------

@@ -126,12 +126,20 @@ def check_fraction(value, name: str) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {a[bad][0]:g}")
 
 
+def _check_integer(value, name: str) -> None:
+    # bool is an int subclass, but True is no size
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def check_at_least(value: int, low: int, name: str) -> None:
+    _check_integer(value, name)
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 def check_order(k: int, n: int) -> None:
+    _check_integer(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and n = {n}, got {k}")
 

@@ -42,17 +42,11 @@ def derived_seed(master_seed: int, *keys: int) -> int:
 
 @dataclass(frozen=True)
 class SupportEstimate:
-    """Prior support guess with its accuracy parameters.
-
-    ``indices`` is the guessed index set (0-based), ``omega`` the weight
-    applied on it, ``rho`` its size relative to the sparsity it was built
-    against, and ``alpha`` the fraction of the guess that is correct.
-    """
+    """Prior support guess: ``indices``, the guessed index set (0-based), and
+    ``omega``, the weight applied on it."""
 
     indices: tuple[int, ...]
     omega: float
-    rho: float
-    alpha: float
 
     def weights(self, n: int) -> np.ndarray:
         """Weight vector: ``omega`` on the estimated support, 1 elsewhere."""
@@ -72,7 +66,6 @@ class PhaselessInstance:
     A: np.ndarray
     x: np.ndarray
     e: np.ndarray
-    sigma: float
     epsilon: float
     b: np.ndarray
 
@@ -116,10 +109,14 @@ def support_estimate_sizes(n: int, k: int, rho: float, alpha: float) -> tuple[in
 
     The estimate has ``round(rho*k)`` indices, ``round(alpha*rho*k)`` of them in
     ``T0``, rounded half up; ``ValueError`` if ``rho`` is negative or not finite,
-    if ``alpha`` is outside [0, 1], or if ``T0`` or its complement is too small.
+    if ``alpha`` is outside [0, 1], if the estimate would hold more than ``n``
+    indices, or if ``T0`` or its complement is too small.
     """
     check_nonnegative(rho, "rho")
     check_fraction(alpha, "alpha")
+    # refused before any rounding: rho*k may overflow, or hold hundreds of digits
+    if rho * k + 0.5 >= n + 1:
+        raise ValueError(f"rho {rho:g} is infeasible at k={k}: more than N={n} indices requested")
     size = math.floor(rho * k + 0.5)
     size_in = math.floor(alpha * rho * k + 0.5)
     size_out = size - size_in
@@ -147,7 +144,7 @@ def gen_support_estimate(rng: np.random.Generator, t0: np.ndarray, n: int, k: in
     pool = np.array([i for i in range(n) if i not in in_t0], dtype=int)
     outside = rng.choice(pool, size=size_out, replace=False) if size_out else np.empty(0, int)
     indices = tuple(sorted(int(i) for i in np.concatenate([inside, outside])))
-    return SupportEstimate(indices=indices, omega=float(omega), rho=float(rho), alpha=float(alpha))
+    return SupportEstimate(indices=indices, omega=float(omega))
 
 
 def gen_gaussian_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -178,7 +175,7 @@ def make_instance(
         e = sigma * rng.standard_normal(m) if sigma > 0 else np.zeros(m)
     epsilon = math.sqrt(squared_norm(e, "sigma"))
     b = (A @ x) ** 2 + e
-    return PhaselessInstance(A=A, x=x, e=e, sigma=float(sigma), epsilon=epsilon, b=b)
+    return PhaselessInstance(A=A, x=x, e=e, epsilon=epsilon, b=b)
 
 
 def draw_trial(rng: np.random.Generator, signal: str, n: int, k: int, m: int, rho: float,

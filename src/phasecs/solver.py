@@ -39,7 +39,7 @@ rebalanced when one residual exceeds the other tenfold, by the factor
 sqrt(pri/dua) clipped to [1/10, 10] (residual balancing, Wohlberg 2017); the
 scaled duals are divided by the same factor.  A penalty change takes the
 plain step and clears the memory, because rescaling the duals changes T,
-and it is made only at a point the safeguard accepts.  ``ANDERSON_MEMORY``
+and it is made only at a point the safeguard keeps.  ``ANDERSON_MEMORY``
 is 20.
 
 The program is positively homogeneous: scaling b and eps by c scales the
@@ -101,10 +101,6 @@ class LiftedOperator:
         # row i is svec(a_i a_i')
         lifts = (self.a[:, :, None] * self.a[:, None, :]).reshape(m, n * n)
         self.sensors = lifts[:, lay.upper] * lay.scale
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.a.shape
 
     def forward(self, z: np.ndarray) -> np.ndarray:
         return self.sensors @ z
@@ -189,7 +185,7 @@ class _NormalSolver:
     """
 
     def __init__(self, op: LiftedOperator, w: np.ndarray):
-        m, n = op.shape
+        m, n = op.a.shape
         self.op = op
         self.h = (1.0 / (np.outer(w * w, w * w) + 1.0)).take(linalg.svec_layout(n).upper)
         with np.errstate(over="raise"):
@@ -221,7 +217,9 @@ class _Anderson:
 
     Safeguard: an extrapolated point whose residual is larger than that of the
     point it came from is rejected; the stored plain step T(x_prev) is taken
-    instead and the memory is cleared.
+    instead and the memory is cleared.  Any other extrapolated point is
+    accepted.  ``step(g, f, restart=True)`` clears the memory at a point the
+    safeguard keeps and returns ``g`` itself.
     """
 
     def __init__(self, dim: int, memory: int):
@@ -238,24 +236,24 @@ class _Anderson:
         self.prev = None  # (f, g, ||f||^2) at the last evaluated point
         self.extrapolated = False  # the point being evaluated was extrapolated
 
-    def vetted(self, f: np.ndarray) -> bool:
-        """False if ``step(g, f)`` would reject the point that produced ``f``."""
-        return not self.extrapolated or float(f @ f) <= self.prev[2]
-
-    def step(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+    def step(self, g: np.ndarray, f: np.ndarray, restart: bool = False) -> np.ndarray:
         if self.memory == 0:
             return g
         fn = float(f @ f)
-        if self.prev is None:
-            self.prev = (f, g, fn)
-            return g
-        f_prev, g_prev, fn_prev = self.prev
         if self.extrapolated:
-            if fn > fn_prev:
+            if fn > self.prev[2]:
                 self.rejected += 1
+                g_prev = self.prev[1]
                 self.reset()
                 return g_prev
             self.accepted += 1
+        if restart:
+            self.reset()
+            return g
+        if self.prev is None:
+            self.prev = (f, g, fn)
+            return g
+        f_prev, g_prev, _ = self.prev
         self.prev = (f, g, fn)
         k = self.count % self.memory
         np.subtract(f, f_prev, out=self.df[k])
@@ -311,7 +309,7 @@ def solve_sdp(a, b, w, *, epsilon: float = 0.0, max_iter: int = MAX_ITER) -> Sol
     aside.
     """
     op = LiftedOperator(a)
-    m, n = op.shape
+    m, n = op.a.shape
     linalg.check_at_least(max_iter, 1, "max_iter")
     linalg.check_nonnegative(epsilon, "epsilon")
     b = linalg.as_vector(b, m, "b")
@@ -391,21 +389,18 @@ def solve_sdp(a, b, w, *, epsilon: float = 0.0, max_iter: int = MAX_ITER) -> Sol
             # scaled duals thrash and can stall convergence outright.  The
             # step sqrt(pri/dua) balances the residuals in one move where a
             # fixed factor of 2 needs several rebalances (Wohlberg 2017).
-            # Residuals of an extrapolated point the safeguard is about to
-            # drop say nothing about the iteration, so such a point is
-            # replaced first and the rebalance waits for the next check
-            if (rebalance_sweep and pri > 0 and dua > 0
-                    and (pri > 10.0 * dua or dua > 10.0 * pri) and accel.vetted(f)):
+            # Rescaling the duals changes the map, so a rebalance restarts the
+            # accelerator from the plain step g.  An extrapolated point the
+            # safeguard drops says nothing about the iteration: step returns
+            # the stored plain step instead and the rebalance waits
+            restart = (rebalance_sweep and pri > 0 and dua > 0
+                       and (pri > 10.0 * dua or dua > 10.0 * pri))
+            x = accel.step(g, f, restart)
+            if restart and x is g:
                 factor = min(max(math.sqrt(pri / dua), 0.1), 10.0)
-                # rescaling the duals changes the map: take the plain step,
-                # which no safeguard has to vet, and clear the memory
                 rho *= factor
                 penalty_updates += 1
-                x = g
                 x[i_dl:] /= factor
-                accel.reset()
-            else:
-                x = accel.step(g, f)
         z_mat = smat(z)
         xhat, eigvals = rank1_extract(z_mat)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

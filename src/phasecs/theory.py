@@ -15,18 +15,19 @@ from .linalg import check_at_least, check_fraction, check_nonnegative
 
 
 def gamma(omega: float, rho: float, alpha: float) -> float:
-    """gamma = omega + (1 - omega) * sqrt(1 + rho - 2*alpha*rho)."""
-    radicand = 1.0 + rho - 2.0 * alpha * rho
+    """gamma = omega + (1 - omega) * sqrt(1 + rho*(1 - 2*alpha))."""
+    # rho factored out: 1 + rho - 2*alpha*rho loses the 1 once rho passes 2**53
+    radicand = 1.0 + rho * (1.0 - 2.0 * alpha)
     if radicand < 0:
         raise ValueError(f"rho {rho:g} at alpha {alpha:g} makes 1 + rho - 2*alpha*rho negative")
     return omega + (1.0 - omega) * math.sqrt(radicand)
 
 
 def d_const(omega: float, rho: float, alpha: float) -> float:
-    """d = 1 for omega = 1, else 1 - alpha*rho + max(alpha, 1 - alpha)*rho."""
+    """d = 1 for omega = 1, else 1 + rho*(max(alpha, 1 - alpha) - alpha)."""
     if omega == 1.0:
         return 1.0
-    return 1.0 - alpha * rho + max(alpha, 1.0 - alpha) * rho
+    return 1.0 + rho * (max(alpha, 1.0 - alpha) - alpha)
 
 
 def delta_threshold(t: float, d: float, gam: float) -> float:

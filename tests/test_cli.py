@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -190,6 +191,9 @@ class TestRecoverCommand:
     @pytest.mark.parametrize("flag, value, message", [
         ("--rho", "nan", "rho must be finite and nonnegative, got nan"),
         ("--rho", "-1", "rho must be finite and nonnegative, got -1"),
+        # round(rho*k) overflowed into a traceback, or printed 300-digit integers
+        ("--rho", "1e308", "rho 1e+308 is infeasible at k=2: more than N=16 indices requested"),
+        ("--rho", "8e307", "rho 8e+307 is infeasible at k=2: more than N=16 indices requested"),
         ("--alpha", "nan", "alpha must be in [0, 1], got nan"),
         ("--alpha", "-0.5", "alpha must be in [0, 1], got -0.5"),
         ("--alpha", "1.1", "alpha must be in [0, 1], got 1.1"),
@@ -294,6 +298,20 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err == refusal(key, value)
+
+    def test_refuses_rho_beyond_n_indices(self, monkeypatch, capsys, tmp_path):
+        def no_trial(*_):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trial", no_trial)
+        cfg = tmp_path / "rho.cfg"
+        # at k = 2, rho*k overflows; round(rho*k) once raised OverflowError
+        cfg.write_text(TINY_CONFIG + "k = 2\nrho = 1e308\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: rho 1e+308 is infeasible at k=2: "
+                                "more than N=8 indices requested\n")
 
     @pytest.mark.parametrize("flags, line, message", [
         (["--seed", "-1"], "", "--seed must be in [0, 2**64), got -1"),
@@ -901,6 +919,17 @@ def test_flag_tables_name_each_parameter_once(command):
     # leave it as it was: no flag or key that a table gives is a name it maps
     table = cli._FLAGS[command]
     assert not set(table.values()) & set(table)
+
+
+def test_console_script_runs_main(capsys):
+    # pyproject.toml installs `phasecs` as this entry point; every other CLI
+    # test runs `python -m phasecs`
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(SRC).parent / "pyproject.toml").read_text())["project"]
+    module, _, attr = project["scripts"]["phasecs"].partition(":")
+    main = getattr(importlib.import_module(module), attr)
+    assert main(["constants", "--alphas", "0.5", "--omegas", "1"]) == 0
+    assert capsys.readouterr().out.startswith("# schema=phasecs.constants.v1\n")
 
 
 def test_unknown_subcommand():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasecs import certify, cli, model, solver
 from phasecs.linalg import (
     MAX_WEIGHT,
     TOL,
@@ -351,9 +352,40 @@ class TestInputRules:
         assert np.array_equal(check_weights((-0.0, MAX_WEIGHT), "w"), [0.0, MAX_WEIGHT])
         check_fraction([0.0, 1.0], "alphas")
         check_order(4, 4)
+        check_order(np.int32(2), 3)  # numpy integers are integers
+        check_at_least(np.int64(2), 1, "m")
         v = np.array([3.0, 4.0, 1e150])
         assert squared_norm(v, "y") == v @ v and np.sqrt(squared_norm(v, "y")) == np.linalg.norm(v)
         assert unit_squared_norm(v, "y") == v @ v
         tiny = np.sqrt(np.finfo(float).tiny)  # the least norm of a unit, and 0
         assert unit_squared_norm(np.array([tiny, 0.0]), "b") == tiny * tiny
         assert unit_squared_norm(np.array([0.0, -0.0]), "b") == 0.0
+
+
+def tiny_sweep(**fields):
+    return cli.SweepConfig(**{"signal": "sparse", "n": 8, "k": 1, "alphas": (1.0,),
+                              "omegas": (1.0,), "ms": (12,), "sigmas": (0.0,), "trials": 1,
+                              **fields})
+
+
+EYE = (np.eye(3), np.ones(3), np.ones(3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: solver.solve_sdp(*EYE, max_iter=2.5), "max_iter must be an integer, got 2.5"),
+    (lambda: solver.solve_sdp(*EYE, max_iter=True), "max_iter must be an integer, got True"),
+    (lambda: tiny_sweep(trials=2.5), "trials must be an integer, got 2.5"),
+    (lambda: tiny_sweep(max_iter=2.5), "max_iter must be an integer, got 2.5"),
+    (lambda: tiny_sweep(n=8.0), "n must be an integer, got 8.0"),
+    (lambda: tiny_sweep(k=1.0), "k must be an integer, got 1.0"),
+    (lambda: tiny_sweep(ms=(12, 8.5)), "ms must be an integer, got 8.5"),
+    (lambda: model.gen_gaussian_matrix(np.random.default_rng(0), 2.0, 3),
+     "m must be an integer, got 2.0"),
+    (lambda: certify.rip_constant(np.eye(3), 2.5), "k must be an integer, got 2.5"),
+])
+def test_integer_parameter_refused_by_name(call, message):
+    # refused by the size rules of linalg, not by a TypeError of range, numpy
+    # or math.comb after the work has begun
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

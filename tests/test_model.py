@@ -101,6 +101,8 @@ class TestSupportEstimate:
 
     @pytest.mark.parametrize("n, k, rho, alpha, sizes", [
         (32, 4, 1.0, 0.75, (3, 1)), (16, 4, 1.5, 0.5, (3, 3)), (8, 3, 1.0, 0.5, (2, 1)),
+        # the largest estimate: round(4.1 * 2) = 8 = N indices
+        (8, 2, 4.1, 0.25, (2, 6)),
     ])
     def test_sizes_round_half_up(self, n, k, rho, alpha, sizes):
         assert model.support_estimate_sizes(n, k, rho, alpha) == sizes
@@ -109,6 +111,14 @@ class TestSupportEstimate:
     def test_infeasible_sizes_raise(self, n, k, rho, alpha):
         with pytest.raises(ValueError, match="infeasible"):
             model.support_estimate_sizes(n, k, rho, alpha)
+
+    @pytest.mark.parametrize("rho", [4.25, 8e307, 1e308])
+    def test_estimate_larger_than_n_is_refused_by_rho(self, rho):
+        # refused before rho*k is rounded: at 1e308 it overflowed, and at
+        # 8e307 the message printed two integers of 300 digits
+        with pytest.raises(ValueError) as info:
+            model.support_estimate_sizes(8, 2, rho, 0.5)
+        assert str(info.value) == f"rho {rho:g} is infeasible at k=2: more than N=8 indices requested"
 
     @pytest.mark.parametrize("rho, alpha, name", [
         (math.nan, 0.5, "rho"), (-1.0, 0.5, "rho"), (math.inf, 0.5, "rho"),
@@ -141,7 +151,7 @@ class TestSupportEstimate:
             draw(rng_for(3))
 
     def test_weights_pattern(self):
-        est = model.SupportEstimate(indices=(1, 3), omega=0.4, rho=1.0, alpha=1.0)
+        est = model.SupportEstimate(indices=(1, 3), omega=0.4)
         assert np.allclose(est.weights(5), [1.0, 0.4, 1.0, 0.4, 1.0])
 
 

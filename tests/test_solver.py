@@ -21,6 +21,17 @@ from phasecs.solver import (
 )
 
 
+# the trials (m, omega, sigma) and counts of TestSolveSdp.test_trajectory_pins
+PINS = [
+    (40, 0.3, 0.0, (98, 1, 78, 5)),
+    (40, 1.0, 0.0, (56, 2, 49, 0)),
+    (80, 0.3, 0.0, (68, 0, 53, 4)),
+    (80, 1.0, 0.0, (61, 2, 54, 0)),
+    # eps > 0: the measurement prox scales onto the ball
+    (80, 1.0, 0.1, (196, 6, 173, 3)),
+]
+
+
 def make_problem(n, k, m, omega, alpha, sigma, seed, **solve_kw):
     """A drawn trial and the keywords of its solve: its ``epsilon`` and ``solve_kw``."""
     inst, est = model.draw_trial(np.random.default_rng(seed), "sparse", n, k, m, 1.0,
@@ -256,7 +267,7 @@ class TestSolveSdp:
         updates = res.diagnostics["penalty_updates"]
         assert type(updates) is int and updates >= 1
 
-    def test_rebalance_waits_for_a_vetted_point(self):
+    def test_rebalance_waits_for_a_kept_point(self):
         # `phasecs recover --m 40 --omega 0.3 --seed 1512458062`, a trial with
         # |x|^2 = 3.5e-4: at sweep 90 an extrapolated point with a large
         # residual set off a tenfold penalty cut; rebalancing from it, before
@@ -267,18 +278,12 @@ class TestSolveSdp:
         assert res.status == "converged" and res.iterations <= 500
         assert model.snr_db(x, res.xhat) >= 100.0
 
-    @pytest.mark.parametrize("m, omega, sigma, counts", [
-        (40, 0.3, 0.0, (98, 1, 77, 5)),
-        (40, 1.0, 0.0, (56, 2, 47, 0)),
-        (80, 0.3, 0.0, (68, 0, 53, 4)),
-        (80, 1.0, 0.0, (61, 2, 52, 0)),
-        # eps > 0: the measurement prox scales onto the ball
-        (80, 1.0, 0.1, (196, 6, 168, 3)),
-    ])
+    @pytest.mark.parametrize("m, omega, sigma, counts", PINS)
     def test_trajectory_pins(self, m, omega, sigma, counts):
         # `phasecs recover --m <m> --omega <omega> --sigma <sigma> --seed 7`:
         # sweeps, penalty updates and accepted and rejected extrapolations as
-        # recorded for sweep schema phasecs.sweep.v7.  A change that moves a
+        # recorded for sweep schema phasecs.sweep.v7, a kept extrapolation on
+        # a rebalance sweep counted as accepted.  A change that moves a
         # trajectory updates these pins together with the schema
         x, a, inst, w, kw = make_problem(16, 2, m, omega, 0.75, sigma, 7)
         res = solve_sdp(a, inst.b, w, **kw)
@@ -286,6 +291,33 @@ class TestSolveSdp:
         assert res.status == "converged"
         assert (res.iterations, d["penalty_updates"], d["anderson_accepted"],
                 d["anderson_rejected"]) == counts
+
+    @pytest.mark.parametrize("m, omega, sigma", [pin[:3] for pin in PINS])
+    def test_anderson_counts_add_up(self, monkeypatch, m, omega, sigma):
+        # every extrapolated point is accepted or rejected by the sweep after
+        # it, a rebalance sweep included; the last point is judged by none
+        made = []
+
+        class Counting(solver._Anderson):
+            produced = 0
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+            def step(self, g, f, restart=False):
+                x = super().step(g, f, restart)
+                self.produced += int(self.extrapolated)
+                return x
+
+        monkeypatch.setattr(solver, "_Anderson", Counting)
+        x, a, inst, w, kw = make_problem(16, 2, m, omega, 0.75, sigma, 7)
+        res = solve_sdp(a, inst.b, w, **kw)
+        [accel] = made
+        d = res.diagnostics
+        assert accel.produced > 0
+        assert (d["anderson_accepted"] + d["anderson_rejected"]
+                == accel.produced - int(accel.extrapolated))
 
     def test_fixed_penalty_reports_no_updates(self):
         # the penalty is rebalanced on sweeps 10, 20, ... only, so a solve
@@ -635,12 +667,27 @@ class TestAnderson:
         x2 = accel.step(g1, np.array([0.0, 0.5]))
         assert accel.extrapolated and not np.array_equal(x2, g1)
         # the extrapolated point's residual exceeds that of the point it came from
-        assert accel.vetted(np.array([0.0, 0.5])) and not accel.vetted(np.array([1.0, 1.0]))
         out = accel.step(np.array([5.0, 5.0]), np.array([1.0, 1.0]))
         assert out is g1
         assert (accel.rejected, accel.accepted, accel.count) == (1, 0, 0)
         assert not accel.extrapolated
-        assert accel.vetted(np.array([9.0, 9.0]))  # a plain step is never rejected
+        # a plain step is never rejected, so a restart keeps it and returns it
+        g9 = np.array([9.0, 9.0])
+        assert accel.step(g9, np.array([9.0, 9.0]), restart=True) is g9
+        assert (accel.rejected, accel.accepted, accel.prev) == (1, 0, None)
+
+    @pytest.mark.parametrize("f, kept", [((0.0, 0.1), True), ((1.0, 1.0), False)])
+    def test_restart_judges_the_point_first(self, f, kept):
+        # the penalty rebalance acts only at a point the safeguard keeps: a
+        # restart returns g itself then, and the stored plain step otherwise
+        accel = _Anderson(2, 10)
+        g1 = np.array([1.0, 0.5])
+        accel.step(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        accel.step(g1, np.array([0.0, 0.5]))
+        g = np.array([1.0, 0.6])
+        assert accel.step(g, np.array(f), restart=True) is (g if kept else g1)
+        assert (accel.accepted, accel.rejected) == (int(kept), int(not kept))
+        assert accel.prev is None and not accel.extrapolated
 
     def test_accepted_extrapolation_is_counted(self):
         accel = _Anderson(2, 10)

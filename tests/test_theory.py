@@ -156,6 +156,18 @@ class TestConstantsTable:
         rows = theory.constants_table(1.0, 0.5, 1.5, 4.0, 0.3, [0.5], GRID)
         assert all(abs(r.t_omega - 4.0 / 3.0) <= 1e-12 for r in rows)
 
+    @pytest.mark.parametrize("rho", [1e16, 1e17, 1e308])
+    def test_half_alpha_rows_at_large_rho(self, rho):
+        # gamma = d = 1 at alpha = 0.5 for every rho; written as 1 + rho - 2 alpha
+        # rho, they lost the 1 beyond rho = 2**53: t_omega read 1 at 1e16, and
+        # d = 0 divided by zero at 1e17
+        rows = theory.constants_table(rho, 0.5, 1.5, 4.0, 0.3, [0.5], GRID)
+        at_one = theory.constants_table(1.0, 0.5, 1.5, 4.0, 0.3, [0.5], GRID)
+        for row, ref in zip(rows, at_one):
+            assert abs(row.t_omega - 4.0 / 3.0) <= 1e-12
+            assert math.isfinite(row.c1) and math.isfinite(row.c2)
+            assert (row.c1, row.c2) == (ref.c1, ref.c2)
+
     def test_not_applicable_rows_kept(self):
         rows = theory.constants_table(1.0, 0.5, 1.5, 4.0, 0.8, [0.0], [0.0])
         assert len(rows) == 1
