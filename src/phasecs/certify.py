@@ -40,12 +40,14 @@ refused by ``unit_squared_norm``: nonzero, its squared norm must be a
 finite normal float, since its norm sets the scale.  A least cost that
 overflows even so refuses ``w``.
 
-The enumeration caps are fixed; beyond one, a check refuses with
-:class:`CapExceededError` and never falls back to sampling.  They are
-2,000,000 supports (``rip_constant``, ``srip_bounds``), 2,000,000
-(d-1)-subsets of the positive-weight coordinates at kernel dimension d
-(``weighted_nsp_check``) and at pair-space dimension d, summed over row
-splits and supports (``phaseless_nsp_check``), 14 rows (``srip_bounds``,
+The enumeration caps are fixed, in one table; beyond one, a check refuses
+with :class:`CapExceededError`, named by the cap, and never falls back to
+sampling.  They are 2,000,000 supports (``rip_constant``; ``srip_bounds``
+counts each once with all rows and once per row subset, ``C(N, k) *
+(C(m, ceil(m/2)) + 1)``), 2,000,000 (d-1)-subsets of the positive-weight
+coordinates at kernel dimension d (``weighted_nsp_check``) and at
+pair-space dimension d, summed over row splits and supports
+(``phaseless_nsp_check``), 14 rows (``srip_bounds``,
 ``brute_force_phaseless``), 12 rows (``phaseless_nsp_check``) and 12
 columns (the l1 oracles).  Supports and subsets are drawn in chunks of at
 most 8192 stacked entries, so no table of them is ever built whole.
@@ -67,9 +69,23 @@ from .model import best_k_support, canonical_sign, weighted_l1
 class CapExceededError(RuntimeError):
     """An enumeration size cap was exceeded; ``cap`` names the violated limit."""
 
-    def __init__(self, cap: str, detail: str = ""):
+    def __init__(self, cap: str, detail: str):
         self.cap = cap
-        super().__init__(f"{cap} exceeded" + (f": {detail}" if detail else ""))
+        super().__init__(f"{cap} exceeded: {detail}")
+
+
+# the enumeration caps of the module docstring, by the name a refusal gives
+_CAPS = {"support enumeration cap": 2_000_000, "vertex enumeration cap": 2_000_000,
+         "row subset cap": 14, "row split cap": 12, "oracle dimension cap": 12,
+         "sign pattern cap": 14}
+
+
+def _within(cap: str, used: int, detail: str, *args) -> None:
+    """Refuse ``used`` over the limit of ``cap``; only then is ``detail``
+    formatted, with ``args``, ``used`` and ``limit``."""
+    limit = _CAPS[cap]
+    if used > limit:
+        raise CapExceededError(cap, detail.format(*args, used=used, limit=limit))
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,9 +232,6 @@ def _first_max(a: np.ndarray, k: int, score) -> tuple[float, tuple[int, ...]]:
 # Restricted isometry constants
 # ---------------------------------------------------------------------------
 
-_SUPPORT_CAP = 2_000_000  # supports (rip_constant, srip_bounds), subsets (the NSP checks)
-_SRIP_ROW_CAP = 14
-
 
 def rip_constant(a, k: int) -> RipReport:
     """Exact isometry constant of order ``k`` by exhaustive support enumeration.
@@ -230,8 +243,7 @@ def rip_constant(a, k: int) -> RipReport:
     n = a.shape[1]
     check_order(k, n)
     count = math.comb(n, k)
-    if count > _SUPPORT_CAP:
-        raise CapExceededError("support enumeration cap", f"C({n},{k})={count} > {_SUPPORT_CAP}")
+    _within("support enumeration cap", count, "C({},{})={used} > {limit}", n, k)
     delta, support = _first_max(a, k, lambda lam: np.abs(lam - 1.0).max(axis=1))
     return RipReport(order=k, delta=delta, delta_support=support, enumerated=count)
 
@@ -242,24 +254,22 @@ def srip_bounds(a, k: int) -> RipReport:
     ``theta_minus`` is the worst lower bound over row subsets of size
     ``ceil(m/2)`` (dropping rows only shrinks ``||A_I x||``, so the minimum
     over all subsets with at least m/2 rows is attained at the smallest
-    allowed size); ``theta_plus`` is attained with all rows kept.
+    allowed size); ``theta_plus`` is attained with all rows kept.  Refuses
+    over 14 rows, and over 2,000,000 supports, ``C(N, k) * (C(m, ceil(m/2)) + 1)``.
     """
     a = as_matrix(a)
     m, n = a.shape
     check_order(k, n)
-    if m > _SRIP_ROW_CAP:
-        raise CapExceededError("row subset cap", f"m={m} > {_SRIP_ROW_CAP}")
-    n_supports = math.comb(n, k)
-    if n_supports > _SUPPORT_CAP:
-        raise CapExceededError("support enumeration cap",
-                               f"C({n},{k})={n_supports} > {_SUPPORT_CAP}")
+    _within("row subset cap", m, "m={used} > {limit}")
+    passes = math.comb(m, (m + 1) // 2) + 1
+    count = math.comb(n, k) * passes
+    _within("support enumeration cap", count, "C({},{})*{}={used} > {limit}", n, k, passes)
     # the first extremum wins: ties keep the earliest candidate, row subsets
     # before supports; negation is exact, so the least eigenvalue is the
     # negated first maximum of its negation
     theta_plus, upper_support = _first_max(a, k, lambda lam: lam[:, 0])
-    subsets = list(combinations(range(m), (m + 1) // 2))
     lower = max((_first_max(a[list(rows), :], k, lambda lam: -lam[:, -1]) + (rows,)
-                 for rows in subsets), key=lambda found: found[0])
+                 for rows in combinations(range(m), (m + 1) // 2)), key=lambda found: found[0])
     return RipReport(
         order=k,
         theta_minus=-lower[0],
@@ -267,7 +277,7 @@ def srip_bounds(a, k: int) -> RipReport:
         lower_support=lower[1],
         lower_rows=lower[2],
         upper_support=upper_support,
-        enumerated=n_supports * (len(subsets) + 1),
+        enumerated=count,
     )
 
 
@@ -284,14 +294,14 @@ def _classify(margin: float, witness, enumerated: int) -> NspVerdict:
     return NspVerdict("holds-exact", margin, None, enumerated)
 
 
-def _kernel_vertices(coords: np.ndarray, rows: np.ndarray, basis: np.ndarray):
+def _kernel_vertices(coords: np.ndarray, basis: np.ndarray):
     """Vertex directions of ``{basis c : ||coords c||_{1,w} <= 1}``, one
     stack per chunk of subsets, with the subsets that define them.
 
-    ``coords`` has orthonormal columns (dimension d), ``rows`` are its
-    positive-weight rows and ``basis`` maps the same coefficients ``c`` to
+    ``coords`` (dimension d) holds the positive-weight rows of a matrix with
+    orthonormal columns, and ``basis`` maps the same coefficients ``c`` to
     the vectors wanted.  Every vertex has ``coords c`` vanishing on some
-    (d-1)-subset ``Z`` of ``rows`` where ``coords[Z]`` has rank d - 1, so for
+    (d-1)-subset ``Z`` of the rows where ``coords[Z]`` has rank d - 1, so for
     each such ``Z`` the unit null vector ``c`` of ``coords[Z]`` gives the
     candidate ``basis c``; d = 1 gives the line itself.  Yields ``(stack,
     zeros)``: one candidate per row of ``stack``, and its ``Z``, as rows of
@@ -301,14 +311,14 @@ def _kernel_vertices(coords: np.ndarray, rows: np.ndarray, basis: np.ndarray):
     if dim == 1:
         yield basis.T, np.empty((1, 0), dtype=np.intp)
         return
-    for chunk, cols in _column_stacks(coords[rows].T, dim - 1):
+    for chunk, cols in _column_stacks(coords.T, dim - 1):
         # cols[i] is coords[Z]^T, (d, d-1): its left null vector is the last
-        # column of u; coords has orthonormal columns, so the singular values
-        # are at most 1
+        # column of u; rows of orthonormal columns have singular values of
+        # at most 1
         u, sing, _ = np.linalg.svd(cols)
         full = sing[:, -1] > TOL.struct_zero
         if full.any():
-            yield u[full, :, -1] @ basis.T, rows[chunk[full]]
+            yield u[full, :, -1] @ basis.T, chunk[full]
 
 
 def weighted_nsp_check(a, k: int, w) -> NspVerdict:
@@ -334,17 +344,17 @@ def weighted_nsp_check(a, k: int, w) -> NspVerdict:
     kernel = kernel_basis(a)
     dim = kernel.shape[1]
     if dim == 0:
-        return NspVerdict("holds-exact", math.inf, None, 0)
+        return _classify(math.inf, None, 0)
     positive = np.flatnonzero(w > 0.0)
-    _, sing, vt = np.linalg.svd(kernel[positive])
+    coords = kernel[positive]
+    _, sing, vt = np.linalg.svd(coords)
     theta, worst = -math.inf, None
     if sing.size == dim and sing[-1] > TOL.struct_zero:
         count = math.comb(positive.size, dim - 1)
-        if count > _SUPPORT_CAP:
-            raise CapExceededError("vertex enumeration cap",
-                                   f"C({positive.size},{dim - 1})={count} > {_SUPPORT_CAP}")
-        for h, zeros in _kernel_vertices(kernel, positive, kernel):
-            np.put_along_axis(h, zeros, 0.0, axis=1)
+        _within("vertex enumeration cap", count, "C({},{})={used} > {limit}",
+                positive.size, dim - 1)
+        for h, zeros in _kernel_vertices(coords, kernel):
+            np.put_along_axis(h, positive[zeros], 0.0, axis=1)
             mass = w * np.abs(h)
             top = np.partition(mass, n - k, axis=1)[:, n - k:].sum(axis=1)
             ratios = top / mass.sum(axis=1)
@@ -358,7 +368,7 @@ def weighted_nsp_check(a, k: int, w) -> NspVerdict:
         # kernel; the vector's largest entries make the witness
         h = kernel @ vt[-1]
         support = tuple(int(i) for i in best_k_support(h, k))
-        return NspVerdict("fails", 0.0, NspWitness(h, support), 0)
+        return _classify(0.0, NspWitness(h, support), 0)
     h = worst / np.linalg.norm(worst)
     support = tuple(int(i) for i in best_k_support(w * h, k))
     return _classify(1.0 - 2.0 * theta, NspWitness(h, support), count)
@@ -367,8 +377,6 @@ def weighted_nsp_check(a, k: int, w) -> NspVerdict:
 # ---------------------------------------------------------------------------
 # Phaseless weighted null space property
 # ---------------------------------------------------------------------------
-
-_PNSP_ROW_CAP = 12
 
 
 def _zero(x: np.ndarray) -> np.ndarray:
@@ -443,8 +451,7 @@ def phaseless_nsp_check(a, k: int, w) -> NspVerdict:
     m, n = a.shape
     w = as_vector(w, n, "w", check_weights)
     check_order(k, n)
-    if m > _PNSP_ROW_CAP:
-        raise CapExceededError("row split cap", f"m={m} > {_PNSP_ROW_CAP}")
+    _within("row split cap", m, "m={used} > {limit}")
     positive = np.flatnonzero(w > 0.0)
     worst, witness, total = math.inf, None, 0
     for rows, ker_s, ker_c in _split_kernels(a):
@@ -470,16 +477,14 @@ def phaseless_nsp_check(a, k: int, w) -> NspVerdict:
                 i, j = int(np.argmin(u_zero)), int(np.argmin(v_zero))
                 for x in (flat[:, i], flat[:, j], flat[:, i] + flat[:, j]):
                     if not (_zero(x[:n]) or _zero(x[n:])):
-                        return NspVerdict("fails", -math.inf,
-                                          PhaselessWitness(x[:n], x[n:], rows), total)
+                        return _classify(-math.inf, PhaselessWitness(x[:n], x[n:], rows), total)
             only_u, only_v = [flat[:n, v_zero].T], [flat[n:, u_zero].T]
             if rank:
                 total += math.comb(positive.size, rank - 1)
-                if total > _SUPPORT_CAP:
-                    raise CapExceededError("vertex enumeration cap",
-                                           f"over {_SUPPORT_CAP} subsets by row split {rows}")
+                _within("vertex enumeration cap", total,
+                        "over {limit} subsets by row split {}", rows)
                 basis = pair @ span @ (vt[:rank].T / sing[:rank])
-                for uv, _ in _kernel_vertices(left[:, :rank], np.arange(positive.size), basis):
+                for uv, _ in _kernel_vertices(left[:, :rank], basis):
                     u, v = uv[:, :n], uv[:, n:]
                     u_zero, v_zero = _zero(u), _zero(v)
                     only_u.append(u[v_zero])
@@ -497,17 +502,12 @@ def phaseless_nsp_check(a, k: int, w) -> NspVerdict:
             found = _disjoint_pair(only_u, only_v, positive) if 0.0 < worst else None
             if found is not None:
                 worst, witness = 0.0, PhaselessWitness(*found, rows)
-    if witness is None:
-        return NspVerdict("holds-exact", math.inf, None, total)
     return _classify(worst, witness, total)
 
 
 # ---------------------------------------------------------------------------
 # Brute-force weighted l1 oracles
 # ---------------------------------------------------------------------------
-
-_ORACLE_DIM_CAP = 12
-_SIGN_ROW_CAP = 14
 
 
 class ExhaustiveL1Oracle:
@@ -527,8 +527,7 @@ class ExhaustiveL1Oracle:
         a = as_matrix(a)
         self.a = a
         self.m, self.n = a.shape
-        if self.n > _ORACLE_DIM_CAP:
-            raise CapExceededError("oracle dimension cap", f"N={self.n} > {_ORACLE_DIM_CAP}")
+        _within("oracle dimension cap", self.n, "N={used} > {limit}")
         self.degenerate = False
         # one (supports, pseudo-inverses) pair per support size: the
         # full-rank supports in lexicographic order, one per row, and their
@@ -623,8 +622,7 @@ def brute_force_phaseless(a, b_abs, w) -> L1MinResult:
     """
     a = as_matrix(a)
     m, n = a.shape
-    if m > _SIGN_ROW_CAP:
-        raise CapExceededError("sign pattern cap", f"m={m} > {_SIGN_ROW_CAP}")
+    _within("sign pattern cap", m, "m={used} > {limit}")
     b_abs = as_vector(b_abs, m, "b_abs")
     unit_squared_norm(b_abs, "b_abs")
     w = as_vector(w, n, "w", check_weights)

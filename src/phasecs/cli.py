@@ -102,6 +102,12 @@ class SweepConfig:
                 raise ValueError(f"theta applies to compressible signals only, got {self.theta:g}")
         if not (self.alphas and self.omegas and self.ms and self.sigmas):
             raise ValueError("grid lists must be nonempty")
+        # a repeated value would run the same trials again, under the same seeds
+        for key in ("alphas", "omegas", "ms", "sigmas"):
+            values = getattr(self, key)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{key} has a repeated value {value:g}")
         # the functions a trial calls refuse its bad values: each grid point's trial
         # is drawn once (omega by the solve's weight rule), then max_iter is checked
         rng = np.random.default_rng(0)
@@ -173,7 +179,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
     The keys are the fields of :class:`SweepConfig` (``seed`` for
     ``master_seed``): a tuple field takes a comma-separated list, any other
     field one value; ``#`` starts a comment.  A value that does not parse,
-    or a scalar key given a list, is refused with its line number and key.
+    or a scalar key given a list, is refused with its line number and key,
+    and so is a key given again.
     """
     fields = {_FLAGS["sweep"].get(name, name): (name, kinds)
               for name, kinds in _field_types(SweepConfig).items()}
@@ -194,6 +201,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
         items = (value,) if kind is str else _parse_list(value, name, kind)
         if not is_tuple and len(items) > 1:
             raise ValueError(f"{name}: expected one value, got {len(items)}")
+        if field in values:
+            raise ValueError(f"{name}: already given")
         values[field] = items if is_tuple else items[0]
     return SweepConfig(**values)
 
@@ -383,6 +392,8 @@ def _load_matrix(args) -> np.ndarray:
 
 
 def _weights_from_args(args, n: int) -> np.ndarray:
+    # --omega is refused by the weight rule even when no estimate reads it
+    linalg.check_weights(args.omega, "--omega")
     idx = _parse_list(args.estimate, "--estimate", int) if args.estimate else ()
     if any(i < 0 or i >= n for i in idx):
         raise ValueError("--estimate index out of range")
@@ -499,8 +510,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.check in ("rip", "srip") and args.estimate:
+        raise ValueError("--estimate applies to the nsp and pnsp checks only")
     a = _load_matrix(args)
-    n = a.shape[1]
+    w = _weights_from_args(args, a.shape[1])
     report: dict
     if args.check == "rip":
         rep = rip_constant(a, args.k)
@@ -522,7 +535,6 @@ def cmd_certify(args) -> int:
             "enumerated_count": rep.enumerated,
         }
     else:
-        w = _weights_from_args(args, n)
         check = weighted_nsp_check if args.check == "nsp" else phaseless_nsp_check
         verdict = check(a, args.k, w)
         report = {

@@ -92,9 +92,12 @@ class TestRip:
         assert abs(np.abs(lam - 1).max() - rep.delta) <= 1e-10
 
     def test_cap_refusal(self):
-        # both isometry checks refuse the same support count with the same text
-        message = "support enumeration cap exceeded: C(40,20)=137846528820 > 2000000"
-        for check in (rip_constant, srip_bounds):
+        # both isometry checks refuse by the supports they would enumerate:
+        # srip_bounds counts each once with all rows and once per row subset,
+        # C(2, 1) + 1 = 3 times at m=2
+        for check, count in ((rip_constant, "C(40,20)=137846528820"),
+                             (srip_bounds, "C(40,20)*3=413539586460")):
+            message = f"support enumeration cap exceeded: {count} > 2000000"
             with pytest.raises(CapExceededError, match=f"^{re.escape(message)}$") as err:
                 check(np.ones((2, 40)), 20)
             assert err.value.cap == "support enumeration cap"
@@ -133,6 +136,23 @@ class TestSrip:
     def test_row_cap(self):
         with pytest.raises(CapExceededError):
             srip_bounds(np.ones((15, 2)), 1)
+
+    def test_support_cap_counts_row_subsets(self, monkeypatch):
+        # C(16, 4) = 1820 supports are under the cap, but 14 rows give
+        # C(14, 7) + 1 = 3433 passes over them: refused before any enumeration
+        # (all 6,248,060 were once enumerated: 31 s on one BLAS thread)
+        a = model.gen_gaussian_matrix(np.random.default_rng(0), 14, 16)
+        b = model.gen_gaussian_matrix(np.random.default_rng(0), 10, 8)
+        # the certify-batch shape, C(8, 2) * (C(10, 5) + 1), stays under it
+        assert srip_bounds(b, 2).enumerated == 28 * 253
+
+        def no_enumeration(*_):
+            raise AssertionError("supports were enumerated")
+
+        monkeypatch.setattr("phasecs.certify._first_max", no_enumeration)
+        message = "support enumeration cap exceeded: C(16,4)*3433=6248060 > 2000000"
+        with pytest.raises(CapExceededError, match=f"^{re.escape(message)}$"):
+            srip_bounds(a, 4)
 
     def test_consistent_with_rip(self):
         rng = np.random.default_rng(61)

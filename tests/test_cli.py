@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasecs import cli
+from phasecs import certify, cli
 from phasecs.cli import (
     EXIT_SOLVER,
     SWEEP_COLUMNS,
@@ -44,6 +44,15 @@ max_iter = 3000
 
 # the config key of each SweepConfig field that is not named by it
 CONFIG_KEYS = {"master_seed": "seed"}
+
+
+def tiny_config(*lines: str) -> str:
+    """TINY_CONFIG less the lines that set the keys of ``lines``, then
+    ``lines``: a config states each key once."""
+    keys = {line.partition("=")[0].strip() for line in lines}
+    kept = [ln for ln in TINY_CONFIG.splitlines() if ln.partition("=")[0].strip() not in keys]
+    return "\n".join([*kept, *lines]) + "\n"
+
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -293,7 +302,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(cli, "run_trial", no_trial)
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(TINY_CONFIG + f"{key} = 0.5, {value}\n")
+        cfg.write_text(tiny_config(f"{key} = 0.5, {value}"))
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
@@ -306,7 +315,7 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "run_trial", no_trial)
         cfg = tmp_path / "rho.cfg"
         # at k = 2, rho*k overflows; round(rho*k) once raised OverflowError
-        cfg.write_text(TINY_CONFIG + "k = 2\nrho = 1e308\n")
+        cfg.write_text(tiny_config("k = 2", "rho = 1e308"))
         assert cli.main(["sweep", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -327,7 +336,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(cli, "run_trial", no_trial)
         cfg = tmp_path / "seed.cfg"
-        cfg.write_text(TINY_CONFIG + line + "\n")
+        cfg.write_text(tiny_config(line))
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep", "--config", str(cfg), *flags, "--out", str(out)]) == 1
         assert not out.exists()
@@ -777,6 +786,15 @@ CERTIFIER_REFUSALS = [
     ("oracle", "--phaseless", "--x", "1e200,1e200,0,0", "is too large for a finite squared norm"),
     ("oracle", "", "--x", "1e200,1e200,0,0", "is too large for a finite squared norm"),
     ("oracle", "--y 1,0", "--gaussian", "0 4", "must be at least 1, got 0"),
+    # a weight that no estimate reads, or a check that reads none, was
+    # once ignored: each of these exited 0
+    ("certify", "--check nsp --k 1", "--omega", "nan", "must be finite and nonnegative, got nan"),
+    ("certify", "--check rip --k 1", "--omega", "nan", "must be finite and nonnegative, got nan"),
+    ("certify", "--check srip --k 1", "--omega", "-1", "must be finite and nonnegative, got -1"),
+    ("oracle", "--y 1,0,0", "--omega", "-5", "must be finite and nonnegative, got -5"),
+    ("certify", "--check rip --k 1 --omega nan", "--estimate", "0",
+     "applies to the nsp and pnsp checks only"),
+    ("certify", "--check srip --k 1", "--estimate", "0", "applies to the nsp and pnsp checks only"),
     # a nonzero right-hand side whose squared norm is no normal float: at
     # 1e-160 and 1e-200 the phaseless oracle once returned 0, recovered
     ("oracle", "--phaseless", "--x", "1e-160,0,0,0",
@@ -802,6 +820,97 @@ def test_every_certifier_flag_is_refused_by_name(capsys, command, args, flag, va
     assert captured.err == f"error: {flag} {rule}\n"
 
 
+# each cap of the certifiers' table, by a command that passes it; each
+# refuses before any enumeration
+CAP_REFUSALS = [
+    ("support enumeration cap", "certify --gaussian 2 40 --check rip --k 20"),
+    # C(16, 4) supports, each over C(14, 7) + 1 row subsets: once enumerated
+    # in full, 6,248,060 of them
+    ("support enumeration cap", "certify --gaussian 14 16 --check srip --k 4"),
+    ("row subset cap", "certify --gaussian 15 2 --check srip --k 1"),
+    ("vertex enumeration cap", "certify --gaussian 13 26 --check nsp --k 1"),
+    ("row split cap", "certify --gaussian 13 2 --check pnsp --k 1"),
+    ("vertex enumeration cap", "certify --gaussian 12 24 --check pnsp --k 1"),
+    ("oracle dimension cap", "oracle --gaussian 2 13 --y 1,1"),
+    ("sign pattern cap", "oracle --gaussian 15 2 --x 1,1 --phaseless"),
+]
+
+
+def test_every_cap_refuses_with_exit_3(capsys):
+    for cap, argv in CAP_REFUSALS:
+        assert cli.main(argv.split()) == 3, argv
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert (report["status"], report["caps_hit"]) == ("refused", [cap]), argv
+        assert captured.err == f"refused: {report['detail']}\n"
+        assert report["detail"].startswith(f"{cap} exceeded: ")
+    assert {cap for cap, _ in CAP_REFUSALS} == set(certify._CAPS)
+
+
+def sweep_row(status: str) -> str:
+    record = SweepRecord(signal_kind="sparse", N=8, k=1, theta=None, rho=1.0, alpha=1.0,
+                         omega=0.5, m=12, sigma=0.0, trial=0, seed=1, snr_db=1.0,
+                         iterations=3, status=status, wall_ms=1)
+    return "\n".join(sweep_csv_lines([record]))
+
+
+# a refusal and its message; an argument vector runs through cli.main
+REFUSAL_MESSAGES = [
+    (lambda: read_sweep_csv("# schema=phasecs.sweep.v6\n"),
+     "unsupported schema line '# schema=phasecs.sweep.v6'"),
+    (lambda: read_sweep_csv(f"# schema={cli.SWEEP_SCHEMA}\n{','.join(SWEEP_COLUMNS)}\n1,2\n"),
+     "malformed row: '1,2'"),
+    (lambda: read_sweep_csv(sweep_row("bogus")), "unknown status 'bogus'"),
+    (lambda: SweepConfig(omegas=()), "grid lists must be nonempty"),
+    (["certify", "--check", "rip", "--k", "1"],
+     "choose exactly one of --matrix/--gaussian/--identity"),
+    (["oracle", "--identity", "3", "--gaussian", "3", "3", "--y", "1,0,0"],
+     "choose exactly one of --matrix/--gaussian/--identity"),
+    (["certify", "--identity", "3", "--check", "nsp", "--k", "1", "--estimate", "3"],
+     "--estimate index out of range"),
+    (["oracle", "--identity", "3", "--y", "1,0,0", "--estimate", "-1"],
+     "--estimate index out of range"),
+    (["oracle", "--identity", "3", "--phaseless"], "--phaseless needs --x to form the magnitudes"),
+    (["sweep"], "provide exactly one of --preset or --config"),
+    (["oracle", "--identity", "3"], "provide --x or --y"),
+]
+
+
+@pytest.mark.parametrize("refused, message", REFUSAL_MESSAGES)
+def test_refusal_message_is_pinned(capsys, refused, message):
+    if callable(refused):
+        with pytest.raises(ValueError) as err:
+            refused()
+        assert str(err.value) == message
+    else:
+        assert cli.main(refused) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("lines, message", [
+    # the same trials twice, under one seed, and --plot averaged them
+    (["omegas = 0.3, 0.3"], "omegas has a repeated value 0.3"),
+    (["alphas = 0.25, 0.5, 0.25"], "alphas has a repeated value 0.25"),
+    (["ms = 12, 16, 16"], "ms has a repeated value 16"),
+    (["sigmas = 0, 0.1, 0.0"], "sigmas has a repeated value 0"),
+    # the later line once won without a word
+    (["n = 6", "n = 8"], "config line 14: n: already given"),
+    (["seed = 4", "trials = 1", "seed = 4"], "config line 14: seed: already given"),
+])
+def test_sweep_config_states_each_key_and_value_once(monkeypatch, capsys, tmp_path, lines,
+                                                     message):
+    def no_trial(*_):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_trial", no_trial)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(tiny_config(*lines))
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("key, value", [
     (CONFIG_KEYS.get(field.name, field.name), value)
     for field in dataclasses.fields(SweepConfig)
@@ -814,7 +923,7 @@ def test_every_numeric_config_key_is_refused_by_name(monkeypatch, capsys, tmp_pa
 
     monkeypatch.setattr(cli, "run_trial", no_trial)
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(TINY_CONFIG + f"{key} = {value}\n")
+    cfg.write_text(tiny_config(f"{key} = {value}"))
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()

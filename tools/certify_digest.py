@@ -22,8 +22,10 @@ Inputs, all drawn from fixed seeds:
   up to 3, omega in {0, 0.5, 1}), from a generator of their own;
 - phaseless NSP checks in the compressive regime m < 2N - 2 (4x4, 5x6 and
   6x8 at k up to 3, omega in {0, 0.5, 1}), from a generator of their own;
-- inputs that each certifier refuses (caps, bad orders, weight lengths and
-  entries), recorded as the exception type and message.
+- inputs that each certifier refuses (every cap of the certifiers' table,
+  the vertex enumeration cap by both NSP checks, on a 13x26 and a 12x24
+  matrix; bad orders, weight lengths and entries), recorded as the
+  exception type and message.
 
 Serialisation: floats via ``float.hex``, arrays via dtype, shape and
 ``tobytes``, dataclasses field by field, sequences element by element, an
@@ -183,6 +185,10 @@ def phaseless_kernels(d: Digest, rng):
 def edge_cases(d: Digest):
     fail, spark = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array(
         [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+    # past the vertex enumeration cap: C(26, 12) subsets at kernel dimension
+    # 13; the pair spaces of 12 rows and 24 columns at k=1 sum past it
+    wide = model.gen_gaussian_matrix(np.random.default_rng(72), 13, 26)
+    split = model.gen_gaussian_matrix(np.random.default_rng(71), 12, 24)
     d.call("rip_constant", certify.rip_constant, np.ones((2, 40)), 20)
     d.call("rip_constant", certify.rip_constant, np.eye(3), 0)
     d.call("rip_constant", certify.rip_constant, np.eye(3), 4)
@@ -197,12 +203,13 @@ def edge_cases(d: Digest):
                     (np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.4 + 1e-10]]), 1, np.ones(3)),
                     (np.eye(3), 1, np.ones(2)), (np.eye(3), 0, np.ones(3)),
                     (np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), 1, [-1.0, 1.0, 1.0]),
-                    (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 1, [0.0, 1.0, 1.0])):
+                    (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 1, [0.0, 1.0, 1.0]),
+                    (wide, 1, np.ones(26))):
         d.call("weighted_nsp_check", certify.weighted_nsp_check, a, k, w)
     for a, k, w in ((spark, 1, np.ones(2)), (fail, 2, np.ones(2)), (np.eye(2), 1, np.ones(2)),
                     (np.eye(2), 2, np.ones(2)), (np.ones((13, 2)), 1, np.ones(2)),
                     (np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]]), 1, np.ones(4)),
-                    (fail, 2, np.ones(3)), (fail, 3, np.ones(2))):
+                    (fail, 2, np.ones(3)), (fail, 3, np.ones(2)), (split, 1, np.ones(24))):
         d.call("phaseless_nsp_check", certify.phaseless_nsp_check, a, k, w)
     d.call("ExhaustiveL1Oracle", certify.ExhaustiveL1Oracle, np.ones((2, 13)))
     for a, y, w in ((np.eye(2), [3.0, -4.0], np.ones(2)), (np.ones((1, 2)), [1.0], np.ones(2)),
